@@ -40,7 +40,7 @@ from .paritycheck import (
     z4_parity_check,
 )
 from .stdform import StandardForm, extract_blocks, reduced_associated, standard_form
-from .zring import RingSpec, Residue, element_order, ring_add, ring_mul, ring_neg, valuation
+from .zring import RingSpec
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -96,7 +96,6 @@ def _cmd_bench(args) -> int:
         args.trials,
         args.seed,
         out=args.out,
-        _counter_fault=args.selftest_corrupt_counters,
     )
     print(f"{len(records)} rows written to {args.out}", file=sys.stderr)
     return EXIT_OK
@@ -139,9 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--trials", type=int, default=1)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--out", required=True, help="CSV output path")
-    p_bench.add_argument(
-        "--selftest-corrupt-counters", action="store_true", help=argparse.SUPPRESS
-    )
     p_bench.set_defaults(func=_cmd_bench)
     return parser
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matrix import BlockLayout, Matrix, ShapeError, apply_col_permutation
+from .matrix import BlockLayout, Matrix, ShapeError, apply_col_permutation, dtype_for
 from .stdform import StandardForm, standard_form
 from .zring import DomainError, RingMismatchError
 
@@ -52,12 +52,12 @@ def enumerate_codewords(code: CodeSpec) -> np.ndarray:
         raise DomainError(f"|C| = {size} exceeds enumeration budget {ENUMERATION_BUDGET}")
 
     rows = apply_col_permutation(code.standard.matrix, code.standard.perm.inverse())
-    words = np.zeros((1, code.n), dtype=np.int64)
+    dtype = dtype_for(ring)
+    words = np.zeros((1, code.n), dtype=dtype)
     for i in range(layout.total):
         group = _row_group(layout, i)
         coeff_range = p ** (s - group + 1)
-        u = rows.data[i].astype(np.int64)
-        scaled = (np.arange(coeff_range, dtype=np.int64)[:, None] * u) % m
+        scaled = (np.arange(coeff_range, dtype=dtype)[:, None] * rows.data[i]) % m
         words = (words[:, None, :] + scaled[None, :, :]).reshape(-1, code.n) % m
     return words
 
@@ -73,19 +73,16 @@ def _row_group(layout: BlockLayout, row: int) -> int:
 
 def is_member(code: CodeSpec, v) -> bool:
     """Exact membership by reduction against standard-form pivots."""
-    vec = np.asarray(v, dtype=np.int64)
+    ring = code.ring
+    vec = np.asarray(v, dtype=dtype_for(ring))
     if vec.shape != (code.n,):
         raise ShapeError(f"vector of length {vec.shape} vs code length {code.n}")
-    ring = code.ring
     p, m = ring.p, ring.modulus
     layout = code.layout
     perm = code.standard.perm
     g = code.standard.matrix.data
     # Move v into the standard form's coordinates (pull convention).
     w = vec[[img - 1 for img in perm.images]] % m
-    if m > 2 ** 31:  # reduction multiples can overflow int64 products
-        g = g.astype(object)
-        w = w.astype(object)
     for r in range(layout.total):
         pv = p ** (_row_group(layout, r) - 1)
         val = int(w[r])

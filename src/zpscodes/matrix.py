@@ -8,6 +8,7 @@ show up whenever some t_i = 0 or n - t = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,10 +29,19 @@ class ParseError(ValueError):
         self.column = column
 
 
-def _dtype_for(ring: RingSpec):
-    # int64 additions are safe whenever 2*(m-1) < 2^63; only near-boundary
-    # moduli need python-int (object) storage.
-    return np.int64 if ring.modulus <= 2 ** 62 else object
+# The largest modulus m with (m - 1)^2 < 2^63.
+_INT64_MAX_MODULUS = math.isqrt(2 ** 63 - 1) + 1
+
+
+def dtype_for(ring: RingSpec):
+    """Storage for arrays over ring: int64 when the product of two reduced
+    entries fits, (p^s - 1)^2 < 2^63, and python ints (object) otherwise.
+
+    Every elementwise sum, negation and product of reduced entries is then
+    exact; only a matrix product, which sums k such products, must look at
+    its inner dimension too.  This is the package's one overflow rule.
+    """
+    return np.int64 if ring.modulus <= _INT64_MAX_MODULUS else object
 
 
 class Matrix:
@@ -40,7 +50,7 @@ class Matrix:
     __slots__ = ("ring", "data")
 
     def __init__(self, ring: RingSpec, data):
-        arr = np.array(data, dtype=_dtype_for(ring))
+        arr = np.array(data, dtype=dtype_for(ring))
         if arr.ndim != 2:
             raise ShapeError(f"expected a 2-D array, got ndim={arr.ndim}")
         arr %= ring.modulus
@@ -71,15 +81,12 @@ class Matrix:
     def __repr__(self) -> str:
         return f"Matrix({self.ring.p}^{self.ring.s}, {self.data.tolist()})"
 
-    def row(self, i: int):
-        return self.data[i]
-
     def tolist(self):
         return [[int(x) for x in row] for row in self.data]
 
 
 def zeros(ring: RingSpec, nrows: int, ncols: int) -> Matrix:
-    return Matrix(ring, np.zeros((nrows, ncols), dtype=_dtype_for(ring)))
+    return Matrix(ring, np.zeros((nrows, ncols), dtype=dtype_for(ring)))
 
 
 def identity(ring: RingSpec, k: int) -> Matrix:
@@ -99,13 +106,6 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return Matrix(ring, (a.data + b.data) % ring.modulus)
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    ring = _same_ring(a, b)
-    if a.shape != b.shape:
-        raise ShapeError(f"sub: {a.shape} vs {b.shape}")
-    return Matrix(ring, (a.data - b.data) % ring.modulus)
-
-
 def mat_neg(a: Matrix) -> Matrix:
     return Matrix(a.ring, (-a.data) % a.ring.modulus)
 
@@ -117,10 +117,9 @@ def mat_scalar(c: int, a: Matrix) -> Matrix:
 
 def _matmul_reduced(a: np.ndarray, b: np.ndarray, ring: RingSpec) -> np.ndarray:
     m = ring.modulus
-    k = a.shape[1]
-    if a.dtype == np.int64 and (m - 1) ** 2 * max(k, 1) < 2 ** 63:
+    if (m - 1) ** 2 * a.shape[1] < 2 ** 63:
         return (a @ b) % m
-    # Fall back to python-int arithmetic when int64 products could overflow.
+    # A sum of k int64 products could overflow: use python ints.
     return (a.astype(object) @ b.astype(object)) % m
 
 

@@ -45,10 +45,6 @@ def enumerate_restricted(n: int):
     return out
 
 
-# Back-compat spelling used in a few call sites and tests.
-enumerate_hatS = enumerate_restricted
-
-
 def j_set(perm: Permutation) -> tuple:
     """Indices h with sigma(h) >= h, in increasing order."""
     return tuple(h for h in range(1, perm.degree + 1) if perm(h) >= h)
@@ -106,18 +102,15 @@ class BlockMinorTable:
     Holds the stripped blocks A_{i,j} keyed by (i, j), 1 <= i <= s,
     i + 1 <= j <= s + 1.  The recursion counts one multiplication and one
     addition per non-identity term through the attached counters; the
-    product by the order-0 identity minor is skipped.  Memoization is off
-    by default so operation counts reproduce independent recomputation.
+    product by the order-0 identity minor is skipped.  Nothing is memoized,
+    so operation counts reproduce independent recomputation.
     """
 
-    def __init__(self, blocks: dict, layout, counters: OpCounters | None = None,
-                 memoize: bool = False):
+    def __init__(self, blocks: dict, layout, counters: OpCounters | None = None):
         self.blocks = blocks
         self.layout = layout
         self.ring = next(iter(blocks.values())).ring if blocks else None
         self.counters = counters if counters is not None else OpCounters()
-        self.memoize = memoize
-        self._memo = {}
         self._wide_group = layout.s + 1
 
     def block(self, i: int, j: int) -> Matrix:
@@ -160,8 +153,6 @@ class BlockMinorTable:
         self._check_range(i, j)
         if j == 0:
             return identity(self.ring, self.layout.t[i - 1])
-        if self.memoize and (i, j) in self._memo:
-            return self._memo[(i, j)]
         wide = (i + j == self._wide_group)
         acc = None
         for k in range(i, i + j):
@@ -175,6 +166,4 @@ class BlockMinorTable:
             if (k - i) % 2 == 1:
                 term = mat_neg(term)
             acc = term if acc is None else self._counted_add(acc, term, wide)
-        if self.memoize:
-            self._memo[(i, j)] = acc
         return acc

@@ -76,11 +76,11 @@ def _assemble(sf: StandardForm, hij, counters: OpCounters, method: str) -> Parit
             num_row += layout.t[i - 1]
         ht = insert_block(ht, num_row, num_col, mat_scalar(scale, identity(ring, width)))
         num_col += width
-    ht = Matrix(ring, ht.data[:, :num_col])
-
-    h = mat_transpose(ht)
-    h_unperm = _unpermute(h, sf)
-    return ParityCheckResult(h, method, counters, h_unperm)
+    h = mat_transpose(Matrix(ring, ht.data[:, :num_col]))
+    # Free H^T before un-permuting, which holds two more n x (n - t_1)
+    # arrays besides H: four at once would be one more than assembly holds.
+    del ht
+    return ParityCheckResult(h, method, counters, _unpermute(h, sf))
 
 
 def _unpermute(h: Matrix, sf: StandardForm) -> Matrix:
@@ -93,7 +93,7 @@ def parity_check_minors(sf: StandardForm) -> ParityCheckResult:
     """Minors construction: every block H_{i,j} = (-1)^(s+2-i-j) O^i_{s+2-i-j}
     computed through an independent (unmemoized) block-minor recursion."""
     counters = OpCounters()
-    table = BlockMinorTable(extract_blocks(sf), sf.layout, counters, memoize=False)
+    table = BlockMinorTable(extract_blocks(sf), sf.layout, counters)
     s = sf.layout.s
 
     def hij(i, j):

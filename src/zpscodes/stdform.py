@@ -37,10 +37,9 @@ def standard_form(rows: Matrix) -> StandardForm:
     ring = rows.ring
     p, s, m = ring.p, ring.s, ring.modulus
     n = rows.ncols
-    # Row operations multiply entries by quotients up to m/p, so stay on
-    # python ints once int64 products could overflow.
-    dtype = object if m > 2 ** 31 else np.int64
-    work = rows.data.astype(dtype).copy()
+    # Row operations multiply two reduced entries, which the storage rule
+    # of the ring's arrays keeps exact.
+    work = rows.data.copy()
     nrows = work.shape[0]
     cols = list(range(n))  # cols[j] = original column now at position j
 

@@ -1,8 +1,8 @@
-"""Exact arithmetic in Z_{p^s}.
+"""The ring Z_{p^s}: its description, its errors and unit inverses.
 
-Elements are plain machine integers reduced into [0, p^s).  The ring is
-described by a RingSpec which is validated once at construction and then
-shared (it is immutable, so it can be passed around freely).
+Elements are plain integers reduced into [0, p^s).  The ring is described
+by a RingSpec which is validated once at construction and then shared (it
+is immutable, so it can be passed around freely).
 """
 
 from __future__ import annotations
@@ -50,84 +50,9 @@ class RingSpec:
     def modulus(self) -> int:
         return self._modulus
 
-    def reduce(self, value: int) -> int:
-        return value % self._modulus
-
-
-@dataclass(frozen=True)
-class Residue:
-    """An element of Z_{p^s}, always stored reduced into [0, p^s)."""
-
-    value: int
-    ring: RingSpec
-
-    def __post_init__(self):
-        if not 0 <= self.value < self.ring.modulus:
-            raise DomainError(f"value {self.value} not reduced mod {self.ring.modulus}")
-
-
-def _same_ring(a: Residue, b: Residue) -> RingSpec:
-    if a.ring != b.ring:
-        raise RingMismatchError(f"operands over {a.ring} and {b.ring}")
-    return a.ring
-
-
-def ring_add(a: Residue, b: Residue) -> Residue:
-    ring = _same_ring(a, b)
-    return Residue((a.value + b.value) % ring.modulus, ring)
-
-
-def ring_mul(a: Residue, b: Residue) -> Residue:
-    ring = _same_ring(a, b)
-    return Residue((a.value * b.value) % ring.modulus, ring)
-
-
-def ring_neg(a: Residue) -> Residue:
-    return Residue((-a.value) % a.ring.modulus, a.ring)
-
-
-def valuation_int(value: int, ring: RingSpec) -> int:
-    """p-adic valuation of a reduced integer; valuation(0) = s by convention."""
-    if value == 0:
-        return ring.s
-    v = 0
-    while value % ring.p == 0:
-        value //= ring.p
-        v += 1
-    return v
-
-
-def valuation(a: Residue) -> int:
-    return valuation_int(a.value, a.ring)
-
-
-def is_unit(a: Residue) -> bool:
-    return valuation(a) == 0
-
 
 def unit_inverse_int(value: int, ring: RingSpec) -> int:
     """Inverse of a unit; raises DomainError for non-units."""
     if value % ring.p == 0:
         raise DomainError(f"{value} is not a unit mod {ring.modulus}")
     return pow(value, -1, ring.modulus)
-
-
-def unit_inverse(a: Residue) -> Residue:
-    return Residue(unit_inverse_int(a.value, a.ring), a.ring)
-
-
-def element_order(u) -> int:
-    """Order of a vector over Z_{p^s}: the least m >= 1 with m*u = 0.
-
-    Equals p^(s - min valuation over the coordinates); the zero vector has
-    order 1.
-    """
-    u = list(u)
-    if not u:
-        raise DomainError("order of an empty vector is undefined")
-    ring = u[0].ring
-    for x in u:
-        if x.ring != ring:
-            raise RingMismatchError("mixed rings in vector")
-    v = min(valuation(x) for x in u)
-    return ring.p ** (ring.s - v)

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 
-from zpscodes import Matrix, RingSpec
+from zpscodes import Matrix, OpCounters, RingSpec
 
 
 def cofactor_det(rows, modulus):
@@ -68,6 +68,30 @@ def row_span_set(generators: Matrix):
                 new_words.add(tuple((a + b) % m for a, b in zip(w, shift)))
         words = new_words
     return words
+
+
+def gh_transpose_is_zero(g: Matrix, h: Matrix) -> bool:
+    """G H^T = 0, computed with python ints, independent of the library's
+    matrix product."""
+    m = g.ring.modulus
+    return all(
+        sum(int(x) * int(y) for x, y in zip(g_row, h_row)) % m == 0
+        for g_row in g.data
+        for h_row in h.data
+    )
+
+
+def miscount_big_mults(monkeypatch):
+    """Make the counters record every wide block product twice, so the
+    instrumented counts no longer match the closed forms."""
+    record_mul = OpCounters.record_mul
+
+    def record_twice(self, a, b, c, wide):
+        record_mul(self, a, b, c, wide)
+        if wide:
+            self.big_mults += 1
+
+    monkeypatch.setattr(OpCounters, "record_mul", record_twice)
 
 
 def rows_as_set(matrix: Matrix):

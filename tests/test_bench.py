@@ -17,6 +17,8 @@ from zpscodes.bench import CSV_COLUMNS, CounterMismatchError, derive_seed
 from zpscodes.stdform import standard_form
 from zpscodes.zring import DomainError
 
+from helpers import miscount_big_mults
+
 
 def test_predicted_counts_small_cases():
     assert predicted_counts_minors(1) == (0, 0)
@@ -95,9 +97,10 @@ def test_run_suite_rejects_short_lengths():
         run_suite(2, [4], [2], [8], trials=1, seed=0)
 
 
-def test_counter_fault_is_detected():
+def test_counter_fault_is_detected(monkeypatch):
+    miscount_big_mults(monkeypatch)
     with pytest.raises(CounterMismatchError):
-        run_suite(2, [2], [1], [5], trials=1, seed=0, _counter_fault=True)
+        run_suite(2, [2], [1], [5], trials=1, seed=0)
 
 
 def test_iterative_counts_grow_with_s():

@@ -12,6 +12,8 @@ from zpscodes import (
 )
 from zpscodes.cli import main
 
+from helpers import miscount_big_mults
+
 Z4 = RingSpec(2, 2)
 EXAMPLE_TEXT = "2 2 2 3\n1 1 2\n0 2 2\n"
 
@@ -118,9 +120,10 @@ def test_bench_csv_determinism(tmp_path, capsys):
     assert strip(rows_a) == strip(rows_b)
 
 
-def test_bench_counter_selftest(tmp_path, capsys):
+def test_bench_counter_selftest(tmp_path, capsys, monkeypatch):
+    miscount_big_mults(monkeypatch)
     code = main(["bench", "--p", "2", "--s-range", "2", "--ell-range", "1",
                  "--n-list", "6", "--trials", "1", "--seed", "0",
-                 "--out", str(tmp_path / "c.csv"), "--selftest-corrupt-counters"])
+                 "--out", str(tmp_path / "c.csv")])
     assert code == 1
     assert "error:" in capsys.readouterr().err

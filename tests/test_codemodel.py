@@ -60,6 +60,21 @@ def test_enumeration_budget():
     assert ENUMERATION_BUDGET == 2 ** 20
 
 
+@pytest.mark.parametrize("p,s,group", [(3, 39, 30), (5, 27, 27)])
+def test_enumeration_exact_on_large_moduli(p, s, group):
+    # One generator of valuation group - 1: coefficients times entries
+    # overflow int64 products.
+    ring = RingSpec(p, s)
+    m = ring.modulus
+    rng = random.Random(s)
+    u = [p ** (group - 1) * rng.randrange(1, m) % m for _ in range(3)]
+    u[0] = p ** (group - 1)
+    words = enumerate_codewords(CodeSpec(Matrix(ring, [u])))
+    want = {tuple(c * x % m for x in u) for c in range(p ** (s - group + 1))}
+    assert {tuple(int(x) for x in w) for w in words} == want
+    assert words.shape[0] == len(want)
+
+
 def test_cardinality_formula_values():
     assert cardinality(BlockLayout(3, (1, 1)), 2) == 8
     assert cardinality(BlockLayout(10, (2, 1, 1)), 3) == 3 ** 9

@@ -146,3 +146,15 @@ def test_parse_skips_std_form_headers():
 def test_scalar():
     a = Matrix(Z4, [[1, 2], [3, 1]])
     assert mat_scalar(3, a).tolist() == [[3, 2], [1, 3]]
+
+
+def test_storage_rule_boundary():
+    # (m - 1)^2 < 2^63 holds for m = 55103^2 and fails for m = 55109^2.
+    for p, dtype in [(55103, np.int64), (55109, object)]:
+        ring = RingSpec(p, 2)
+        m = ring.modulus
+        a = Matrix(ring, [[m - 1, m - 2]])
+        assert a.data.dtype == dtype
+        assert mat_scalar(m - 1, a).tolist() == [[1, 2]]
+        assert mat_mul(mat_transpose(a), a).tolist() == [[1, 2], [2, 4]]
+        assert mat_add(a, a).tolist() == [[m - 2, m - 4]]

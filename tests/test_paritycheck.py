@@ -24,7 +24,7 @@ from zpscodes.matrix import BlockLayout
 from zpscodes.paritycheck import BudgetExceededError
 from zpscodes.zring import DomainError
 
-from helpers import random_matrix, random_type, rows_as_set, row_span_set
+from helpers import gh_transpose_is_zero, random_matrix, random_type, rows_as_set, row_span_set
 
 Z4 = RingSpec(2, 2)
 Z4_EXAMPLE = Matrix(Z4, [[1, 1, 2], [0, 2, 2]])
@@ -108,6 +108,27 @@ def test_methods_entrywise_equal_randomized(trial):
     res_i = parity_check_iterative(code.standard)
     assert res_m.h == res_i.h
     assert res_m.h_unpermuted == res_i.h_unpermuted
+
+
+# Odd moduli above 2^31.5, where an int64 product of two entries overflows.
+# Minors costs 2^s block ops, so it runs only at small s.
+@pytest.mark.parametrize("p,s,constructions", [
+    pytest.param(2147483647, 2, (parity_check_minors, parity_check_iterative), id="(2^31-1)^2"),
+    pytest.param(46337, 4, (parity_check_minors, parity_check_iterative), id="46337^4"),
+    pytest.param(3, 21, (parity_check_iterative,), id="3^21"),
+    pytest.param(3, 39, (parity_check_iterative,), id="3^39"),
+    pytest.param(7, 22, (parity_check_iterative,), id="7^22"),
+])
+def test_parity_exact_on_large_moduli(p, s, constructions):
+    ring = RingSpec(p, s)
+    n = s + 2
+    for seed in range(5):
+        code = random_code(ring, n, (1,) * s, seed)
+        hs = [construct(code.standard).h_unpermuted for construct in constructions]
+        for h in hs:
+            assert h.nrows == n - 1
+            assert gh_transpose_is_zero(code.generators, h)
+        assert all(h == hs[0] for h in hs)
 
 
 def test_bruteforce_trivial_codes():
