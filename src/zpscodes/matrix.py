@@ -266,8 +266,9 @@ def apply_col_permutation(a: Matrix, perm: Permutation) -> Matrix:
 
 def format_matrix(m: Matrix) -> str:
     lines = [f"{m.ring.p} {m.ring.s} {m.nrows} {m.ncols}"]
-    for row in m.data:
-        lines.append(" ".join(str(int(x)) for x in row))
+    # Row by row: a whole-matrix tolist() would hold every entry as a
+    # python int at once.
+    lines.extend(" ".join(map(str, row.tolist())) for row in m.data)
     return "\n".join(lines) + "\n"
 
 

@@ -19,14 +19,10 @@ from .matrix import (
     BlockLayout,
     Matrix,
     ShapeError,
-    identity,
-    insert_block,
-    mat_add,
-    mat_mul,
+    _matmul_reduced,
+    apply_col_permutation,
+    dtype_for,
     mat_neg,
-    mat_scalar,
-    mat_transpose,
-    zeros,
 )
 from .minors import BlockMinorTable
 from .opcounters import OpCounters
@@ -55,38 +51,33 @@ def dual_type(layout: BlockLayout) -> BlockLayout:
     return BlockLayout(layout.n, (layout.n - layout.total,) + tuple(reversed(t[1:])))
 
 
-def _assemble(sf: StandardForm, hij, counters: OpCounters, method: str) -> ParityCheckResult:
-    """Build H^T from a block source hij(table, i, j) -> Matrix."""
+def _assemble(
+    sf: StandardForm, h_blocks: dict, counters: OpCounters, method: str
+) -> ParityCheckResult:
+    """Write H^T once into one array from the blocks H_{i,j}, keyed (i, j),
+    of every column group j of nonzero width."""
     layout = sf.layout
     ring = sf.matrix.ring
-    p, s = ring.p, layout.s
-    n, t = layout.n, layout.total
-
-    ht = zeros(ring, n, n - layout.t[0] if s >= 1 else n)
-    num_col = 0
-    for j in range(1, s + 1):
-        width = n - t if j == 1 else layout.t[s + 1 - j]
+    s = layout.s
+    # Row group i has height t_i; row group s + 1 holds the wide identity.
+    row_at = np.cumsum((0,) + layout.t + (layout.n - layout.total,))
+    widths = dual_type(layout).t
+    ht = np.zeros((layout.n, sum(widths)), dtype=dtype_for(ring))
+    c0 = 0
+    for j, width in enumerate(widths, start=1):
         if width == 0:
             continue
-        scale = p ** (j - 1)
-        num_row = 0
+        cols = slice(c0, c0 + width)
+        scale = ring.p ** (j - 1)
         for i in range(1, s + 2 - j):
-            block = hij(i, j)
-            ht = insert_block(ht, num_row, num_col, mat_scalar(scale, block))
-            num_row += layout.t[i - 1]
-        ht = insert_block(ht, num_row, num_col, mat_scalar(scale, identity(ring, width)))
-        num_col += width
-    h = mat_transpose(Matrix(ring, ht.data[:, :num_col]))
+            ht[row_at[i - 1] : row_at[i], cols] = h_blocks[(i, j)].data * scale % ring.modulus
+        np.fill_diagonal(ht[row_at[s + 1 - j] : row_at[s + 2 - j], cols], scale)
+        c0 += width
+    h = Matrix(ring, ht.T)
     # Free H^T before un-permuting, which holds two more n x (n - t_1)
-    # arrays besides H: four at once would be one more than assembly holds.
+    # arrays besides H.
     del ht
-    return ParityCheckResult(h, method, counters, _unpermute(h, sf))
-
-
-def _unpermute(h: Matrix, sf: StandardForm) -> Matrix:
-    from .matrix import apply_col_permutation
-
-    return apply_col_permutation(h, sf.perm.inverse())
+    return ParityCheckResult(h, method, counters, apply_col_permutation(h, sf.perm.inverse()))
 
 
 def parity_check_minors(sf: StandardForm) -> ParityCheckResult:
@@ -95,15 +86,15 @@ def parity_check_minors(sf: StandardForm) -> ParityCheckResult:
     counters = OpCounters()
     table = BlockMinorTable(extract_blocks(sf), sf.layout, counters)
     s = sf.layout.s
-
-    def hij(i, j):
-        order = s + 2 - i - j
-        block = table.block_minor_rec(i, order)
-        if order % 2 == 1:
-            block = mat_neg(block)
-        return block
-
-    return _assemble(sf, hij, counters, "minors")
+    h = {}
+    for j, width in enumerate(dual_type(sf.layout).t, start=1):
+        if width == 0:
+            continue
+        for i in range(1, s + 2 - j):
+            order = s + 2 - i - j
+            block = table.block_minor_rec(i, order)
+            h[(i, j)] = mat_neg(block) if order % 2 == 1 else block
+    return _assemble(sf, h, counters, "minors")
 
 
 def parity_check_iterative(sf: StandardForm) -> ParityCheckResult:
@@ -116,24 +107,20 @@ def parity_check_iterative(sf: StandardForm) -> ParityCheckResult:
     s = layout.s
     table = BlockMinorTable(blocks, layout, counters)
 
-    computed = {}
-    for j in range(1, s + 1):
-        wide = (j == 1)
-        width = layout.n - layout.total if j == 1 else layout.t[s + 1 - j]
+    h = {}
+    for j, width in enumerate(dual_type(layout).t, start=1):
         if width == 0:
             continue
-        group = {}
+        wide = (j == 1)
         top = s - j + 1
-        group[top] = mat_neg(blocks[(top, s - j + 2)])
+        h[(top, j)] = mat_neg(blocks[(top, s - j + 2)])
         for i in range(top - 1, 0, -1):
             acc = blocks[(i, s - j + 2)]
             for k in range(i + 1, top + 1):
-                prod = table._counted_mul(blocks[(i, k)], group[k], wide)
+                prod = table._counted_mul(blocks[(i, k)], h[(k, j)], wide)
                 acc = table._counted_add(acc, prod, wide)
-            group[i] = mat_neg(acc)
-        computed[j] = group
-
-    return _assemble(sf, lambda i, j: computed[j][i], counters, "iterative")
+            h[(i, j)] = mat_neg(acc)
+    return _assemble(sf, h, counters, "iterative")
 
 
 def parity_check_bruteforce(generators: Matrix) -> Matrix:
@@ -176,15 +163,15 @@ def z4_parity_check(sf: StandardForm) -> Matrix:
     n = layout.n
     free = n - t1 - t2
     blocks = extract_blocks(sf)
-    r, s_blk, t_blk = blocks[(1, 2)], blocks[(1, 3)], blocks[(2, 3)]
+    r, s_blk, t_blk = blocks[(1, 2)].data, blocks[(1, 3)].data, blocks[(2, 3)].data
 
-    h = zeros(ring, free + t2, n)
-    h = insert_block(h, 0, 0, mat_neg(mat_transpose(mat_add(s_blk, mat_mul(r, t_blk)))))
-    h = insert_block(h, 0, t1, mat_transpose(t_blk))
-    h = insert_block(h, 0, t1 + t2, identity(ring, free))
-    h = insert_block(h, free, 0, mat_scalar(2, mat_transpose(r)))
-    h = insert_block(h, free, t1, mat_scalar(2, identity(ring, t2)))
-    return h
+    h = np.zeros((free + t2, n), dtype=dtype_for(ring))
+    h[:free, :t1] = -(s_blk + r @ t_blk).T
+    h[:free, t1 : t1 + t2] = t_blk.T
+    np.fill_diagonal(h[:free, t1 + t2 :], 1)
+    h[free:, :t1] = 2 * r.T
+    np.fill_diagonal(h[free:, t1 : t1 + t2], 2)
+    return Matrix(ring, h)
 
 
 def verify_parity(g: Matrix, h: Matrix):
@@ -194,8 +181,8 @@ def verify_parity(g: Matrix, h: Matrix):
         raise RingMismatchError("generator and parity-check over different rings")
     if g.ncols != h.ncols:
         raise ShapeError(f"length mismatch: {g.ncols} vs {h.ncols}")
-    prod = mat_mul(g, mat_transpose(h))
-    nz = np.argwhere(prod.data != 0)
+    prod = _matmul_reduced(g.data, h.data.T, g.ring)
+    nz = np.argwhere(prod != 0)
     if nz.size:
         r, c = nz[0]
         return False, (int(r) + 1, int(c) + 1)

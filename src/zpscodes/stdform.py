@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import BlockLayout, Matrix, Permutation, zeros
+from .matrix import BlockLayout, Matrix, Permutation, dtype_for
 from .zring import unit_inverse_int
 
 
@@ -106,41 +106,32 @@ def extract_blocks(sf: StandardForm) -> dict:
     return blocks
 
 
+def _associated(sf: StandardForm) -> np.ndarray:
+    """Row group i is (0, Id, A_{i,i+1}, ..., A_{i,s+1}), with the identity
+    at column group i: the standard form with its p-power scalings stripped."""
+    layout = sf.layout
+    out = np.zeros((layout.total, layout.n), dtype=dtype_for(sf.matrix.ring))
+    for i in range(1, layout.s + 1):
+        rows = slice(layout.row_offset(i), layout.row_offset(i + 1))
+        c0 = layout.col_offset(i)
+        np.fill_diagonal(out[rows, c0 : c0 + layout.t[i - 1]], 1)
+    for (i, j), block in extract_blocks(sf).items():
+        c0 = layout.col_offset(j)
+        out[layout.row_offset(i) : layout.row_offset(i + 1), c0 : c0 + block.ncols] = block.data
+    return out
+
+
 def reconstruct(sf: StandardForm) -> Matrix:
     """Reassemble the standard-form matrix from its extracted blocks."""
-    from .matrix import identity, insert_block, mat_scalar
-
     layout = sf.layout
     ring = sf.matrix.ring
-    s = layout.s
-    blocks = extract_blocks(sf)
-    g = zeros(ring, layout.total, layout.n)
-    for i in range(1, s + 1):
-        scale = ring.p ** (i - 1)
-        r0 = layout.row_offset(i)
-        g = insert_block(g, r0, layout.col_offset(i), mat_scalar(scale, identity(ring, layout.t[i - 1])))
-        for j in range(i + 1, s + 2):
-            g = insert_block(g, r0, layout.col_offset(j), mat_scalar(scale, blocks[(i, j)]))
-    return g
+    g = _associated(sf)
+    for i in range(1, layout.s + 1):
+        g[layout.row_offset(i) : layout.row_offset(i + 1)] *= ring.p ** (i - 1)
+    return Matrix(ring, g)
 
 
 def reduced_associated(sf: StandardForm) -> Matrix:
     """The reduced associated matrix: first column group dropped, identity
     blocks on the subdiagonal, p-power scalings stripped."""
-    from .matrix import identity, insert_block
-
-    layout = sf.layout
-    ring = sf.matrix.ring
-    s = layout.s
-    blocks = extract_blocks(sf)
-    ncols = layout.n - layout.t[0] if s >= 1 else layout.n
-    out = zeros(ring, layout.total, ncols)
-    for i in range(1, s + 1):
-        r0 = layout.row_offset(i)
-        if i >= 2:
-            out = insert_block(
-                out, r0, layout.col_offset(i) - layout.t[0], identity(ring, layout.t[i - 1])
-            )
-        for j in range(i + 1, s + 2):
-            out = insert_block(out, r0, layout.col_offset(j) - layout.t[0], blocks[(i, j)])
-    return out
+    return Matrix(sf.matrix.ring, _associated(sf)[:, sf.layout.t[0] :])

@@ -127,3 +127,130 @@ def test_bench_counter_selftest(tmp_path, capsys, monkeypatch):
                  "--out", str(tmp_path / "c.csv")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+# Exact stdout/stderr bytes of the README commands.  The inputs cover a
+# standard form that needs no column swap (Z_4), one with zero type entries
+# and a swap (3^4), and a ring stored as python ints (1451^3 > 3037000500)
+# with p-power-scaled rows.
+GOLDEN_INPUTS = {
+    "z4": EXAMPLE_TEXT,
+    "3^4": "3 4 4 6\n27 54 0 27 0 54\n9 18 27 0 45 9\n1 2 0 5 7 3\n2 4 9 10 14 6\n",
+    "1451^3": (
+        "1451 3 3 6\n"
+        "10527005 3054936850 2 10157 7 1000000007\n"
+        "1451 10157 4353 0 14510 2902000000\n"
+        "4210802 23159411 0 3052831450 6316203 0\n"
+    ),
+}
+GOLDEN_COMMANDS = {
+    "std-form": ["std-form"],
+    "minors": ["parity-check", "--method", "minors"],
+    "iterative": ["parity-check", "--method", "iterative"],
+    "original-coords": ["parity-check", "--original-coords", "--out", "OUT"],
+}
+GOLDEN = {
+    ("z4", "std-form"): (
+        "type: 3 1 1\n"
+        "perm: 1 2 3\n"
+        "2 2 2 3\n"
+        "1 1 2\n"
+        "0 2 2\n",
+        ""),
+    ("z4", "minors"): (
+        "2 2 2 3\n"
+        "3 3 1\n"
+        "2 2 0\n",
+        "counters: big: 1 mults / 1 adds; small: 0 mults / 0 adds\n"),
+    ("z4", "iterative"): (
+        "2 2 2 3\n"
+        "3 3 1\n"
+        "2 2 0\n",
+        "counters: big: 1 mults / 1 adds; small: 0 mults / 0 adds\n"),
+    ("z4", "original-coords"): (
+        "2 2 2 3\n"
+        "3 3 1\n"
+        "2 2 0\n",
+        "counters: big: 1 mults / 1 adds; small: 0 mults / 0 adds\n"),
+    ("3^4", "std-form"): (
+        "type: 6 1 0 2 0\n"
+        "perm: 1 3 4 2 5 6\n"
+        "3 4 3 6\n"
+        "1 0 5 2 7 3\n"
+        "0 9 0 0 0 0\n"
+        "0 0 9 0 36 36\n",
+        ""),
+    ("3^4", "minors"): (
+        "3 4 5 6\n"
+        "79 0 0 1 0 0\n"
+        "13 0 77 0 1 0\n"
+        "17 0 77 0 0 1\n"
+        "0 9 0 0 0 0\n"
+        "36 0 9 0 0 0\n",
+        "counters: big: 11 mults / 11 adds; small: 1 mults / 1 adds\n"),
+    ("3^4", "iterative"): (
+        "3 4 5 6\n"
+        "79 0 0 1 0 0\n"
+        "13 0 77 0 1 0\n"
+        "17 0 77 0 0 1\n"
+        "0 9 0 0 0 0\n"
+        "36 0 9 0 0 0\n",
+        "counters: big: 6 mults / 6 adds; small: 1 mults / 1 adds\n"),
+    ("3^4", "original-coords"): (
+        "3 4 5 6\n"
+        "79 1 0 0 0 0\n"
+        "13 0 0 77 1 0\n"
+        "17 0 0 77 0 1\n"
+        "0 0 9 0 0 0\n"
+        "36 0 0 9 0 0\n",
+        "counters: big: 6 mults / 6 adds; small: 1 mults / 1 adds\n"),
+    ("1451^3", "std-form"): (
+        "type: 6 1 1 1\n"
+        "perm: 2 1 3 4 5 6\n"
+        "1451 3 3 6\n"
+        "1 0 2105399 3040188887 61056622 2339165979\n"
+        "0 1451 24667 103164649 85609 2237041524\n"
+        "0 0 2105401 254753521 515823245 2383313932\n",
+        ""),
+    ("1451^3", "minors"): (
+        "1451 3 5 6\n"
+        "269501243 3054867809 3054936730 1 0 0\n"
+        "454766133 4106 3054936606 0 1 0\n"
+        "44145689 3053414371 3054935719 0 0 1\n"
+        "2902 3054912184 1451 0 0 0\n"
+        "0 2105401 0 0 0 0\n",
+        "counters: big: 4 mults / 4 adds; small: 1 mults / 1 adds\n"),
+    ("1451^3", "iterative"): (
+        "1451 3 5 6\n"
+        "269501243 3054867809 3054936730 1 0 0\n"
+        "454766133 4106 3054936606 0 1 0\n"
+        "44145689 3053414371 3054935719 0 0 1\n"
+        "2902 3054912184 1451 0 0 0\n"
+        "0 2105401 0 0 0 0\n",
+        "counters: big: 3 mults / 3 adds; small: 1 mults / 1 adds\n"),
+    ("1451^3", "original-coords"): (
+        "1451 3 5 6\n"
+        "3054867809 269501243 3054936730 1 0 0\n"
+        "4106 454766133 3054936606 0 1 0\n"
+        "3053414371 44145689 3054935719 0 0 1\n"
+        "3054912184 2902 1451 0 0 0\n"
+        "2105401 0 0 0 0 0\n",
+        "counters: big: 3 mults / 3 adds; small: 1 mults / 1 adds\n"),
+}
+
+
+@pytest.mark.parametrize("ring,command", sorted(GOLDEN))
+def test_readme_commands_golden_bytes(ring, command, tmp_path, capsys):
+    path = tmp_path / "gens.txt"
+    path.write_text(GOLDEN_INPUTS[ring])
+    out_path = tmp_path / "h.txt"
+    subcommand, *options = GOLDEN_COMMANDS[command]
+    options = [str(out_path) if arg == "OUT" else arg for arg in options]
+    assert main([subcommand, str(path), *options]) == 0
+    captured = capsys.readouterr()
+    if out_path.exists():
+        assert captured.out == ""
+        stdout = out_path.read_text()
+    else:
+        stdout = captured.out
+    assert (stdout, captured.err) == GOLDEN[(ring, command)]

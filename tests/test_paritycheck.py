@@ -10,6 +10,7 @@ from zpscodes import (
     cardinality,
     codes_equal,
     dual_type,
+    extract_blocks,
     identity,
     parity_check_bruteforce,
     parity_check_iterative,
@@ -56,44 +57,45 @@ def test_s1_classical_layout():
     assert result.counters.total_block_ops() == 0
 
 
-def test_s3_block_structure_example():
-    # Block pattern of the s = 3 transposed parity-check matrix.
-    ring = RingSpec(2, 3)
-    rng = random.Random(60)
-    code = random_code(ring, 7, (1, 2, 1), 123)
-    sf = code.standard
-    result = parity_check_minors(sf)
-    layout = sf.layout
-    n, t = layout.n, layout.total
-    ht = result.h.data.T
-    from zpscodes.stdform import extract_blocks
-    from zpscodes import mat_mul
-
-    blk = extract_blocks(sf)
+@pytest.mark.parametrize("construct", [parity_check_minors, parity_check_iterative])
+@pytest.mark.parametrize("p,n,t", [
+    pytest.param(2, 7, (1, 2, 1), id="2^3"),
+    pytest.param(2, 5, (1, 0, 1), id="2^3-t2=0"),
+    pytest.param(2, 4, (1, 2, 1), id="2^3-n=t"),
+    pytest.param(1451, 7, (1, 2, 1), id="1451^3"),
+])
+def test_s3_block_structure_example(construct, p, n, t):
+    # Block pattern of the s = 3 transposed parity-check matrix, written out
+    # by hand with python-int blocks: where each p^(j-1)-scaled block lands.
+    ring = RingSpec(p, 3)
+    sf = random_code(ring, n, t, 123).standard
+    result = construct(sf)
+    blk = {key: b.data.astype(object) for key, b in extract_blocks(sf).items()}
     m = ring.modulus
-    a12, a13, a14 = blk[(1, 2)].data, blk[(1, 3)].data, blk[(1, 4)].data
-    a23, a24, a34 = blk[(2, 3)].data, blk[(2, 4)].data, blk[(3, 4)].data
-    h11 = (-(a12 @ a23 @ a34 + a14 - a12 @ a24 - a13 @ a34)) % m
-    h21 = (a23 @ a34 - a24) % m
-    h31 = (-a34) % m
-    h12 = (2 * (a12 @ a23 - a13)) % m
-    h22 = (-2 * a23) % m
-    h13 = (-4 * a12) % m
-    t1, t2, t3 = layout.t
+    a12, a13, a14 = blk[(1, 2)], blk[(1, 3)], blk[(1, 4)]
+    a23, a24, a34 = blk[(2, 3)], blk[(2, 4)], blk[(3, 4)]
+    h11 = -(a12 @ a23 @ a34 + a14 - a12 @ a24 - a13 @ a34)
+    h21 = a23 @ a34 - a24
+    h31 = -a34
+    h12 = p * (a12 @ a23 - a13)
+    h22 = -p * a23
+    h13 = -p * p * a12
+    t1, t2, t3 = t
+    w = n - sum(t)
     rows = np.cumsum([0, t1, t2, t3])
-    want = np.zeros((n, n - t1), dtype=np.int64)
-    want[rows[0]:rows[1], :n - t] = h11
-    want[rows[1]:rows[2], :n - t] = h21
-    want[rows[2]:rows[3], :n - t] = h31
-    want[t:, :n - t] = np.eye(n - t)
-    c = n - t
+    want = np.zeros((n, n - t1), dtype=object)
+    want[rows[0]:rows[1], :w] = h11
+    want[rows[1]:rows[2], :w] = h21
+    want[rows[2]:rows[3], :w] = h31
+    want[rows[3]:, :w] = np.eye(w, dtype=np.int64)
+    c = w
     want[rows[0]:rows[1], c:c + t3] = h12
     want[rows[1]:rows[2], c:c + t3] = h22
-    want[rows[2]:rows[3], c:c + t3] = 2 * np.eye(t3)
+    want[rows[2]:rows[3], c:c + t3] = p * np.eye(t3, dtype=np.int64)
     c += t3
     want[rows[0]:rows[1], c:c + t2] = h13
-    want[rows[1]:rows[2], c:c + t2] = 4 * np.eye(t2)
-    assert np.array_equal(ht, want)
+    want[rows[1]:rows[2], c:c + t2] = p * p * np.eye(t2, dtype=np.int64)
+    assert result.h.data.T.tolist() == (want % m).tolist()
 
 
 @pytest.mark.parametrize("trial", range(25))
