@@ -1,11 +1,6 @@
 """Parity-check matrices for additive codes over Z_{p^s}."""
 
-from .bench import (
-    predicted_counts_iterative,
-    predicted_counts_minors,
-    random_code,
-    run_suite,
-)
+from .bench import random_code, run_suite
 from .codemodel import CodeSpec, cardinality, codes_equal, enumerate_codewords, is_member
 from .matrix import (
     BlockLayout,
@@ -29,7 +24,7 @@ from .minors import (
     enumerate_restricted,
     j_set,
 )
-from .opcounters import OpCounters
+from .opcounters import OpCounters, predicted_counts_iterative, predicted_counts_minors
 from .paritycheck import (
     ParityCheckResult,
     dual_type,

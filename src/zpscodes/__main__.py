@@ -1,0 +1,8 @@
+"""Entry point of ``python -m zpscodes``: the same CLI as ``zpscodes``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

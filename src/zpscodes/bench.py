@@ -20,7 +20,7 @@ import numpy as np
 
 from .codemodel import CodeSpec
 from .matrix import BlockLayout, Matrix, Permutation, dtype_for
-from .opcounters import OpCounters
+from .opcounters import OpCounters, predicted_counts_iterative, predicted_counts_minors
 from .paritycheck import parity_check_iterative, parity_check_minors
 from .stdform import StandardForm
 from .zring import DomainError, RingSpec
@@ -34,20 +34,6 @@ CSV_COLUMNS = [
 class CounterMismatchError(AssertionError):
     """Instrumented counts disagree with the closed-form prediction; this is
     a correctness failure, not a benchmark artifact."""
-
-
-def predicted_counts_minors(s: int) -> tuple:
-    """(big pairs, small pairs) for the minors construction."""
-    if s < 1:
-        raise DomainError(f"s = {s} must be >= 1")
-    return 2 ** s - 1 - s, 2 ** s - 1 - s * (s + 1) // 2
-
-
-def predicted_counts_iterative(s: int) -> tuple:
-    """(big pairs, small pairs) for the iterative construction."""
-    if s < 1:
-        raise DomainError(f"s = {s} must be >= 1")
-    return s * (s - 1) // 2, (s ** 3 - 3 * s ** 2 + 2 * s) // 6
 
 
 def _hash_uniform(seed: int, i: int, j: int, index: int, bound: int) -> int:

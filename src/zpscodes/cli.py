@@ -2,7 +2,7 @@
 
 Subcommands: std-form, parity-check, verify, bench.  Exit codes: 0 success,
 1 verification failure or counter mismatch, 2 usage/parse errors, 3
-enumeration budget exceeded.
+budget exceeded.
 """
 
 from __future__ import annotations

@@ -11,7 +11,9 @@ constructions consume.
 
 from __future__ import annotations
 
-from .matrix import Matrix, Permutation, identity, mat_add, mat_mul, mat_neg
+import numpy as np
+
+from .matrix import Matrix, Permutation, _matmul_reduced, identity, mat_add, mat_mul, mat_neg
 from .opcounters import OpCounters
 from .zring import DomainError
 
@@ -99,43 +101,45 @@ def det_structured_laplace(a: Matrix) -> int:
 class BlockMinorTable:
     """Block-minors of the block diagonal of a reduced associated matrix.
 
-    Holds the stripped blocks A_{i,j} keyed by (i, j), 1 <= i <= s,
-    i + 1 <= j <= s + 1.  The recursion counts one multiplication and one
-    addition per non-identity term through the attached counters; the
-    product by the order-0 identity minor is skipped.  Nothing is memoized,
-    so operation counts reproduce independent recomputation.
+    Holds the stripped blocks A_{i,j}, keyed by (i, j), 1 <= i <= s,
+    i + 1 <= j <= s + 1, as raw ndarrays; only the public methods build a
+    Matrix.  _counted_mul and _counted_add, the one counted kernel of both
+    parity-check constructions, reduce once per block op and record it.  The
+    recursion counts one multiplication and one addition per non-identity
+    term; the product by the order-0 identity minor is skipped.  Nothing is
+    memoized, so operation counts reproduce independent recomputation.
     """
 
     def __init__(self, blocks: dict, layout, counters: OpCounters | None = None):
-        self.blocks = blocks
+        self.blocks = {key: block.data for key, block in blocks.items()}
         self.layout = layout
         self.ring = next(iter(blocks.values())).ring if blocks else None
         self.counters = counters if counters is not None else OpCounters()
-        self._wide_group = layout.s + 1
 
     def block(self, i: int, j: int) -> Matrix:
-        return self.blocks[(i, j)]
+        return Matrix(self.ring, self.blocks[(i, j)])
 
     def _check_range(self, i: int, j: int) -> None:
         if not (1 <= i and 0 <= j and i + j <= self.layout.s + 1):
             raise DomainError(f"block-minor ({i}, {j}) out of range for s={self.layout.s}")
 
-    def _counted_mul(self, a: Matrix, b: Matrix, wide: bool) -> Matrix:
-        assert a.ncols == b.nrows, "block product not conformable"
-        self.counters.record_mul(a.nrows, a.ncols, b.ncols, wide)
-        return mat_mul(a, b)
+    def _counted_mul(self, a: np.ndarray, b: np.ndarray, wide: bool) -> np.ndarray:
+        assert a.shape[1] == b.shape[0], "block product not conformable"
+        self.counters.record_mul(a.shape[0], a.shape[1], b.shape[1], wide)
+        return _matmul_reduced(a, b, self.ring)
 
-    def _counted_add(self, a: Matrix, b: Matrix, wide: bool) -> Matrix:
-        self.counters.record_add(a.nrows, a.ncols, wide)
-        return mat_add(a, b)
+    def _counted_add(self, a: np.ndarray, b: np.ndarray, sign: int, wide: bool) -> np.ndarray:
+        assert a.shape == b.shape, "block sum not conformable"
+        self.counters.record_add(a.shape[0], a.shape[1], wide)
+        return (a + b if sign > 0 else a - b) % self.ring.modulus
 
     def block_minor_sum(self, i: int, j: int) -> Matrix:
         """Order-j block-minor anchored at block-row i via the signed sum
-        over restricted permutations.  Uncounted; serves as the oracle."""
+        over restricted permutations.  Uncounted, and built on the public
+        Matrix ops, not on the counted kernel; serves as the oracle."""
         self._check_range(i, j)
         if j == 0:
             return identity(self.ring, self.layout.t[i - 1])
-        m = self.ring.modulus
         acc = None
         for sigma in enumerate_restricted(j):
             term = None
@@ -153,17 +157,16 @@ class BlockMinorTable:
         self._check_range(i, j)
         if j == 0:
             return identity(self.ring, self.layout.t[i - 1])
-        wide = (i + j == self._wide_group)
+        return Matrix(self.ring, self._minor_rec(i, j))
+
+    def _minor_rec(self, i: int, j: int) -> np.ndarray:
+        """The recursion of block_minor_rec on raw arrays, for j >= 1."""
+        wide = (i + j == self.layout.s + 1)
         acc = None
         for k in range(i, i + j):
             sub_order = i + j - 1 - k
-            if sub_order == 0:
-                term = self.block(i, k + 1)
-            else:
-                term = self._counted_mul(
-                    self.block(i, k + 1), self.block_minor_rec(k + 1, sub_order), wide
-                )
-            if (k - i) % 2 == 1:
-                term = mat_neg(term)
-            acc = term if acc is None else self._counted_add(acc, term, wide)
+            term = self.blocks[(i, k + 1)]
+            if sub_order:
+                term = self._counted_mul(term, self._minor_rec(k + 1, sub_order), wide)
+            acc = term if acc is None else self._counted_add(acc, term, (-1) ** (k - i), wide)
         return acc

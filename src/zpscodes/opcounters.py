@@ -4,14 +4,17 @@ One block multiplication of an a x b by a b x c matrix costs P(a,b,c) = a*b*c
 scalar multiplications; one block addition of a x b matrices costs
 S(a,b) = a*b scalar additions.  Counters split block ops into "big" (target
 in the wide n - t column group) and "small" (target in a t_i column group),
-which is the split under which the closed-form totals are exact.  Products
-by an order-0 identity minor are never performed, hence never counted.
+which is the split under which the closed-form totals are exact; the
+predicted_counts_* functions give those totals.  Products by an order-0
+identity minor are never performed, hence never counted.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+
+from .zring import DomainError
 
 
 @dataclass
@@ -56,3 +59,17 @@ class OpCounters:
             f"big: {self.big_mults} mults / {self.big_adds} adds; "
             f"small: {self.small_mults} mults / {self.small_adds} adds"
         )
+
+
+def predicted_counts_minors(s: int) -> tuple:
+    """(big pairs, small pairs) for the minors construction."""
+    if s < 1:
+        raise DomainError(f"s = {s} must be >= 1")
+    return 2 ** s - 1 - s, 2 ** s - 1 - s * (s + 1) // 2
+
+
+def predicted_counts_iterative(s: int) -> tuple:
+    """(big pairs, small pairs) for the iterative construction."""
+    if s < 1:
+        raise DomainError(f"s = {s} must be >= 1")
+    return s * (s - 1) // 2, (s ** 3 - 3 * s ** 2 + 2 * s) // 6

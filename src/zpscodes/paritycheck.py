@@ -22,19 +22,21 @@ from .matrix import (
     _matmul_reduced,
     apply_col_permutation,
     dtype_for,
-    mat_neg,
 )
 from .minors import BlockMinorTable
-from .opcounters import OpCounters
+from .opcounters import OpCounters, predicted_counts_minors
 from .stdform import StandardForm, extract_blocks
 from .zring import DomainError, RingMismatchError
 
 
 BRUTEFORCE_BUDGET = 2 ** 24
+# Big block-product pairs the minors construction may take: s <= 20 runs.
+MINORS_BUDGET = 2 ** 20
 
 
 class BudgetExceededError(DomainError):
-    """Raised when a brute-force enumeration would be too large."""
+    """Raised when a brute-force enumeration or the minors recursion would
+    be too large."""
 
 
 @dataclass(frozen=True)
@@ -54,8 +56,8 @@ def dual_type(layout: BlockLayout) -> BlockLayout:
 def _assemble(
     sf: StandardForm, h_blocks: dict, counters: OpCounters, method: str
 ) -> ParityCheckResult:
-    """Write H^T once into one array from the blocks H_{i,j}, keyed (i, j),
-    of every column group j of nonzero width."""
+    """Write H^T once into one array from the reduced ndarray blocks H_{i,j},
+    keyed (i, j), of every column group j of nonzero width."""
     layout = sf.layout
     ring = sf.matrix.ring
     s = layout.s
@@ -70,7 +72,7 @@ def _assemble(
         cols = slice(c0, c0 + width)
         scale = ring.p ** (j - 1)
         for i in range(1, s + 2 - j):
-            ht[row_at[i - 1] : row_at[i], cols] = h_blocks[(i, j)].data * scale % ring.modulus
+            ht[row_at[i - 1] : row_at[i], cols] = h_blocks[(i, j)] * scale % ring.modulus
         np.fill_diagonal(ht[row_at[s + 1 - j] : row_at[s + 2 - j], cols], scale)
         c0 += width
     h = Matrix(ring, ht.T)
@@ -82,18 +84,27 @@ def _assemble(
 
 def parity_check_minors(sf: StandardForm) -> ParityCheckResult:
     """Minors construction: every block H_{i,j} = (-1)^(s+2-i-j) O^i_{s+2-i-j}
-    computed through an independent (unmemoized) block-minor recursion."""
+    computed through an independent (unmemoized) block-minor recursion.
+    Refused, before any work, when its 2^s - 1 - s big block-product pairs
+    exceed MINORS_BUDGET."""
+    s = sf.layout.s
+    big_pairs, _ = predicted_counts_minors(s)
+    if big_pairs > MINORS_BUDGET:
+        raise BudgetExceededError(
+            f"minors construction at s={s} needs {big_pairs} big block-product pairs, "
+            f"over the budget of {MINORS_BUDGET}"
+        )
     counters = OpCounters()
     table = BlockMinorTable(extract_blocks(sf), sf.layout, counters)
-    s = sf.layout.s
+    m = table.ring.modulus
     h = {}
     for j, width in enumerate(dual_type(sf.layout).t, start=1):
         if width == 0:
             continue
         for i in range(1, s + 2 - j):
             order = s + 2 - i - j
-            block = table.block_minor_rec(i, order)
-            h[(i, j)] = mat_neg(block) if order % 2 == 1 else block
+            block = table.block_minor_rec(i, order).data
+            h[(i, j)] = -block % m if order % 2 == 1 else block
     return _assemble(sf, h, counters, "minors")
 
 
@@ -102,24 +113,22 @@ def parity_check_iterative(sf: StandardForm) -> ParityCheckResult:
     H_{s-j+1,j} = -A_{s-j+1,s-j+2} and fill i = s-j, ..., 1 reusing the
     already computed blocks of the same group."""
     counters = OpCounters()
-    blocks = extract_blocks(sf)
-    layout = sf.layout
-    s = layout.s
-    table = BlockMinorTable(blocks, layout, counters)
-
+    s = sf.layout.s
+    table = BlockMinorTable(extract_blocks(sf), sf.layout, counters)
+    a, m = table.blocks, table.ring.modulus
     h = {}
-    for j, width in enumerate(dual_type(layout).t, start=1):
+    for j, width in enumerate(dual_type(sf.layout).t, start=1):
         if width == 0:
             continue
         wide = (j == 1)
         top = s - j + 1
-        h[(top, j)] = mat_neg(blocks[(top, s - j + 2)])
+        h[(top, j)] = -a[(top, s - j + 2)] % m
         for i in range(top - 1, 0, -1):
-            acc = blocks[(i, s - j + 2)]
+            acc = a[(i, s - j + 2)]
             for k in range(i + 1, top + 1):
-                prod = table._counted_mul(blocks[(i, k)], h[(k, j)], wide)
-                acc = table._counted_add(acc, prod, wide)
-            h[(i, j)] = mat_neg(acc)
+                prod = table._counted_mul(a[(i, k)], h[(k, j)], wide)
+                acc = table._counted_add(acc, prod, 1, wide)
+            h[(i, j)] = -acc % m
     return _assemble(sf, h, counters, "iterative")
 
 

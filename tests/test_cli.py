@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,7 +101,26 @@ def test_budget_exit_code(tmp_path, capsys):
     path = tmp_path / "wide.txt"
     path.write_text("2 6 1 5\n1 0 0 0 0\n")
     assert main(["parity-check", str(path), "--method", "bruteforce"]) == 3
+    # Minors at s = 62 would need about 2^62 block products.
+    path.write_text("2 62 1 2\n1 1\n")
+    assert main(["parity-check", str(path), "--method", "minors"]) == 3
     capsys.readouterr()
+
+
+def test_python_m_matches_main(example_file, capsys):
+    # The README's `PYTHONPATH=src python -m zpscodes ...`, run from the root
+    # of a checkout without an install.
+    args = ["parity-check", str(example_file), "--method", "minors"]
+    assert main(args) == 0
+    want = capsys.readouterr()
+    root = Path(__file__).resolve().parents[1]
+    pythonpath = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "zpscodes", *args], cwd=root, capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": pythonpath}, timeout=60,
+    )
+    assert proc.returncode == 0
+    assert (proc.stdout, proc.stderr) == (want.out, want.err)
 
 
 def test_usage_error_exit_code(capsys):

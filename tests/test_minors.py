@@ -133,11 +133,13 @@ def test_det_methods_match_cofactor_oracle(ring):
         assert det_structured_laplace(a) == want
 
 
-def random_block_table(ring, s, n, rng, counters=None):
-    """Random stripped block map for a type drawn with every t_i >= 0."""
-    t = [rng.randint(0, 3) for _ in range(s)]
-    while sum(t) > n:
-        t[rng.randrange(s)] = 0
+def random_block_table(ring, s, n, rng, counters=None, t=None):
+    """Random stripped block map for type t, or for a type drawn with every
+    t_i >= 0."""
+    if t is None:
+        t = [rng.randint(0, 3) for _ in range(s)]
+        while sum(t) > n:
+            t[rng.randrange(s)] = 0
     layout = BlockLayout(n, t)
     blocks = {}
     for i in range(1, s + 1):
@@ -160,14 +162,26 @@ def test_block_minor_conventions():
     assert table.block_minor_sum(1, 1) == table.block(1, 2)
 
 
-@pytest.mark.parametrize("s", range(1, 7))
-def test_block_minor_rec_matches_sum(s):
+# 3^21 and 1451^3 store entries as python ints, so the oracle's Matrix ops
+# and the recursion's raw-array kernel meet both storage rules.  1447^3 is
+# the largest odd cube stored as int64: a product with inner dimension >= 2
+# must switch to python ints.  The sum over restricted permutations doubles
+# per order: orders stop at 6.
+@pytest.mark.parametrize("s,ring,t", [
+    *(pytest.param(s, None, None, id=str(s)) for s in range(1, 7)),
+    pytest.param(3, RingSpec(1447, 3), None, id="1447^3"),
+    pytest.param(21, RingSpec(3, 21), None, id="3^21"),
+    pytest.param(3, RingSpec(1451, 3), None, id="1451^3"),
+    pytest.param(3, RingSpec(1451, 3), (0, 2, 0), id="1451^3-t1=t3=0"),
+])
+def test_block_minor_rec_matches_sum(s, ring, t):
     rng = random.Random(40 + s)
-    ring = RingSpec(rng.choice([2, 3]), s) if s <= 4 else RingSpec(2, s)
+    if ring is None:
+        ring = RingSpec(rng.choice([2, 3]), s) if s <= 4 else RingSpec(2, s)
     for _ in range(8):
-        table = random_block_table(ring, s, 3 * s + rng.randint(0, 4), rng)
+        table = random_block_table(ring, s, 3 * s + rng.randint(0, 4), rng, t=t)
         for i in range(1, s + 1):
-            for j in range(0, s + 2 - i):
+            for j in range(0, min(s + 2 - i, 7)):
                 assert table.block_minor_rec(i, j) == table.block_minor_sum(i, j)
 
 

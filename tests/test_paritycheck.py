@@ -15,17 +15,27 @@ from zpscodes import (
     parity_check_bruteforce,
     parity_check_iterative,
     parity_check_minors,
+    predicted_counts_iterative,
+    predicted_counts_minors,
     random_code,
     standard_form,
     verify_parity,
     z4_parity_check,
     zeros,
 )
+from zpscodes import paritycheck
 from zpscodes.matrix import BlockLayout
 from zpscodes.paritycheck import BudgetExceededError
 from zpscodes.zring import DomainError
 
-from helpers import gh_transpose_is_zero, random_matrix, random_type, rows_as_set, row_span_set
+from helpers import (
+    gh_transpose_is_zero,
+    miscount_big_mults,
+    random_matrix,
+    random_type,
+    rows_as_set,
+    row_span_set,
+)
 
 Z4 = RingSpec(2, 2)
 Z4_EXAMPLE = Matrix(Z4, [[1, 1, 2], [0, 2, 2]])
@@ -131,6 +141,109 @@ def test_parity_exact_on_large_moduli(p, s, constructions):
             assert h.nrows == n - 1
             assert gh_transpose_is_zero(code.generators, h)
         assert all(h == hs[0] for h in hs)
+
+
+def _layout_cases(s):
+    """(id, n, t): all t_i = 1 with n - t = 2, a zero t_i first, in the
+    middle and last, and n = t."""
+    ones = [1] * s
+    cases = [("full", s + 2, ones)]
+    for name, at in (("t1=0", 0), ("tmid=0", s // 2), ("ts=0", s - 1)):
+        t = ones.copy()
+        t[at] = 0
+        cases.append((name, s + 1, t))
+    cases.append(("n=t", s, ones))
+    return cases
+
+
+def _per_group_counts(n, t, pairs):
+    """(big, small) block pairs from the closed form pairs(c) of one column
+    group, c = s + 1 - j the length of group j's block chain, summed over
+    the groups of nonzero width: n - t for j = 1, t_{s+2-j} for j >= 2.
+    With every width nonzero these are the paper's totals."""
+    s = len(t)
+    big = pairs(s) if n > sum(t) else 0
+    small = sum(pairs(s + 1 - j) for j in range(2, s + 1) if t[s + 1 - j])
+    return big, small
+
+
+def _minors_pairs(c):
+    return 2 ** c - 1 - c
+
+
+def _iterative_pairs(c):
+    return c * (c - 1) // 2
+
+
+# Odd and even p, int64 storage (2^4, 3^13) and python ints (3^21, 1451^3).
+# Minors at s = 21 is over MINORS_BUDGET, so there it must refuse and only
+# the iterative side is checked.
+@pytest.mark.parametrize("p,s,case", [
+    pytest.param(p, s, case, id=f"{p}^{s}-{case[0]}")
+    for p, s in ((2, 4), (3, 13), (3, 21), (1451, 3))
+    for case in _layout_cases(s)
+])
+def test_methods_differential(p, s, case, monkeypatch):
+    _, n, t = case
+    ring = RingSpec(p, s)
+    code = random_code(ring, n, t, p * 1000 + s)
+    # Shuffle the columns so the standard form has a nontrivial permutation.
+    rng = random.Random(p + s + n)
+    order = list(range(n))
+    rng.shuffle(order)
+    generators = Matrix(ring, code.generators.data[:, order])
+    sf = standard_form(generators)
+    assert sf.layout.t == tuple(t)
+    constructions = [(parity_check_iterative, _iterative_pairs)]
+    if predicted_counts_minors(s)[0] <= paritycheck.MINORS_BUDGET:
+        constructions.append((parity_check_minors, _minors_pairs))
+    else:
+        with pytest.raises(BudgetExceededError):
+            parity_check_minors(sf)
+    results = []
+    for construct, pairs in constructions:
+        result = construct(sf)
+        results.append(result)
+        assert gh_transpose_is_zero(generators, result.h_unpermuted)
+        big, small = _per_group_counts(n, t, pairs)
+        c = result.counters
+        assert (c.big_mults, c.big_adds, c.small_mults, c.small_adds) == (big, big, small, small)
+    assert all(r.h == results[0].h for r in results)
+    assert all(r.h_unpermuted == results[0].h_unpermuted for r in results)
+    # The counter self-test still sees a wide product recorded twice.
+    miscount_big_mults(monkeypatch)
+    for construct, pairs in constructions:
+        big, _ = _per_group_counts(n, t, pairs)
+        assert construct(sf).counters.big_mults == 2 * big
+
+
+def test_per_group_counts_sum_to_paper_totals():
+    for s in range(1, 13):
+        ones = (1,) * s
+        assert _per_group_counts(s + 1, ones, _minors_pairs) == predicted_counts_minors(s)
+        assert _per_group_counts(s + 1, ones, _iterative_pairs) == predicted_counts_iterative(s)
+
+
+def test_minors_budget(monkeypatch):
+    # s = 16 (AC9) is well inside the budget.
+    code = random_code(RingSpec(2, 16), 18, (1,) * 16, 3)
+    result = parity_check_minors(code.standard)
+    assert result.h == parity_check_iterative(code.standard).h
+    # 2^62 - 63 big pairs: refused before any block is extracted.
+    def no_work(sf):
+        raise AssertionError("blocks extracted over the budget")
+
+    monkeypatch.setattr(paritycheck, "extract_blocks", no_work)
+    with pytest.raises(BudgetExceededError):
+        parity_check_minors(standard_form(Matrix(RingSpec(2, 62), [[1, 1]])))
+
+
+def test_minors_budget_boundary(monkeypatch):
+    # 2^s - 1 - s equal to the budget runs; one more s is refused.
+    monkeypatch.setattr(paritycheck, "MINORS_BUDGET", 2 ** 4 - 1 - 4)
+    parity_check_minors(random_code(RingSpec(2, 4), 6, (1,) * 4, 0).standard)
+    with pytest.raises(BudgetExceededError):
+        parity_check_minors(random_code(RingSpec(2, 5), 7, (1,) * 5, 0).standard)
 
 
 def test_bruteforce_trivial_codes():
