@@ -103,24 +103,43 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
     ring = _same_ring(a, b)
     if a.shape != b.shape:
         raise ShapeError(f"add: {a.shape} vs {b.shape}")
-    return Matrix(ring, (a.data + b.data) % ring.modulus)
+    return Matrix(ring, a.data + b.data)
 
 
 def mat_neg(a: Matrix) -> Matrix:
-    return Matrix(a.ring, (-a.data) % a.ring.modulus)
+    return Matrix(a.ring, -a.data)
 
 
 def mat_scalar(c: int, a: Matrix) -> Matrix:
-    c = c % a.ring.modulus
-    return Matrix(a.ring, (a.data * c) % a.ring.modulus)
+    return Matrix(a.ring, a.data * (c % a.ring.modulus))
+
+
+# Multiply-adds below which a float64 product costs more than it saves:
+# converting the operands and the result outweighs the faster BLAS kernel.
+# Measured crossover against int64 on square and panel-shaped products.
+FLOAT_MIN_MACS = 4096
+
+
+def _product_dtype(m: int, k: int, macs: int):
+    """The dtype in which a product of entries reduced mod m, with inner
+    dimension k and macs multiply-adds, is exact.  Every partial sum is an
+    integer below (m - 1)^2 * k: float64 holds each one exactly below 2^53
+    (and runs on BLAS), int64 below 2^63; python ints hold any."""
+    bound = (m - 1) ** 2 * k
+    if bound < 2 ** 53 and macs >= FLOAT_MIN_MACS:
+        return np.float64
+    if bound < 2 ** 63:
+        return np.int64
+    return object
 
 
 def _matmul_reduced(a: np.ndarray, b: np.ndarray, ring: RingSpec) -> np.ndarray:
     m = ring.modulus
-    if (m - 1) ** 2 * a.shape[1] < 2 ** 63:
-        return (a @ b) % m
-    # A sum of k int64 products could overflow: use python ints.
-    return (a.astype(object) @ b.astype(object)) % m
+    dtype = _product_dtype(m, a.shape[1], a.shape[0] * a.shape[1] * b.shape[1])
+    prod = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
+    if dtype is np.float64:
+        prod = prod.astype(np.int64)
+    return prod % m
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

@@ -8,6 +8,28 @@ rows top-down, for determinism), normalizes the pivot row by the inverse of
 the pivot's unit part, swaps the pivot column into place, and clears the
 pivot column exactly below and canonically above (entries above a pivot of
 valuation v end up in [0, p^v)).
+
+The elimination is blocked, with deferred updates (Storjohann and Mulders,
+"Fast algorithms for linear algebra modulo N", 1998).  A panel opens at the
+next pivot column and covers a window of PANEL_WIDTH columns.  Pivots are
+searched in the window only, and each pivot's row operations (normalize,
+then clear its column in every row) are applied only to the window and to
+a rows x panel transform X, which starts as the pivot rows' unit columns.
+The columns right of the window are updated once per panel, by one matrix
+product: work[:, wend:] += (X - I_P) @ work[P, wend:], with P the panel's
+pivot rows.  That is exact because every row operation of the panel takes a
+pivot row as its source, so their product differs from the identity only in
+the columns P.  The panel is flushed when the window is used up, or when
+the window holds no pivot of the current valuation; only then is the rest
+of the matrix searched, now up to date.
+
+The pivot order is exactly the unblocked one.  The window's columns are up
+to date, and they come first, so a pivot found there is the first in the
+whole matrix; a pivot beyond the window is searched for only after a flush.
+A row swap is applied at once to every column of work and to the rows of X:
+it exchanges two rows that are not yet pivot rows, so it commutes with the
+panel's pending operations.  A column swap exchanges two columns that are
+up to date, either both in the window or right after a flush.
 """
 
 from __future__ import annotations
@@ -16,8 +38,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import BlockLayout, Matrix, Permutation, dtype_for
-from .zring import unit_inverse_int
+from .matrix import BlockLayout, Matrix, Permutation, _matmul_reduced, dtype_for
+from .zring import RingSpec, unit_inverse_int
+
+# Columns a panel searches, and so pivots it defers, before it is flushed.
+PANEL_WIDTH = 32
 
 
 @dataclass(frozen=True)
@@ -33,6 +58,33 @@ class StandardForm:
     perm: Permutation
 
 
+def _first_pivot(block: np.ndarray, pv: int, p: int):
+    """(row, col) in block of the first entry of valuation v, pv = p^v, in
+    the first column that has one; None when no entry has valuation v."""
+    # valuation == v  <=>  p^v | x and p^(v+1) does not
+    mask = (block % pv == 0) & ((block // pv) % p != 0)
+    hit_cols = np.flatnonzero(mask.any(axis=0))
+    if not hit_cols.size:
+        return None
+    c = int(hit_cols[0])
+    return int(np.argmax(mask[:, c])), c
+
+
+def _flush(
+    work: np.ndarray, x: np.ndarray, r0: int, k: int, wend: int, ring: RingSpec
+) -> None:
+    """Apply a panel's k pivots, whose rows start at r0 and whose operations
+    x records, to the columns of work from wend on; then clear x."""
+    if k and wend < work.shape[1]:
+        m = ring.modulus
+        d = x[:, :k]
+        d[np.arange(r0, r0 + k), np.arange(k)] -= 1
+        d %= m
+        update = _matmul_reduced(d, work[r0 : r0 + k, wend:], ring)
+        work[:, wend:] = (work[:, wend:] + update) % m
+    x[:, :k] = 0
+
+
 def standard_form(rows: Matrix) -> StandardForm:
     ring = rows.ring
     p, s, m = ring.p, ring.s, ring.modulus
@@ -40,43 +92,50 @@ def standard_form(rows: Matrix) -> StandardForm:
     # Row operations multiply two reduced entries, which the storage rule
     # of the ring's arrays keeps exact.
     work = rows.data.copy()
-    nrows = work.shape[0]
     cols = list(range(n))  # cols[j] = original column now at position j
+    # Column k of x: the open panel's operations applied to the unit column
+    # of its k-th pivot row; zero until that pivot is chosen.
+    x = np.zeros((work.shape[0], PANEL_WIDTH), dtype=work.dtype)
 
     t = [0] * s
     row_ptr = 0
     col_ptr = 0
     for v in range(s):
         pv = p ** v
+        # The open panel: k pivots so far, window [col_ptr, wend).
+        k, wend = 0, col_ptr
         while True:
-            found = None
-            for c in range(col_ptr, n):
-                col = work[row_ptr:, c]
-                # valuation == v  <=>  p^v | x and p^(v+1) does not
-                mask = (col % pv == 0) & ((col // pv) % p != 0)
-                hit = np.flatnonzero(mask)
-                if hit.size:
-                    found = (row_ptr + int(hit[0]), c)
+            hit = _first_pivot(work[row_ptr:, col_ptr:wend], pv, p)
+            if hit is None:
+                _flush(work, x, row_ptr - k, k, wend, ring)
+                hit = _first_pivot(work[row_ptr:, wend:], pv, p)
+                if hit is None:
                     break
-            if found is None:
-                break
-            r, c = found
+                hit = (hit[0], hit[1] + wend - col_ptr)
+                k, wend = 0, min(col_ptr + PANEL_WIDTH, n)
+            r, c = row_ptr + hit[0], col_ptr + hit[1]
             if r != row_ptr:
                 work[[row_ptr, r]] = work[[r, row_ptr]]
+                x[[row_ptr, r], :k] = x[[r, row_ptr], :k]
             if c != col_ptr:
                 work[:, [col_ptr, c]] = work[:, [c, col_ptr]]
                 cols[col_ptr], cols[c] = cols[c], cols[col_ptr]
+            x[row_ptr, k] = 1
+            win = slice(col_ptr, wend)
             inv = unit_inverse_int(int(work[row_ptr, col_ptr]) // pv, ring)
-            work[row_ptr] = (work[row_ptr] * inv) % m
+            work[row_ptr, win] = work[row_ptr, win] * inv % m
+            x[row_ptr, : k + 1] = x[row_ptr, : k + 1] * inv % m
             # Below the pivot entries have valuation >= v, so the quotient
             # clears them exactly; above it reduces the entry into [0, p^v).
             q = work[:, col_ptr] // pv
             q[row_ptr] = 0
             if np.any(q):
-                work = (work - np.outer(q, work[row_ptr])) % m
+                work[:, win] = (work[:, win] - np.outer(q, work[row_ptr, win])) % m
+                x[:, : k + 1] = (x[:, : k + 1] - np.outer(q, x[row_ptr, : k + 1])) % m
             t[v] += 1
             row_ptr += 1
             col_ptr += 1
+            k += 1
 
     g = Matrix(ring, work[:row_ptr].reshape(row_ptr, n))
     layout = BlockLayout(n, t)

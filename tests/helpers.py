@@ -5,7 +5,8 @@ import random
 
 import numpy as np
 
-from zpscodes import Matrix, OpCounters, RingSpec
+from zpscodes import BlockLayout, Matrix, OpCounters, Permutation, RingSpec, StandardForm
+from zpscodes.zring import unit_inverse_int
 
 
 def cofactor_det(rows, modulus):
@@ -96,3 +97,48 @@ def miscount_big_mults(monkeypatch):
 
 def rows_as_set(matrix: Matrix):
     return {tuple(int(x) for x in row) for row in matrix.data}
+
+
+def sequential_standard_form(rows: Matrix) -> StandardForm:
+    """The unblocked reduction, one pivot at a time over the whole matrix:
+    the reference the blocked standard_form must match exactly.  Per
+    valuation v, the pivot is the first entry of valuation v in the first
+    column at or after col_ptr that has one, in a row at or after row_ptr."""
+    ring = rows.ring
+    p, s, m = ring.p, ring.s, ring.modulus
+    n = rows.ncols
+    work = rows.data.copy()
+    cols = list(range(n))
+    t = [0] * s
+    row_ptr = 0
+    col_ptr = 0
+    for v in range(s):
+        pv = p ** v
+        while True:
+            found = None
+            for c in range(col_ptr, n):
+                col = work[row_ptr:, c]
+                mask = (col % pv == 0) & ((col // pv) % p != 0)
+                hit = np.flatnonzero(mask)
+                if hit.size:
+                    found = (row_ptr + int(hit[0]), c)
+                    break
+            if found is None:
+                break
+            r, c = found
+            if r != row_ptr:
+                work[[row_ptr, r]] = work[[r, row_ptr]]
+            if c != col_ptr:
+                work[:, [col_ptr, c]] = work[:, [c, col_ptr]]
+                cols[col_ptr], cols[c] = cols[c], cols[col_ptr]
+            inv = unit_inverse_int(int(work[row_ptr, col_ptr]) // pv, ring)
+            work[row_ptr] = (work[row_ptr] * inv) % m
+            q = work[:, col_ptr] // pv
+            q[row_ptr] = 0
+            if np.any(q):
+                work = (work - np.outer(q, work[row_ptr])) % m
+            t[v] += 1
+            row_ptr += 1
+            col_ptr += 1
+    g = Matrix(ring, work[:row_ptr].reshape(row_ptr, n))
+    return StandardForm(g, BlockLayout(n, t), Permutation([c + 1 for c in cols]))

@@ -15,10 +15,20 @@ from zpscodes import (
     mat_mul,
     mat_scalar,
     mat_transpose,
+    parity_check_iterative,
     parse_matrix,
+    standard_form,
+    verify_parity,
     zeros,
 )
-from zpscodes.matrix import ParseError, ShapeError, extract_block
+from zpscodes.matrix import (
+    FLOAT_MIN_MACS,
+    ParseError,
+    ShapeError,
+    _matmul_reduced,
+    _product_dtype,
+    extract_block,
+)
 from zpscodes.zring import RingMismatchError
 
 from helpers import random_matrix
@@ -158,3 +168,69 @@ def test_storage_rule_boundary():
         assert mat_scalar(m - 1, a).tolist() == [[1, 2]]
         assert mat_mul(mat_transpose(a), a).tolist() == [[1, 2], [2, 4]]
         assert mat_add(a, a).tolist() == [[m - 2, m - 4]]
+
+
+def _python_product(a, b, m):
+    return [
+        [sum(int(x) * int(y) for x, y in zip(row, col)) % m for col in zip(*b)]
+        for row in a
+    ]
+
+
+@pytest.mark.parametrize("p,s,k_float", [(2, 26, 2), (3, 16, 4)])
+def test_float_tier_boundary(p, s, k_float):
+    # k_float is the largest inner dimension with k (m - 1)^2 < 2^53.
+    ring = RingSpec(p, s)
+    m = ring.modulus
+    outer = 64  # outer * k * outer multiply-adds pass the size gate
+    assert outer * outer * k_float >= FLOAT_MIN_MACS
+    assert _product_dtype(m, k_float, outer * outer * k_float) is np.float64
+    assert _product_dtype(m, k_float + 1, outer * outer * (k_float + 1)) is np.int64
+    for k in (k_float, k_float + 1):
+        # Entries m - 1, and m - 2 in the last place when p is odd, so that
+        # past the bound each entry of the exact product is an odd sum.
+        a = np.full((outer, k), m - 1, dtype=np.int64)
+        if p % 2:
+            a[:, -1] = m - 2
+        exact = sum(int(x) * int(x) for x in a[0])
+        assert (exact < 2 ** 53) == (k == k_float)
+        if k > k_float:
+            # float64 would round it: above 2^53 it holds only even integers.
+            assert exact % 2 == 1
+            assert int(float(exact)) != exact
+        got = _matmul_reduced(a, a.T.copy(), ring)
+        assert got.dtype == np.int64
+        assert np.all(got == exact % m)
+
+
+def test_float_tier_size_gate():
+    ring = RingSpec(2, 4)
+    m = ring.modulus
+    rng = random.Random(6)
+    # 16 x 16 x 16 is exactly FLOAT_MIN_MACS multiply-adds; one row fewer
+    # falls below the gate.
+    assert 16 * 16 * 16 == FLOAT_MIN_MACS
+    for rows, dtype in [(15, np.int64), (16, np.float64)]:
+        assert _product_dtype(m, 16, rows * 16 * 16) is dtype
+        a = random_matrix(ring, rows, 16, rng).data
+        b = random_matrix(ring, 16, 16, rng).data
+        assert _matmul_reduced(a, b, ring).tolist() == _python_product(a, b, m)
+
+
+def test_verify_parity_witness_at_float_tier():
+    ring = RingSpec(2, 4)
+    m = ring.modulus
+    rng = random.Random(7)
+    g = random_matrix(ring, 40, 60, rng)
+    h = parity_check_iterative(standard_form(g)).h_unpermuted
+    assert _product_dtype(m, g.ncols, g.nrows * g.ncols * h.nrows) is np.float64
+    assert verify_parity(g, h) == (True, None)
+    bad = h.data.copy()
+    for _ in range(2):
+        r, c = rng.randrange(h.nrows), rng.randrange(h.ncols)
+        bad[r, c] = (bad[r, c] + 1 + rng.randrange(m - 1)) % m
+    product = _python_product(g.data, bad.T, m)
+    witness = next(
+        (i + 1, j + 1) for i, row in enumerate(product) for j, x in enumerate(row) if x
+    )
+    assert verify_parity(g, Matrix(ring, bad)) == (False, witness)

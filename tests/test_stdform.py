@@ -16,9 +16,9 @@ from zpscodes import (
     standard_form,
     zeros,
 )
-from zpscodes.stdform import reconstruct
+from zpscodes.stdform import PANEL_WIDTH, reconstruct
 
-from helpers import random_matrix, random_type, row_span_set
+from helpers import random_matrix, random_type, row_span_set, sequential_standard_form
 
 Z4 = RingSpec(2, 2)
 
@@ -194,3 +194,90 @@ def test_membership_both_directions_after_reduction():
         roundtrip = CodeSpec(unperm)
         for row in gens.data:
             assert is_member(roundtrip, row)
+
+
+DIFF_RINGS = {
+    "2^1": RingSpec(2, 1),
+    "2^4": RingSpec(2, 4),
+    "3^5": RingSpec(3, 5),
+    "5^3": RingSpec(5, 3),
+    "1447^3": RingSpec(1447, 3),  # the largest odd cube stored as int64
+    "3^21": RingSpec(3, 21),  # python ints
+    "1451^3": RingSpec(1451, 3),  # python ints
+}
+
+
+def _scaled_rows(ring, count, ncols, valuations, rng):
+    rows = []
+    for _ in range(count):
+        scale = ring.p ** rng.choice(valuations)
+        rows.append([scale * rng.randrange(ring.modulus) % ring.modulus for _ in range(ncols)])
+    return rows
+
+
+def _differential_case(kind, ring, rng):
+    """Generator rows that drive the blocked elimination down one path."""
+    p, s, m = ring.p, ring.s, ring.modulus
+    w = PANEL_WIDTH
+    if kind == "panels":
+        # More pivots than one panel; random entries make row swaps in the
+        # middle of a panel common.
+        return [[rng.randrange(m) for _ in range(w + 30)] for _ in range(w + 12)]
+    if kind == "beyond-window":
+        # Three pivots, then no entry of valuation 0 left in the window: the
+        # next pivot column lies past it and is found only after a flush.
+        ncols = 2 * w + 8
+        rows = [[rng.randrange(m) for _ in range(ncols)] for _ in range(3)]
+        rows += [
+            [p * rng.randrange(m) % m if c < w + 8 else rng.randrange(m) for c in range(ncols)]
+            for _ in range(12)
+        ]
+        return rows
+    if kind == "stages":
+        # Rows of every valuation: a stage ends inside a panel's window.
+        return _scaled_rows(ring, w + 8, w + 24, list(range(s)), rng)
+    if kind == "redundant":
+        base = _scaled_rows(ring, 20, w + 16, list(range(s)), rng)
+        combos = []
+        for _ in range(16):
+            coeffs = [rng.randrange(m) for _ in base]
+            combos.append([sum(a * row[c] for a, row in zip(coeffs, base)) % m
+                           for c in range(w + 16)])
+        rows = base + combos + [[0] * (w + 16)] * 3
+        rng.shuffle(rows)
+        return rows
+    if kind == "gaps":
+        # Valuations 1 and s - 1 only: t_1 = 0, and t_i = 0 between them.
+        return _scaled_rows(ring, w + 4, w + 20, [min(1, s - 1), s - 1], rng)
+    if kind == "square":
+        # n = t: unit upper triangular with its columns shuffled.
+        k = w + 6
+        rows = [[1 if c == r else rng.randrange(m) if c > r else 0 for c in range(k)]
+                for r in range(k)]
+        order = list(range(k))
+        rng.shuffle(order)
+        return [[row[c] for c in order] for row in rows]
+    if kind == "no-rows":
+        return np.zeros((0, 12), dtype=np.int64)
+    if kind == "no-cols":
+        return np.zeros((12, 0), dtype=np.int64)
+    raise ValueError(kind)
+
+
+DIFF_KINDS = ["panels", "beyond-window", "stages", "redundant", "gaps", "square",
+              "no-rows", "no-cols"]
+
+
+@pytest.mark.parametrize("kind", DIFF_KINDS)
+@pytest.mark.parametrize("ring_id", list(DIFF_RINGS))
+def test_blocked_matches_sequential(ring_id, kind):
+    ring = DIFF_RINGS[ring_id]
+    rng = random.Random(f"{ring_id}:{kind}")
+    rows = _differential_case(kind, ring, rng)
+    g = Matrix(ring, np.array(rows, dtype=object))
+    got = standard_form(g)
+    want = sequential_standard_form(g)
+    assert got.matrix == want.matrix
+    assert got.matrix.data.dtype == want.matrix.data.dtype
+    assert got.layout == want.layout
+    assert got.perm == want.perm
