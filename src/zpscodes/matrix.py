@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .zring import RingMismatchError, RingSpec
+from .zring import DomainError, RingMismatchError, RingSpec
 
 
 class ShapeError(ValueError):
@@ -51,9 +52,21 @@ class Matrix:
 
     def __init__(self, ring: RingSpec, data):
         arr = np.array(data, dtype=dtype_for(ring))
+        arr %= ring.modulus
+        self._adopt(ring, arr)
+
+    @classmethod
+    def _of_reduced(cls, ring: RingSpec, arr: np.ndarray) -> "Matrix":
+        """Wrap arr, whose entries are already reduced into [0, p^s), as it
+        is: no copy and no second reduction, only a conversion when arr is
+        not in the ring's storage.  arr becomes read-only."""
+        self = cls.__new__(cls)
+        self._adopt(ring, arr.astype(dtype_for(ring), copy=False))
+        return self
+
+    def _adopt(self, ring: RingSpec, arr: np.ndarray) -> None:
         if arr.ndim != 2:
             raise ShapeError(f"expected a 2-D array, got ndim={arr.ndim}")
-        arr %= ring.modulus
         arr.setflags(write=False)
         self.ring = ring
         self.data = arr
@@ -148,7 +161,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
         raise ShapeError(f"mul: {a.shape} by {b.shape}")
     if a.ncols == 0:
         return zeros(ring, a.nrows, b.ncols)
-    return Matrix(ring, _matmul_reduced(a.data, b.data, ring))
+    return Matrix._of_reduced(ring, _matmul_reduced(a.data, b.data, ring))
 
 
 def mat_transpose(a: Matrix) -> Matrix:
@@ -272,7 +285,7 @@ def apply_col_permutation(a: Matrix, perm: Permutation) -> Matrix:
     if perm.degree != a.ncols:
         raise ShapeError(f"permutation degree {perm.degree} != ncols {a.ncols}")
     idx = [img - 1 for img in perm.images]
-    return Matrix(a.ring, a.data[:, idx])
+    return Matrix._of_reduced(a.ring, a.data[:, idx])
 
 
 # --- text format ------------------------------------------------------------
@@ -283,15 +296,77 @@ def apply_col_permutation(a: Matrix, perm: Permutation) -> Matrix:
 # and blank lines are skipped.
 
 
+# Entries per chunk of format_matrix: the chunk's temporaries (values,
+# digits, offsets, its text) stay below 2 MiB.
+_FORMAT_CHUNK = 1 << 15
+
+
 def format_matrix(m: Matrix) -> str:
-    lines = [f"{m.ring.p} {m.ring.s} {m.nrows} {m.ncols}"]
-    # Row by row: a whole-matrix tolist() would hold every entry as a
-    # python int at once.
-    lines.extend(" ".join(map(str, row.tolist())) for row in m.data)
-    return "\n".join(lines) + "\n"
+    header = f"{m.ring.p} {m.ring.s} {m.nrows} {m.ncols}"
+    if m.data.dtype == object:
+        lines = [header]
+        # Row by row: a whole-matrix tolist() would hold every entry as a
+        # python int at once.
+        lines.extend(" ".join(map(str, row.tolist())) for row in m.data)
+        return "\n".join(lines) + "\n"
+    return str(_format_int64(m.data, m.ring.modulus, header + "\n"), "ascii")
+
+
+def _format_int64(data: np.ndarray, modulus: int, header: str) -> np.ndarray:
+    """The text of a reduced int64 matrix, header first, as one uint8
+    buffer, written a chunk of whole rows at a time."""
+    nrows, ncols = data.shape
+    if ncols == 0:
+        return np.frombuffer((header + "\n" * nrows).encode(), np.uint8)
+    width = len(str(modulus - 1))
+    # An entry has one digit more than the powers 10, 100, ... it reaches.
+    powers = [10 ** k for k in range(1, width)]
+    step = max(1, _FORMAT_CHUNK // ncols)
+    chunks = [data[r : r + step] for r in range(0, nrows, step)]
+    # Each entry takes its digits and one separator: a space, or a newline
+    # at the end of a row.
+    size = len(header) + 2 * data.size
+    size += sum(np.count_nonzero(chunk >= power) for chunk in chunks for power in powers)
+    buf = np.empty(size, dtype=np.uint8)
+    buf[: len(header)] = np.frombuffer(header.encode(), np.uint8)
+    start = len(header)
+    for chunk in chunks:
+        # Entries are below p^s <= 3037000500 < 2^32.
+        x = chunk.astype(np.uint32, order="C").ravel()
+        # sep[i]: where entry i's separator goes in the chunk's text, which
+        # starts with width spare bytes.
+        sep = np.full(x.size, 2, dtype=np.int64)
+        for power in powers:
+            sep += x >= power
+        np.cumsum(sep, out=sep)
+        sep += width - 1
+        digits = np.empty((width, x.size), dtype=np.uint8)
+        for k in range(width):
+            q = x // 10
+            np.subtract(x, q * 10, out=digits[k], casting="unsafe")
+            x = q
+        digits += ord("0")
+        # Every entry gets width digits, leading zeros included, most
+        # significant first: a short entry's zeros land on bytes of the
+        # entries before it or on the spare bytes, and are overwritten by a
+        # later, less significant pass or by the separators.
+        text = np.empty(int(sep[-1]) + 1, dtype=np.uint8)
+        sep -= width
+        for k in range(width - 1, -1, -1):
+            text[sep] = digits[k]
+            sep += 1
+        text[sep] = ord(" ")
+        text[sep[ncols - 1 :: ncols]] = ord("\n")
+        end = start + text.size - width
+        buf[start:end] = text[width:]
+        start = end
+    return buf
 
 
 def parse_matrix(text: str) -> Matrix:
+    """Read the text format.  The body is converted in one pass; when that
+    pass fails, the entrywise reading runs again to name the first bad
+    line and column."""
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
@@ -304,17 +379,57 @@ def parse_matrix(text: str) -> Matrix:
     fields = header.split()
     if len(fields) != 4:
         raise ParseError("header must be 'p s nrows ncols'", lineno)
+    values = []
+    for column, field in enumerate(fields, start=1):
+        try:
+            values.append(int(field))
+        except ValueError as exc:
+            raise ParseError(f"bad header field {field!r}", lineno, column) from exc
+    p, s, nrows, ncols = values
+    # p alone names column 1; p^s names column 2.
+    for column, exponent in ((1, 1), (2, s)):
+        try:
+            ring = RingSpec(p, exponent)
+        except DomainError as exc:
+            raise ParseError(str(exc), lineno, column) from exc
+    for column, size in ((3, nrows), (4, ncols)):
+        if size < 0:
+            raise ParseError("negative dimensions", lineno, column)
+    body = lines[1:]
+    if len(body) != nrows:
+        raise ParseError(f"expected {nrows} rows, found {len(body)}", lineno)
+    data = _parse_one_pass(body, nrows * ncols, ncols, ring.modulus)
+    if data is None:
+        data = _parse_entrywise(body, ncols, ring.modulus)
+    return Matrix._of_reduced(ring, data.reshape(nrows, ncols))
+
+
+def _parse_one_pass(body, count: int, ncols: int, modulus: int):
+    """Every entry of the body through one int() pass, or None when a line
+    has the wrong entry count or an entry is not an integer in range."""
+
+    def rows():
+        for _, line in body:
+            row = line.split()
+            if len(row) != ncols:
+                raise ValueError("wrong entry count")
+            yield row
+
     try:
-        p, s, nrows, ncols = (int(f) for f in fields)
-        ring = RingSpec(p, s)
-    except ValueError as exc:
-        raise ParseError(str(exc), lineno) from exc
-    if nrows < 0 or ncols < 0:
-        raise ParseError("negative dimensions", lineno)
-    if len(lines) - 1 != nrows:
-        raise ParseError(f"expected {nrows} rows, found {len(lines) - 1}", lineno)
+        data = np.fromiter(map(int, chain.from_iterable(rows())), np.int64, count=count)
+    except (ValueError, OverflowError):
+        return None
+    # Negative entries read as uint64 are at least 2^63 > p^s.
+    if data.size and data.view(np.uint64).max() >= modulus:
+        return None
+    return data
+
+
+def _parse_entrywise(body, ncols: int, modulus: int) -> np.ndarray:
+    """Read the body entry by entry; raises a ParseError at the first bad
+    row length, entry or range."""
     rows = []
-    for lineno, line in lines[1:]:
+    for lineno, line in body:
         entries = line.split()
         if len(entries) != ncols:
             raise ParseError(f"expected {ncols} entries, found {len(entries)}", lineno)
@@ -324,11 +439,8 @@ def parse_matrix(text: str) -> Matrix:
                 val = int(tok)
             except ValueError as exc:
                 raise ParseError(f"bad entry {tok!r}", lineno, col) from exc
-            if not 0 <= val < ring.modulus:
-                raise ParseError(
-                    f"entry {val} out of range [0, {ring.modulus})", lineno, col
-                )
+            if not 0 <= val < modulus:
+                raise ParseError(f"entry {val} out of range [0, {modulus})", lineno, col)
             row.append(val)
         rows.append(row)
-    data = np.array(rows, dtype=np.int64) if rows else np.zeros((0, ncols), np.int64)
-    return Matrix(ring, data.reshape(nrows, ncols))
+    return np.array(rows, dtype=np.int64) if rows else np.zeros((0, ncols), np.int64)

@@ -75,10 +75,9 @@ def _assemble(
             ht[row_at[i - 1] : row_at[i], cols] = h_blocks[(i, j)] * scale % ring.modulus
         np.fill_diagonal(ht[row_at[s + 1 - j] : row_at[s + 2 - j], cols], scale)
         c0 += width
-    h = Matrix(ring, ht.T)
-    # Free H^T before un-permuting, which holds two more n x (n - t_1)
-    # arrays besides H.
-    del ht
+    # H is a view of H^T, whose entries are reduced already: un-permuting
+    # holds one more (n - t_1) x n array besides it.
+    h = Matrix._of_reduced(ring, ht.T)
     return ParityCheckResult(h, method, counters, apply_col_permutation(h, sf.perm.inverse()))
 
 

@@ -41,10 +41,10 @@ class RingSpec:
             raise DomainError(f"p = {self.p} is not prime")
         if self.s < 1:
             raise DomainError(f"s = {self.s} must be >= 1")
-        m = self.p ** self.s
-        if m >= 2 ** 63:
-            raise DomainError(f"p^s = {m} does not fit in 64 bits")
-        object.__setattr__(self, "_modulus", m)
+        # p >= 2, so s >= 63 alone rules the ring out, before p^s is formed.
+        if self.s >= 63 or self.p ** self.s >= 2 ** 63:
+            raise DomainError(f"p^s = {self.p}^{self.s} does not fit in 64 bits")
+        object.__setattr__(self, "_modulus", self.p ** self.s)
 
     @property
     def modulus(self) -> int:

@@ -6,6 +6,7 @@ import random
 import numpy as np
 
 from zpscodes import BlockLayout, Matrix, OpCounters, Permutation, RingSpec, StandardForm
+from zpscodes.matrix import ParseError
 from zpscodes.zring import unit_inverse_int
 
 
@@ -142,3 +143,42 @@ def sequential_standard_form(rows: Matrix) -> StandardForm:
             col_ptr += 1
     g = Matrix(ring, work[:row_ptr].reshape(row_ptr, n))
     return StandardForm(g, BlockLayout(n, t), Permutation([c + 1 for c in cols]))
+
+
+def row_format_matrix(m: Matrix) -> str:
+    """The per-row text writer: the reference format_matrix must match
+    byte for byte."""
+    lines = [f"{m.ring.p} {m.ring.s} {m.nrows} {m.ncols}"]
+    lines.extend(" ".join(map(str, row.tolist())) for row in m.data)
+    return "\n".join(lines) + "\n"
+
+
+def entrywise_parse_matrix(text: str) -> Matrix:
+    """The per-entry reader of a text with a valid header: the reference
+    parse_matrix must match, in its result or in its ParseError."""
+    lines = [
+        (lineno, raw.strip())
+        for lineno, raw in enumerate(text.splitlines(), start=1)
+        if raw.strip() and not raw.strip().startswith(("type:", "perm:", "#"))
+    ]
+    lineno, header = lines[0]
+    p, s, nrows, ncols = (int(f) for f in header.split())
+    ring = RingSpec(p, s)
+    if len(lines) - 1 != nrows:
+        raise ParseError(f"expected {nrows} rows, found {len(lines) - 1}", lineno)
+    rows = []
+    for lineno, line in lines[1:]:
+        entries = line.split()
+        if len(entries) != ncols:
+            raise ParseError(f"expected {ncols} entries, found {len(entries)}", lineno)
+        row = []
+        for col, tok in enumerate(entries, start=1):
+            try:
+                val = int(tok)
+            except ValueError:
+                raise ParseError(f"bad entry {tok!r}", lineno, col) from None
+            if not 0 <= val < ring.modulus:
+                raise ParseError(f"entry {val} out of range [0, {ring.modulus})", lineno, col)
+            row.append(val)
+        rows.append(row)
+    return Matrix(ring, np.array(rows, dtype=object).reshape(nrows, ncols))

@@ -92,6 +92,17 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "header,column",
+    [("x 2 1 1", 1), ("4 2 1 1", 1), ("2 0 1 1", 2), ("2 63 1 1", 2), ("2 2 z 1", 3), ("2 2 1 -1", 4)],
+)
+def test_header_error_exit_code(header, column, tmp_path, capsys):
+    path = tmp_path / "broken.txt"
+    path.write_text(header + "\n0\n")
+    assert main(["std-form", str(path)]) == 2
+    assert f"line 1, column {column}:" in capsys.readouterr().err
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     assert main(["std-form", str(tmp_path / "nope.txt")]) == 2
     capsys.readouterr()

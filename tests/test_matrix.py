@@ -22,6 +22,7 @@ from zpscodes import (
     zeros,
 )
 from zpscodes.matrix import (
+    _FORMAT_CHUNK,
     FLOAT_MIN_MACS,
     ParseError,
     ShapeError,
@@ -31,7 +32,7 @@ from zpscodes.matrix import (
 )
 from zpscodes.zring import RingMismatchError
 
-from helpers import random_matrix
+from helpers import entrywise_parse_matrix, random_matrix, row_format_matrix
 
 Z4 = RingSpec(2, 2)
 
@@ -151,6 +152,134 @@ def test_parse_errors_carry_position():
 def test_parse_skips_std_form_headers():
     text = "type: 3 1 1\nperm: 1 2 3\n2 2 2 3\n1 1 2\n0 2 2\n"
     assert parse_matrix(text) == Matrix(Z4, [[1, 1, 2], [0, 2, 2]])
+
+
+# 1447^3 is the largest of these moduli stored as int64, 2^62 has 19-digit
+# entries; 3^21 and 1451^3 are stored as python ints.
+FORMAT_RINGS = [(2, 1), (5, 2), (3, 10), (2, 26), (1447, 3), (2, 62), (3, 21), (1451, 3)]
+
+
+def _digit_edges(m):
+    """0, m - 1, and every 10^k - 1 and 10^k below m."""
+    edges = {0, m - 1}
+    for k in range(1, len(str(m)) + 1):
+        edges.update(x for x in (10 ** (k - 1), 10 ** k - 1) if x < m)
+    return sorted(edges)
+
+
+@pytest.mark.parametrize("p,s", FORMAT_RINGS)
+def test_format_matches_row_writer(p, s):
+    ring = RingSpec(p, s)
+    edges = _digit_edges(ring.modulus)
+    k = len(edges)
+    # Rows of the edge values, each row rotated one step further.
+    square = np.array([edges[i:] + edges[:i] for i in range(k)], dtype=object)
+    chunk_rows = _FORMAT_CHUNK // k
+    shapes = [(0, k), (k, 0), (1, 1), (1, k), (k, 1), (2 * chunk_rows + 3, k)]
+    for nrows, ncols in shapes:
+        data = np.resize(square, (nrows, ncols)) if nrows * ncols else np.zeros((nrows, ncols))
+        m = Matrix(ring, data)
+        assert format_matrix(m) == row_format_matrix(m), (nrows, ncols)
+    tall = Matrix(ring, np.resize(square, (_FORMAT_CHUNK + 5, 1)))
+    assert format_matrix(tall) == row_format_matrix(tall)
+    # Inputs that are not C-contiguous.
+    base = Matrix(ring, np.resize(square, (3 * k, 2 * k))).data
+    for view in (base.T, base[:, [2, 0, 1, 2 * k - 1]], base[1::2, ::3]):
+        m = Matrix._of_reduced(ring, view)
+        assert format_matrix(m) == row_format_matrix(m)
+
+
+def _corpus_text(tokens, ncols=3):
+    """A 5^2 matrix text whose entries, in reading order, are tokens
+    padded with valid entries."""
+    body = list(tokens) + ["1"] * (-len(tokens) % ncols)
+    rows = [" ".join(body[i : i + ncols]) for i in range(0, len(body), ncols)]
+    return f"5 2 {len(rows)} {ncols}\n" + "\n".join(rows) + "\n"
+
+
+def _parse_outcome(parse, text):
+    try:
+        return ("ok", parse(text))
+    except ParseError as exc:
+        return ("error", str(exc), exc.line, exc.column)
+
+
+ACCEPTED_TOKENS = ["+3", "-0", "1_0", "\u0663", "\uff10", "24"]
+REJECTED_TOKENS = ["0x1", "1.0", "1__0", "-1", "25", str(2 ** 63), str(10 ** 30)]
+
+
+@pytest.mark.parametrize("token", ACCEPTED_TOKENS + REJECTED_TOKENS)
+def test_parse_token_corpus(token):
+    for position in (0, 4, 8):
+        tokens = ["2"] * 9
+        tokens[position] = token
+        text = _corpus_text(tokens)
+        want = _parse_outcome(entrywise_parse_matrix, text)
+        assert _parse_outcome(parse_matrix, text) == want
+        assert (want[0] == "ok") == (token in ACCEPTED_TOKENS)
+        if want[0] == "error":
+            assert want[2:] == (2 + position // 3, 1 + position % 3)
+
+
+def test_parse_corpus_tabs_and_error_order():
+    tabbed = "5 2 2 3\n1\t+3\t\u0663\n\t0 1_0  24\n"
+    assert parse_matrix(tabbed) == entrywise_parse_matrix(tabbed)
+    assert parse_matrix(tabbed).tolist() == [[1, 3, 3], [0, 10, 24]]
+    # The first bad line wins, whether its fault is an entry or the count.
+    for text in ("5 2 2 3\n1 x 1\n1 1\n", "5 2 2 3\n1 1\n1 x 1\n", "5 2 2 3\n1 1 1\n1 1 -1\n"):
+        want = _parse_outcome(entrywise_parse_matrix, text)
+        assert want[0] == "error"
+        assert _parse_outcome(parse_matrix, text) == want
+
+
+@pytest.mark.parametrize("p,s", [(3, 21), (2, 62)])
+def test_parse_python_int_ring(p, s):
+    m = RingSpec(p, s).modulus
+    text = f"{p} {s} 1 3\n0 {m - 1} {10 ** 9}\n"
+    got = parse_matrix(text)
+    assert got.data.dtype == object
+    assert got == entrywise_parse_matrix(text)
+    assert got.tolist() == [[0, m - 1, 10 ** 9]]
+    for bad in (str(m), str(2 ** 63), str(-(2 ** 63) - 1)):
+        text = f"{p} {s} 1 2\n0 {bad}\n"
+        want = _parse_outcome(entrywise_parse_matrix, text)
+        assert want[0] == "error" and want[2:] == (2, 2)
+        assert _parse_outcome(parse_matrix, text) == want
+
+
+HEADER_ERRORS = [
+    ("x 2 1 1", 1, "bad header field"),
+    ("2 y 1 1", 2, "bad header field"),
+    ("2 2 z 1", 3, "bad header field"),
+    ("2 2 1 1.0", 4, "bad header field"),
+    ("4 2 1 1", 1, "not prime"),
+    ("2 0 1 1", 2, "must be >= 1"),
+    ("2 63 1 1", 2, "does not fit"),
+    ("2 1000000000 1 1", 2, "does not fit"),
+    ("2 2 -1 1", 3, "negative dimensions"),
+    ("2 2 1 -1", 4, "negative dimensions"),
+]
+
+
+@pytest.mark.parametrize("header,column,message", HEADER_ERRORS)
+def test_header_errors_name_their_column(header, column, message):
+    with pytest.raises(ParseError, match=message) as info:
+        parse_matrix(header + "\n0\n")
+    assert (info.value.line, info.value.column) == (1, column)
+    assert str(info.value).startswith(f"line 1, column {column}: ")
+
+
+def test_of_reduced_wraps_without_copy():
+    ring = RingSpec(3, 2)
+    arr = np.array([[1, 8], [0, 5]], dtype=np.int64)
+    m = Matrix._of_reduced(ring, arr.T)
+    assert np.shares_memory(m.data, arr)
+    assert not m.data.flags.writeable
+    assert m == Matrix(ring, [[1, 0], [8, 5]])
+    big = RingSpec(3, 21)
+    assert Matrix._of_reduced(big, arr).data.dtype == object
+    with pytest.raises(ShapeError):
+        Matrix._of_reduced(ring, np.zeros(3, dtype=np.int64))
 
 
 def test_scalar():
