@@ -14,7 +14,7 @@ from itertools import chain
 
 import numpy as np
 
-from .zring import DomainError, RingMismatchError, RingSpec
+from .zring import DomainError, RingMismatchError, RingSpec, _is_prime
 
 
 class ShapeError(ValueError):
@@ -302,37 +302,25 @@ _FORMAT_CHUNK = 1 << 15
 
 
 def format_matrix(m: Matrix) -> str:
-    header = f"{m.ring.p} {m.ring.s} {m.nrows} {m.ncols}"
-    if m.data.dtype == object:
-        lines = [header]
-        # Row by row: a whole-matrix tolist() would hold every entry as a
-        # python int at once.
-        lines.extend(" ".join(map(str, row.tolist())) for row in m.data)
-        return "\n".join(lines) + "\n"
-    return str(_format_int64(m.data, m.ring.modulus, header + "\n"), "ascii")
+    header = f"{m.ring.p} {m.ring.s} {m.nrows} {m.ncols}\n"
+    return "".join(chain([header], _format_rows(m.data, m.ring.modulus)))
 
 
-def _format_int64(data: np.ndarray, modulus: int, header: str) -> np.ndarray:
-    """The text of a reduced int64 matrix, header first, as one uint8
-    buffer, written a chunk of whole rows at a time."""
+def _format_rows(data: np.ndarray, modulus: int):
+    """The text of the rows of a reduced matrix, one str per chunk of whole
+    rows."""
     nrows, ncols = data.shape
     if ncols == 0:
-        return np.frombuffer((header + "\n" * nrows).encode(), np.uint8)
+        yield "\n" * nrows
+        return
+    # Every entry is below p^s < 2^63, in either storage.
+    dt = np.uint32 if modulus <= 2 ** 32 else np.uint64
     width = len(str(modulus - 1))
     # An entry has one digit more than the powers 10, 100, ... it reaches.
-    powers = [10 ** k for k in range(1, width)]
+    powers = [dt(10 ** k) for k in range(1, width)]
     step = max(1, _FORMAT_CHUNK // ncols)
-    chunks = [data[r : r + step] for r in range(0, nrows, step)]
-    # Each entry takes its digits and one separator: a space, or a newline
-    # at the end of a row.
-    size = len(header) + 2 * data.size
-    size += sum(np.count_nonzero(chunk >= power) for chunk in chunks for power in powers)
-    buf = np.empty(size, dtype=np.uint8)
-    buf[: len(header)] = np.frombuffer(header.encode(), np.uint8)
-    start = len(header)
-    for chunk in chunks:
-        # Entries are below p^s <= 3037000500 < 2^32.
-        x = chunk.astype(np.uint32, order="C").ravel()
+    for r in range(0, nrows, step):
+        x = data[r : r + step].astype(dt, order="C").ravel()
         # sep[i]: where entry i's separator goes in the chunk's text, which
         # starts with width spare bytes.
         sep = np.full(x.size, 2, dtype=np.int64)
@@ -357,10 +345,7 @@ def _format_int64(data: np.ndarray, modulus: int, header: str) -> np.ndarray:
             sep += 1
         text[sep] = ord(" ")
         text[sep[ncols - 1 :: ncols]] = ord("\n")
-        end = start + text.size - width
-        buf[start:end] = text[width:]
-        start = end
-    return buf
+        yield str(text[width:], "ascii")
 
 
 def parse_matrix(text: str) -> Matrix:
@@ -386,12 +371,13 @@ def parse_matrix(text: str) -> Matrix:
         except ValueError as exc:
             raise ParseError(f"bad header field {field!r}", lineno, column) from exc
     p, s, nrows, ncols = values
-    # p alone names column 1; p^s names column 2.
-    for column, exponent in ((1, 1), (2, s)):
-        try:
-            ring = RingSpec(p, exponent)
-        except DomainError as exc:
-            raise ParseError(str(exc), lineno, column) from exc
+    try:
+        ring = RingSpec(p, s)
+    except DomainError as exc:
+        # RingSpec rejects a p that is not prime before it looks at s; the
+        # prime test runs again only on this error path.
+        column = 2 if _is_prime(p) else 1
+        raise ParseError(str(exc), lineno, column) from exc
     for column, size in ((3, nrows), (4, ncols)):
         if size < 0:
             raise ParseError("negative dimensions", lineno, column)

@@ -154,8 +154,9 @@ def test_parse_skips_std_form_headers():
     assert parse_matrix(text) == Matrix(Z4, [[1, 1, 2], [0, 2, 2]])
 
 
-# 1447^3 is the largest of these moduli stored as int64, 2^62 has 19-digit
-# entries; 3^21 and 1451^3 are stored as python ints.
+# 1447^3 (10-digit entries) is the largest of these moduli stored as int64.
+# 2^62, 3^21 and 1451^3 are stored as python ints; the formatter writes them
+# through uint64, uint64 and uint32, and 2^62 has 19-digit entries.
 FORMAT_RINGS = [(2, 1), (5, 2), (3, 10), (2, 26), (1447, 3), (2, 62), (3, 21), (1451, 3)]
 
 
@@ -253,6 +254,8 @@ HEADER_ERRORS = [
     ("2 2 z 1", 3, "bad header field"),
     ("2 2 1 1.0", 4, "bad header field"),
     ("4 2 1 1", 1, "not prime"),
+    ("4 0 1 1", 1, "not prime"),
+    ("1000000007 3 1 1", 2, "does not fit"),
     ("2 0 1 1", 2, "must be >= 1"),
     ("2 63 1 1", 2, "does not fit"),
     ("2 1000000000 1 1", 2, "does not fit"),
