@@ -15,14 +15,15 @@ import struct
 import time
 from dataclasses import dataclass
 from hashlib import blake2b
+from itertools import product
 
 import numpy as np
 
 from .codemodel import CodeSpec
-from .matrix import BlockLayout, Matrix, Permutation, dtype_for
+from .matrix import BlockLayout, Matrix, Permutation
 from .opcounters import OpCounters, predicted_counts_iterative, predicted_counts_minors
 from .paritycheck import parity_check_iterative, parity_check_minors
-from .stdform import StandardForm
+from .stdform import StandardForm, from_blocks
 from .zring import DomainError, RingSpec
 
 CSV_COLUMNS = [
@@ -59,21 +60,16 @@ def random_code(ring: RingSpec, n: int, type_vector, seed: int) -> CodeSpec:
     p, s = ring.p, ring.s
     if layout.s != s:
         raise DomainError(f"type vector length {layout.s} != s = {s}")
-    g = np.zeros((layout.total, n), dtype=dtype_for(ring))
+    blocks = {}
     for i in range(1, s + 1):
-        scale = p ** (i - 1)
-        r0 = layout.row_offset(i)
-        ti = layout.t[i - 1]
-        for r in range(ti):
-            g[r0 + r, layout.col_offset(i) + r] = scale
         for j in range(i + 1, s + 2):
-            c0 = layout.col_offset(j)
-            w = layout.group_width(j)
+            cols = layout.group(j)
+            shape = (layout.t[i - 1], cols.stop - cols.start)
             bound = p ** (j - i) if j <= s else p ** (s - i + 1)
-            for r in range(ti):
-                for c in range(w):
-                    g[r0 + r, c0 + c] = scale * _hash_uniform(seed, i, j, r * w + c, bound)
-    matrix = Matrix(ring, g)
+            # Entry (r, c) is draw r * width + c of the block.
+            draws = [_hash_uniform(seed, i, j, k, bound) for k in range(shape[0] * shape[1])]
+            blocks[(i, j)] = Matrix(ring, np.array(draws, dtype=object).reshape(shape))
+    matrix = from_blocks(ring, layout, blocks)
     sf = StandardForm(matrix, layout, Permutation.identity(n))
     return CodeSpec(matrix, standard=sf)
 
@@ -116,27 +112,31 @@ def _verify_counters(method: str, s: int, counters: OpCounters) -> None:
 def run_suite(p: int, s_values, ell_values, n_values, trials: int, seed: int,
               out=None) -> list:
     """Run the full grid and return BenchRecords (also written as CSV rows to
-    out, a path or file object, when given).  Counters are checked against
-    the predictions before anything is emitted."""
-    ring_cache = {}
+    out, a path or file object, when given).  The whole grid is checked
+    before the first construction runs.  Counters are checked against the
+    predictions before anything is emitted."""
+    if trials < 1:
+        raise DomainError(f"trials = {trials} must be >= 1")
+    grid = list(product([RingSpec(p, s) for s in s_values], ell_values, n_values))
+    for ring, ell, n in grid:
+        if ell < 1:
+            raise DomainError(f"ell = {ell} must be >= 1")
+        if n <= ring.s * ell:
+            # The count predictions assume a nonempty free column group.
+            raise DomainError(f"n = {n} too short for type ({ell},)*{ring.s}")
     records = []
-    for s in s_values:
-        ring = ring_cache.setdefault(s, RingSpec(p, s))
-        for ell in ell_values:
-            for n in n_values:
-                if n <= s * ell:
-                    # The count predictions assume a nonempty free column group.
-                    raise DomainError(f"n = {n} too short for type ({ell},)*{s}")
-                for trial in range(trials):
-                    code = random_code(ring, n, (ell,) * s, derive_seed(seed, trial))
-                    for method, construct in _METHODS.items():
-                        t0 = time.perf_counter_ns()
-                        result = construct(code.standard)
-                        wall = time.perf_counter_ns() - t0
-                        _verify_counters(method, s, result.counters)
-                        records.append(BenchRecord(
-                            method, p, s, n, ell, trial, seed, wall, result.counters
-                        ))
+    for ring, ell, n in grid:
+        s = ring.s
+        for trial in range(trials):
+            code = random_code(ring, n, (ell,) * s, derive_seed(seed, trial))
+            for method, construct in _METHODS.items():
+                t0 = time.perf_counter_ns()
+                result = construct(code.standard)
+                wall = time.perf_counter_ns() - t0
+                _verify_counters(method, s, result.counters)
+                records.append(BenchRecord(
+                    method, p, s, n, ell, trial, seed, wall, result.counters
+                ))
     records.sort(key=lambda r: (r.method, r.p, r.s, r.n, r.ell, r.trial))
     if out is not None:
         if hasattr(out, "write"):

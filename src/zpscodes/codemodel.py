@@ -45,7 +45,7 @@ def enumerate_codewords(code: CodeSpec) -> np.ndarray:
     un-permuted standard-form rows; the result is duplicate-free.
     """
     ring = code.ring
-    p, s, m = ring.p, ring.s, ring.modulus
+    p, m = ring.p, ring.modulus
     layout = code.layout
     size = cardinality(layout, p)
     if size > ENUMERATION_BUDGET:
@@ -54,21 +54,16 @@ def enumerate_codewords(code: CodeSpec) -> np.ndarray:
     rows = apply_col_permutation(code.standard.matrix, code.standard.perm.inverse())
     dtype = dtype_for(ring)
     words = np.zeros((1, code.n), dtype=dtype)
-    for i in range(layout.total):
-        group = _row_group(layout, i)
-        coeff_range = p ** (s - group + 1)
-        scaled = (np.arange(coeff_range, dtype=dtype)[:, None] * rows.data[i]) % m
+    # A row of group i, scaled by p^(i-1), takes p^(s-i+1) distinct multiples.
+    for row, scale in zip(rows.data, _row_scales(layout, p)):
+        scaled = (np.arange(m // scale, dtype=dtype)[:, None] * row) % m
         words = (words[:, None, :] + scaled[None, :, :]).reshape(-1, code.n) % m
     return words
 
 
-def _row_group(layout: BlockLayout, row: int) -> int:
-    acc = 0
-    for i, ti in enumerate(layout.t, start=1):
-        acc += ti
-        if row < acc:
-            return i
-    raise ShapeError(f"row {row} outside the {layout.total} generator rows")
+def _row_scales(layout: BlockLayout, p: int) -> list:
+    """p^(i-1) for each row of row group i, in row order."""
+    return [p ** i for i, ti in enumerate(layout.t) for _ in range(ti)]
 
 
 def is_member(code: CodeSpec, v) -> bool:
@@ -83,8 +78,7 @@ def is_member(code: CodeSpec, v) -> bool:
     g = code.standard.matrix.data
     # Move v into the standard form's coordinates (pull convention).
     w = vec[[img - 1 for img in perm.images]] % m
-    for r in range(layout.total):
-        pv = p ** (_row_group(layout, r) - 1)
+    for r, pv in enumerate(_row_scales(layout, p)):
         val = int(w[r])
         if val % pv:
             return False

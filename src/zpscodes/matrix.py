@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -197,6 +197,8 @@ class BlockLayout:
         object.__setattr__(self, "t", tuple(int(x) for x in self.t))
         if any(x < 0 for x in self.t):
             raise ShapeError(f"negative type entry in {self.t}")
+        # Group j spans [offsets[j - 1], offsets[j]).
+        object.__setattr__(self, "_offsets", (*accumulate(self.t, initial=0), self.n))
         if self.total > self.n:
             raise ShapeError(f"type {self.t} exceeds length {self.n}")
 
@@ -206,23 +208,15 @@ class BlockLayout:
 
     @property
     def total(self) -> int:
-        return sum(self.t)
+        return self._offsets[-2]
 
-    def row_offset(self, i: int) -> int:
-        """Row index where block-row group i (1-based) starts."""
-        return sum(self.t[: i - 1])
-
-    def col_offset(self, j: int) -> int:
-        """Column index where block-column group j starts (group s+1 is the
-        free-column group of width n - t)."""
-        return sum(self.t[: j - 1])
-
-    def group_width(self, j: int) -> int:
-        if 1 <= j <= self.s:
-            return self.t[j - 1]
-        if j == self.s + 1:
-            return self.n - self.total
-        raise ShapeError(f"column group {j} out of range for s={self.s}")
+    def group(self, j: int) -> slice:
+        """Row group j of the standard form, or column group j, which spans
+        the same indices (1 <= j <= s + 1).  Group j <= s has width t_j;
+        group s + 1 is the free group of width n - t."""
+        if not 1 <= j <= self.s + 1:
+            raise ShapeError(f"group {j} out of range for s={self.s}")
+        return slice(self._offsets[j - 1], self._offsets[j])
 
 
 class Permutation:

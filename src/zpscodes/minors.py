@@ -113,7 +113,7 @@ class BlockMinorTable:
     def __init__(self, blocks: dict, layout, counters: OpCounters | None = None):
         self.blocks = {key: block.data for key, block in blocks.items()}
         self.layout = layout
-        self.ring = next(iter(blocks.values())).ring if blocks else None
+        self.ring = blocks[(1, 2)].ring
         self.counters = counters if counters is not None else OpCounters()
 
     def block(self, i: int, j: int) -> Matrix:

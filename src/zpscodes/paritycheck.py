@@ -61,20 +61,17 @@ def _assemble(
     layout = sf.layout
     ring = sf.matrix.ring
     s = layout.s
-    # Row group i has height t_i; row group s + 1 holds the wide identity.
-    row_at = np.cumsum((0,) + layout.t + (layout.n - layout.total,))
-    widths = dual_type(layout).t
-    ht = np.zeros((layout.n, sum(widths)), dtype=dtype_for(ring))
-    c0 = 0
-    for j, width in enumerate(widths, start=1):
+    dual = dual_type(layout)
+    ht = np.zeros((layout.n, dual.total), dtype=dtype_for(ring))
+    for j, width in enumerate(dual.t, start=1):
         if width == 0:
             continue
-        cols = slice(c0, c0 + width)
+        cols = dual.group(j)
         scale = ring.p ** (j - 1)
         for i in range(1, s + 2 - j):
-            ht[row_at[i - 1] : row_at[i], cols] = h_blocks[(i, j)] * scale % ring.modulus
-        np.fill_diagonal(ht[row_at[s + 1 - j] : row_at[s + 2 - j], cols], scale)
-        c0 += width
+            ht[layout.group(i), cols] = h_blocks[(i, j)] * scale % ring.modulus
+        # Row group s + 2 - j; for j = 1 the free group's wide identity.
+        np.fill_diagonal(ht[layout.group(s + 2 - j), cols], scale)
     # H is a view of H^T, whose entries are reduced already: un-permuting
     # holds one more (n - t_1) x n array besides it.
     h = Matrix._of_reduced(ring, ht.T)
@@ -167,18 +164,17 @@ def z4_parity_check(sf: StandardForm) -> Matrix:
     if ring.p != 2 or ring.s != 2:
         raise DomainError(f"quaternary construction needs p=2, s=2, got {ring.p}^{ring.s}")
     layout = sf.layout
-    t1, t2 = layout.t
-    n = layout.n
-    free = n - t1 - t2
+    g1, g2, g3 = (layout.group(j) for j in (1, 2, 3))
     blocks = extract_blocks(sf)
     r, s_blk, t_blk = blocks[(1, 2)].data, blocks[(1, 3)].data, blocks[(2, 3)].data
-
-    h = np.zeros((free + t2, n), dtype=dtype_for(ring))
-    h[:free, :t1] = -(s_blk + r @ t_blk).T
-    h[:free, t1 : t1 + t2] = t_blk.T
-    np.fill_diagonal(h[:free, t1 + t2 :], 1)
-    h[free:, :t1] = 2 * r.T
-    np.fill_diagonal(h[free:, t1 : t1 + t2], 2)
+    # Row groups of H: the free group's n - t rows, then t_2 rows.
+    t2, free = t_blk.shape
+    h = np.zeros((free + t2, layout.n), dtype=dtype_for(ring))
+    h[:free, g1] = -(s_blk + r @ t_blk).T
+    h[:free, g2] = t_blk.T
+    np.fill_diagonal(h[:free, g3], 1)
+    h[free:, g1] = 2 * r.T
+    np.fill_diagonal(h[free:, g2], 2)
     return Matrix(ring, h)
 
 

@@ -151,46 +151,43 @@ def extract_blocks(sf: StandardForm) -> dict:
     """
     layout = sf.layout
     ring = sf.matrix.ring
-    s = layout.s
-    blocks = {}
-    for i in range(1, s + 1):
-        scale = ring.p ** (i - 1)
-        r0 = layout.row_offset(i)
-        for j in range(i + 1, s + 2):
-            c0 = layout.col_offset(j)
-            w = layout.group_width(j)
-            sub = sf.matrix.data[r0 : r0 + layout.t[i - 1], c0 : c0 + w]
-            # Row group i of G is p^(i-1) times the stored block.
-            blocks[(i, j)] = Matrix(ring, sub // scale)
-    return blocks
+    data = sf.matrix.data
+    # Row group i of G is p^(i-1) times the stored block.
+    return {
+        (i, j): Matrix(ring, data[layout.group(i), layout.group(j)] // ring.p ** (i - 1))
+        for i in range(1, layout.s + 1)
+        for j in range(i + 1, layout.s + 2)
+    }
 
 
-def _associated(sf: StandardForm) -> np.ndarray:
-    """Row group i is (0, Id, A_{i,i+1}, ..., A_{i,s+1}), with the identity
-    at column group i: the standard form with its p-power scalings stripped."""
-    layout = sf.layout
-    out = np.zeros((layout.total, layout.n), dtype=dtype_for(sf.matrix.ring))
+def _write(ring: RingSpec, layout: BlockLayout, blocks: dict, scaled: bool) -> np.ndarray:
+    """Row group i is c (0, Id, A_{i,i+1}, ..., A_{i,s+1}), with the identity
+    at column group i and c = p^(i-1) when scaled, else 1."""
+    out = np.zeros((layout.total, layout.n), dtype=dtype_for(ring))
     for i in range(1, layout.s + 1):
-        rows = slice(layout.row_offset(i), layout.row_offset(i + 1))
-        c0 = layout.col_offset(i)
-        np.fill_diagonal(out[rows, c0 : c0 + layout.t[i - 1]], 1)
-    for (i, j), block in extract_blocks(sf).items():
-        c0 = layout.col_offset(j)
-        out[layout.row_offset(i) : layout.row_offset(i + 1), c0 : c0 + block.ncols] = block.data
+        rows = out[layout.group(i)]
+        np.fill_diagonal(rows[:, layout.group(i)], 1)
+        for j in range(i + 1, layout.s + 2):
+            rows[:, layout.group(j)] = blocks[(i, j)].data
+        if scaled:
+            rows *= ring.p ** (i - 1)
     return out
+
+
+def from_blocks(ring: RingSpec, layout: BlockLayout, blocks: dict) -> Matrix:
+    """The standard-form matrix of the given layout whose stripped blocks,
+    keyed as extract_blocks returns them, are blocks."""
+    return Matrix(ring, _write(ring, layout, blocks, scaled=True))
 
 
 def reconstruct(sf: StandardForm) -> Matrix:
     """Reassemble the standard-form matrix from its extracted blocks."""
-    layout = sf.layout
-    ring = sf.matrix.ring
-    g = _associated(sf)
-    for i in range(1, layout.s + 1):
-        g[layout.row_offset(i) : layout.row_offset(i + 1)] *= ring.p ** (i - 1)
-    return Matrix(ring, g)
+    return from_blocks(sf.matrix.ring, sf.layout, extract_blocks(sf))
 
 
 def reduced_associated(sf: StandardForm) -> Matrix:
     """The reduced associated matrix: first column group dropped, identity
     blocks on the subdiagonal, p-power scalings stripped."""
-    return Matrix(sf.matrix.ring, _associated(sf)[:, sf.layout.t[0] :])
+    ring = sf.matrix.ring
+    out = _write(ring, sf.layout, extract_blocks(sf), scaled=False)
+    return Matrix(ring, out[:, sf.layout.t[0] :])

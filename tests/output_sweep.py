@@ -1,7 +1,8 @@
-"""Seeded output hash sweep: one SHA-256 over everything the pipeline emits
-on a fixed grid of generator matrices.
+"""Seeded output hash sweeps: one SHA-256 over everything the pipeline emits
+on a fixed grid of generator matrices, and one over the block geometry of
+standard forms.
 
-Run it at two commits and compare the printed digests:
+Run it at two commits and compare the two printed digests:
 
     PYTHONPATH=src python tests/output_sweep.py
 
@@ -11,6 +12,12 @@ their histogram, the format_matrix bytes and the verify_parity witnesses,
 on a correct and on a corrupted H, are the same.  The inputs come from
 random.Random, never from the library, so an edit to the library cannot
 change them.  tests/test_output_sweep.py pins the digest.
+
+Equal geometry digests mean that random_code (generators, layout, perm),
+extract_blocks, reconstruct, reduced_associated, z4_parity_check on Z_4,
+enumerate_codewords (in order) and is_member on a few vectors give the
+same results on a grid of types with empty groups, n = t and every
+storage.  tests/test_output_sweep.py pins this digest too.
 """
 
 from __future__ import annotations
@@ -22,14 +29,23 @@ import sys
 import numpy as np
 
 from zpscodes import (
+    CodeSpec,
     Matrix,
     RingSpec,
+    cardinality,
+    enumerate_codewords,
+    extract_blocks,
     format_matrix,
+    is_member,
     parity_check_iterative,
     parity_check_minors,
+    random_code,
+    reduced_associated,
     standard_form,
     verify_parity,
+    z4_parity_check,
 )
+from zpscodes.stdform import reconstruct
 
 # (p, s, nrows, ncols): a few more pivots than one 32-column panel where
 # n allows it, the storage edges (2^26, 3^16, 1447^3, 2^62) and rings stored
@@ -134,5 +150,80 @@ def sweep_digest() -> str:
     return h.hexdigest()
 
 
+# (p, s, n, type): empty row groups, n = t, no rows, the storage edge
+# 1447^3 and rings stored as Python ints (3^21, 1451^3, 2^62).  Types with
+# few codewords are enumerated as well.
+GEOMETRY_GRID = [
+    (2, 2, 7, (2, 1)),
+    (2, 2, 5, (0, 3)),
+    (2, 2, 4, (3, 1)),
+    (2, 2, 3, (0, 0)),
+    (2, 3, 6, (1, 0, 2)),
+    (3, 3, 9, (2, 0, 3)),
+    (5, 4, 9, (1, 2, 0, 1)),
+    (3, 2, 4, (2, 2)),
+    (1447, 3, 7, (2, 1, 2)),
+    (1447, 3, 4, (0, 0, 1)),
+    (3, 21, 8, (1,) + (0,) * 18 + (1, 2)),
+    (3, 21, 5, (0,) * 19 + (1, 1)),
+    (1451, 3, 7, (1, 2, 3)),
+    (1451, 3, 3, (0, 0, 1)),
+    (2, 62, 6, (0,) * 59 + (1, 1, 2)),
+]
+ENUMERATE_MAX = 2 ** 12
+
+
+def _probe_vectors(code: CodeSpec, rng: random.Random):
+    """A random vector, a random combination of the generators and that
+    combination with p^(s-1) added at one coordinate, as Python ints."""
+    ring = code.ring
+    m = ring.modulus
+    gens = code.generators.data.tolist()
+    word = [0] * code.n
+    for row in gens:
+        a = rng.randrange(m)
+        word = [(x + a * int(y)) % m for x, y in zip(word, row)]
+    vectors = [[rng.randrange(m) for _ in range(code.n)], word]
+    if code.n:
+        bumped = list(word)
+        c = rng.randrange(code.n)
+        bumped[c] = (bumped[c] + ring.p ** (ring.s - 1)) % m
+        vectors.append(bumped)
+    return vectors
+
+
+def _feed_code(h, code: CodeSpec, rng: random.Random) -> None:
+    sf = code.standard
+    _feed(h, _entries(code.generators), sf.layout.n, sf.layout.t, sf.perm.images)
+    if cardinality(sf.layout, code.ring.p) <= ENUMERATE_MAX:
+        words = enumerate_codewords(code)
+        _feed(h, str(words.dtype), words.shape, words.tolist())
+    _feed(h, [is_member(code, v) for v in _probe_vectors(code, rng)])
+
+
+def geometry_digest() -> str:
+    h = hashlib.sha256()
+    for p, s, n, t in GEOMETRY_GRID:
+        ring = RingSpec(p, s)
+        _feed(h, p, s, n, t)
+        code = random_code(ring, n, t, seed=1000 * p + s + n)
+        sf = code.standard
+        rng = random.Random(f"{p}^{s}:{n}:{t}")
+        _feed_code(h, code, rng)
+        blocks = extract_blocks(sf)
+        _feed(h, [(key, _entries(blocks[key])) for key in sorted(blocks)])
+        _feed(h, _entries(reconstruct(sf)), _entries(reduced_associated(sf)))
+        if (p, s) == (2, 2):
+            _feed(h, _entries(z4_parity_check(sf)))
+        # The same code with shuffled columns: a standard form whose
+        # permutation is not the identity.
+        order = list(range(n))
+        rng.shuffle(order)
+        shuffled = code.generators.data[:, order]
+        _feed_code(h, CodeSpec(Matrix(ring, shuffled)), rng)
+    return h.hexdigest()
+
+
 if __name__ == "__main__":
     sys.stdout.write(sweep_digest() + "\n")
+    sys.stdout.write(geometry_digest() + "\n")

@@ -14,6 +14,7 @@ from zpscodes import (
     parse_matrix,
     standard_form,
 )
+from zpscodes import bench
 from zpscodes.cli import main
 
 from helpers import miscount_big_mults
@@ -103,6 +104,14 @@ def test_header_error_exit_code(header, column, tmp_path, capsys):
     assert f"line 1, column {column}:" in capsys.readouterr().err
 
 
+def test_large_prime_header(tmp_path, capsys):
+    # p = 2^61 - 1: the primality test of the header must not stall.
+    path = tmp_path / "large.txt"
+    path.write_text("2305843009213693951 1 1 1\n5\n")
+    assert main(["std-form", str(path)]) == 0
+    assert capsys.readouterr().out.endswith("2305843009213693951 1 1 1\n1\n")
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     assert main(["std-form", str(tmp_path / "nope.txt")]) == 2
     capsys.readouterr()
@@ -161,6 +170,25 @@ def test_bench_counter_selftest(tmp_path, capsys, monkeypatch):
                  "--out", str(tmp_path / "c.csv")])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("options,named", [
+    (["--ell-range", "0"], "ell = 0"),
+    (["--trials", "-1"], "trials = -1"),
+    (["--s-range", "2:4", "--ell-range", "2", "--n-list", "7"], "n = 7"),
+    (["--p", "4"], "p = 4"),
+])
+def test_bench_rejects_bad_grid(options, named, tmp_path, capsys, monkeypatch):
+    built = []
+    real = bench.random_code
+    monkeypatch.setattr(bench, "random_code", lambda *args: built.append(args) or real(*args))
+    grid = {"--p": "2", "--s-range": "2:3", "--ell-range": "1", "--n-list": "8", "--trials": "1"}
+    grid.update(zip(options[::2], options[1::2]))
+    out = tmp_path / "grid.csv"
+    args = [word for item in grid.items() for word in item]
+    assert main(["bench", *args, "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not built and not out.exists()
 
 
 # Exact stdout/stderr bytes of the README commands.  The inputs cover a

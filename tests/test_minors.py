@@ -144,9 +144,8 @@ def random_block_table(ring, s, n, rng, counters=None, t=None):
     blocks = {}
     for i in range(1, s + 1):
         for j in range(i + 1, s + 2):
-            blocks[(i, j)] = random_matrix(
-                ring, layout.t[i - 1], layout.group_width(j), rng
-            )
+            cols = layout.group(j)
+            blocks[(i, j)] = random_matrix(ring, layout.t[i - 1], cols.stop - cols.start, rng)
     return BlockMinorTable(blocks, layout, counters)
 
 

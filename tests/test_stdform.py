@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from zpscodes import (
+    BlockLayout,
     CodeSpec,
     Matrix,
     Permutation,
@@ -16,6 +17,7 @@ from zpscodes import (
     standard_form,
     zeros,
 )
+from zpscodes.matrix import ShapeError
 from zpscodes.stdform import PANEL_WIDTH, reconstruct
 
 from helpers import random_matrix, random_type, row_span_set, sequential_standard_form
@@ -68,18 +70,19 @@ def _standard_form_shape_ok(sf):
     p = ring.p
     data = sf.matrix.data
     for i in range(1, layout.s + 1):
-        r0 = layout.row_offset(i)
+        group = layout.group(i)
+        rows = data[group]
         ti = layout.t[i - 1]
         scale = p ** (i - 1)
         # zero left of the diagonal block, scaled identity on it
-        block = data[r0 : r0 + ti, : layout.col_offset(i)]
+        block = rows[:, : group.start]
         if block.size and block.any():
             return False
-        diag = data[r0 : r0 + ti, layout.col_offset(i) : layout.col_offset(i + 1)]
+        diag = rows[:, group]
         if not np.array_equal(diag, scale * np.eye(ti, dtype=data.dtype)):
             return False
         # whole row group is a multiple of p^(i-1)
-        if np.any(data[r0 : r0 + ti] % scale):
+        if np.any(rows % scale):
             return False
     return True
 
@@ -132,8 +135,18 @@ def test_extract_blocks_shapes_and_reconstruction():
         layout = sf.layout
         for (i, j), block in blocks.items():
             assert block.nrows == layout.t[i - 1]
-            assert block.ncols == layout.group_width(j)
+            assert block.ncols == (layout.t[j - 1] if j <= layout.s else layout.n - layout.total)
         assert reconstruct(sf) == sf.matrix
+
+
+def test_block_layout_groups():
+    layout = BlockLayout(9, (2, 0, 3))
+    groups = [layout.group(j) for j in range(1, 5)]
+    assert groups == [slice(0, 2), slice(2, 2), slice(2, 5), slice(5, 9)]
+    assert BlockLayout(4, (3, 1)).group(3) == slice(4, 4)  # n = t
+    for j in (0, 5):
+        with pytest.raises(ShapeError):
+            layout.group(j)
 
 
 def test_zero_row_group_gives_empty_blocks():
@@ -167,9 +180,8 @@ def test_reduced_associated_s3_structure():
     # identity blocks sit one group left of the diagonal
     blocks = extract_blocks(sf)
     for i in range(2, layout.s + 1):
-        r0 = layout.row_offset(i)
-        c0 = layout.col_offset(i) - layout.t[0]
-        sub = gra.data[r0 : r0 + layout.t[i - 1], c0 : c0 + layout.t[i - 1]]
+        group = layout.group(i)
+        sub = gra.data[group, group.start - layout.t[0] : group.stop - layout.t[0]]
         assert np.array_equal(sub, np.eye(layout.t[i - 1], dtype=sub.dtype))
 
 

@@ -1,11 +1,12 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from zpscodes import Matrix, RingSpec, mat_add, mat_mul
 from zpscodes.matrix import mat_neg
-from zpscodes.zring import DomainError, unit_inverse_int
+from zpscodes.zring import DomainError, _is_prime, unit_inverse_int
 
 
 def test_ringspec_validation():
@@ -19,6 +20,28 @@ def test_ringspec_validation():
         RingSpec(3, 0)
     with pytest.raises(DomainError):
         RingSpec(2, 63)  # 2^63 does not fit
+
+
+def test_is_prime_matches_sieve():
+    bound = 10 ** 5
+    sieve = np.ones(bound, dtype=bool)
+    sieve[:2] = False
+    for d in range(2, int(bound ** 0.5) + 1):
+        if sieve[d]:
+            sieve[d * d :: d] = False
+    assert [p for p in range(bound) if _is_prime(p)] == np.flatnonzero(sieve).tolist()
+
+
+@pytest.mark.parametrize("value,prime", [
+    (561, False),  # Carmichael
+    (3215031751, False),  # strong pseudoprime to bases 2, 3, 5, 7
+    (3825123056546413051, False),  # strong pseudoprime to bases 2 through 23
+    (2 ** 61 - 1, True),
+    ((2 ** 31 - 1) ** 2, False),
+    (46337 ** 4, False),
+])
+def test_is_prime_large(value, prime):
+    assert _is_prime(value) is prime
 
 
 SMALL_RINGS = [RingSpec(2, 1), RingSpec(2, 3), RingSpec(3, 2), RingSpec(2, 6), RingSpec(7, 2)]
