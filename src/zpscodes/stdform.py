@@ -160,7 +160,7 @@ def extract_blocks(sf: StandardForm) -> dict:
     }
 
 
-def _write(ring: RingSpec, layout: BlockLayout, blocks: dict, scaled: bool) -> np.ndarray:
+def _write_blocks(ring: RingSpec, layout: BlockLayout, blocks: dict, scaled: bool):
     """Row group i is c (0, Id, A_{i,i+1}, ..., A_{i,s+1}), with the identity
     at column group i and c = p^(i-1) when scaled, else 1."""
     out = np.zeros((layout.total, layout.n), dtype=dtype_for(ring))
@@ -177,7 +177,7 @@ def _write(ring: RingSpec, layout: BlockLayout, blocks: dict, scaled: bool) -> n
 def from_blocks(ring: RingSpec, layout: BlockLayout, blocks: dict) -> Matrix:
     """The standard-form matrix of the given layout whose stripped blocks,
     keyed as extract_blocks returns them, are blocks."""
-    return Matrix(ring, _write(ring, layout, blocks, scaled=True))
+    return Matrix(ring, _write_blocks(ring, layout, blocks, scaled=True))
 
 
 def reconstruct(sf: StandardForm) -> Matrix:
@@ -189,5 +189,5 @@ def reduced_associated(sf: StandardForm) -> Matrix:
     """The reduced associated matrix: first column group dropped, identity
     blocks on the subdiagonal, p-power scalings stripped."""
     ring = sf.matrix.ring
-    out = _write(ring, sf.layout, extract_blocks(sf), scaled=False)
+    out = _write_blocks(ring, sf.layout, extract_blocks(sf), scaled=False)
     return Matrix(ring, out[:, sf.layout.t[0] :])
