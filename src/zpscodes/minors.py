@@ -13,9 +13,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matrix import Matrix, Permutation, _matmul_reduced, identity, mat_add, mat_mul, mat_neg
+from .matrix import (
+    Matrix, Permutation, ShapeError, _matmul_reduced, identity, mat_add, mat_mul, mat_neg
+)
 from .opcounters import OpCounters
 from .zring import DomainError
+
+# Bytes the level arrays of one block-minor recursion tree evaluated level
+# by level may take (see BlockMinorTable._minor_rec); a larger tree recurses
+# node by node at its top until its subtrees fit.
+_TREE_BYTES = 1 << 20
 
 
 def is_restricted(perm: Permutation) -> bool:
@@ -104,10 +111,14 @@ class BlockMinorTable:
     Holds the stripped blocks A_{i,j}, keyed by (i, j), 1 <= i <= s,
     i + 1 <= j <= s + 1, as raw ndarrays; only the public methods build a
     Matrix.  _counted_mul and _counted_add, the one counted kernel of both
-    parity-check constructions, reduce once per block op and record it.  The
-    recursion counts one multiplication and one addition per non-identity
-    term; the product by the order-0 identity minor is skipped.  Nothing is
-    memoized, so operation counts reproduce independent recomputation.
+    parity-check constructions, reduce once per call and record each block
+    op it performs.  The recursion counts one multiplication and one
+    addition per non-identity term; the product by the order-0 identity
+    minor is skipped.  Nothing is memoized: every node of the recursion
+    tree performs its own block products on its own operands, so operation
+    counts reproduce independent recomputation.  Only the dispatch is
+    batched: a tree that fits in _TREE_BYTES is evaluated one anchor level
+    at a time, each level's nodes side by side in one array.
     """
 
     def __init__(self, blocks: dict, layout, counters: OpCounters | None = None):
@@ -123,14 +134,21 @@ class BlockMinorTable:
         if not (1 <= i and 0 <= j and i + j <= self.layout.s + 1):
             raise DomainError(f"block-minor ({i}, {j}) out of range for s={self.layout.s}")
 
-    def _counted_mul(self, a: np.ndarray, b: np.ndarray, wide: bool) -> np.ndarray:
-        assert a.shape[1] == b.shape[0], "block product not conformable"
-        self.counters.record_mul(a.shape[0], a.shape[1], b.shape[1], wide)
+    def _counted_mul(self, a: np.ndarray, b: np.ndarray, wide: bool, count=1) -> np.ndarray:
+        """count block products side by side: a times each of the count
+        equal-width column blocks of b."""
+        if a.shape[1] != b.shape[0] or b.shape[1] % count:
+            raise ShapeError(f"block product not conformable: {a.shape} by {count} of {b.shape}")
+        self.counters.record_mul(a.shape[0], a.shape[1], b.shape[1] // count, wide, count)
         return _matmul_reduced(a, b, self.ring)
 
-    def _counted_add(self, a: np.ndarray, b: np.ndarray, sign: int, wide: bool) -> np.ndarray:
-        assert a.shape == b.shape, "block sum not conformable"
-        self.counters.record_add(a.shape[0], a.shape[1], wide)
+    def _counted_add(self, a: np.ndarray, b: np.ndarray, sign: int, wide: bool,
+                     count=1) -> np.ndarray:
+        """count block sums a + sign * b side by side, over equal-width
+        column blocks."""
+        if a.shape != b.shape or a.shape[1] % count:
+            raise ShapeError(f"block sum not conformable: {count} of {a.shape} vs {b.shape}")
+        self.counters.record_add(a.shape[0], a.shape[1] // count, wide, count)
         return (a + b if sign > 0 else a - b) % self.ring.modulus
 
     def block_minor_sum(self, i: int, j: int) -> Matrix:
@@ -157,16 +175,40 @@ class BlockMinorTable:
         self._check_range(i, j)
         if j == 0:
             return identity(self.ring, self.layout.t[i - 1])
-        return Matrix(self.ring, self._minor_rec(i, j))
+        return Matrix._of_reduced(self.ring, self._minor_rec(i, j))
 
     def _minor_rec(self, i: int, j: int) -> np.ndarray:
-        """The recursion of block_minor_rec on raw arrays, for j >= 1."""
-        wide = (i + j == self.layout.s + 1)
-        acc = None
-        for k in range(i, i + j):
-            sub_order = i + j - 1 - k
-            term = self.blocks[(i, k + 1)]
-            if sub_order:
-                term = self._counted_mul(term, self._minor_rec(k + 1, sub_order), wide)
-            acc = term if acc is None else self._counted_add(acc, term, (-1) ** (k - i), wide)
-        return acc
+        """The recursion of block_minor_rec on raw arrays, for j >= 1.
+
+        A node at anchor a of the tree ending at end = i + j computes
+        O(a) = sum over a < b <= end of (-1)^(b-1-a) A(a, b) O(b), skipping
+        the product by O(end) = Id.  A tree whose level arrays, 8 bytes an
+        entry, fit in _TREE_BYTES is evaluated bottom-up: level a holds its
+        c(a) nodes side by side, t_a x c(a)w, with c(i) = 1 and
+        c(a) = 2^(a-i-1) below.  The children at anchor b of level a are
+        nodes [c(a), 2c(a)) of level b, or node 0 for a = i, so each pair
+        (a, b) is one counted product of c(a) block products and each term
+        one counted sum of c(a).  A larger tree evaluates its root alone
+        and recurses into each child.
+        """
+        end = i + j
+        wide = (end == self.layout.s + 1)
+        t, width = self.layout.t, self.blocks[(i, end)].shape[1]
+        nodes = t[i - 1] + sum(t[a - 1] << (a - i - 1) for a in range(i + 1, end))
+        batched = 8 * width * nodes < _TREE_BYTES
+        level = {}
+        for a in range(end - 1 if batched else i, i - 1, -1):
+            count = 1 << max(a - i - 1, 0)
+            lo = 0 if a == i else count * width
+            acc = None
+            for b in range(a + 1, end + 1):
+                if b == end:
+                    term = np.tile(self.blocks[(a, end)], (1, count))
+                else:
+                    children = (level[b][:, lo : lo + count * width] if batched
+                                else self._minor_rec(b, end - b))
+                    term = self._counted_mul(self.blocks[(a, b)], children, wide, count)
+                sign = (-1) ** (b - 1 - a)
+                acc = term if acc is None else self._counted_add(acc, term, sign, wide, count)
+            level[a] = acc
+        return level[i]

@@ -6,7 +6,8 @@ S(a,b) = a*b scalar additions.  Counters split block ops into "big" (target
 in the wide n - t column group) and "small" (target in a t_i column group),
 which is the split under which the closed-form totals are exact; the
 predicted_counts_* functions give those totals.  Products by an order-0
-identity minor are never performed, hence never counted.
+identity minor are never performed, hence never counted.  A batched call
+records count block ops of one shape at once.
 """
 
 from __future__ import annotations
@@ -25,19 +26,19 @@ class OpCounters:
     small_adds: int = 0
     hist: Counter = field(default_factory=Counter)
 
-    def record_mul(self, a: int, b: int, c: int, wide: bool) -> None:
+    def record_mul(self, a: int, b: int, c: int, wide: bool, count: int = 1) -> None:
         if wide:
-            self.big_mults += 1
+            self.big_mults += count
         else:
-            self.small_mults += 1
-        self.hist[("mul", a, b, c)] += 1
+            self.small_mults += count
+        self.hist[("mul", a, b, c)] += count
 
-    def record_add(self, a: int, b: int, wide: bool) -> None:
+    def record_add(self, a: int, b: int, wide: bool, count: int = 1) -> None:
         if wide:
-            self.big_adds += 1
+            self.big_adds += count
         else:
-            self.small_adds += 1
-        self.hist[("add", a, b)] += 1
+            self.small_adds += count
+        self.hist[("add", a, b)] += count
 
     def total_block_ops(self) -> int:
         return self.big_mults + self.big_adds + self.small_mults + self.small_adds

@@ -88,10 +88,10 @@ def miscount_big_mults(monkeypatch):
     instrumented counts no longer match the closed forms."""
     record_mul = OpCounters.record_mul
 
-    def record_twice(self, a, b, c, wide):
-        record_mul(self, a, b, c, wide)
+    def record_twice(self, a, b, c, wide, count=1):
+        record_mul(self, a, b, c, wide, count)
         if wide:
-            self.big_mults += 1
+            self.big_mults += count
 
     monkeypatch.setattr(OpCounters, "record_mul", record_twice)
 

@@ -8,6 +8,7 @@ import pytest
 from zpscodes import (
     BlockMinorTable,
     Matrix,
+    OpCounters,
     Permutation,
     RingSpec,
     det_structured_laplace,
@@ -16,7 +17,8 @@ from zpscodes import (
     j_set,
     mat_mul,
 )
-from zpscodes.matrix import BlockLayout
+from zpscodes import minors
+from zpscodes.matrix import BlockLayout, ShapeError
 from zpscodes.minors import is_restricted
 from zpscodes.zring import DomainError
 
@@ -223,3 +225,70 @@ def test_block_minor_range_errors():
         table.block_minor_rec(1, 3)
     with pytest.raises(DomainError):
         table.block_minor_sum(0, 1)
+
+
+def test_counted_kernel_rejects_nonconformable():
+    table = random_block_table(RingSpec(2, 2), 2, 6, random.Random(53))
+
+    def z(rows, cols):
+        return np.zeros((rows, cols), dtype=np.int64)
+
+    bad = [
+        lambda: table._counted_mul(z(2, 3), z(2, 4), True),
+        lambda: table._counted_mul(z(2, 2), z(2, 6), True, count=4),
+        lambda: table._counted_add(z(2, 6), z(2, 3), 1, True),
+        lambda: table._counted_add(z(2, 6), z(2, 6), 1, True, count=4),
+    ]
+    for call in bad:
+        with pytest.raises(ShapeError):
+            call()
+    assert table.counters == OpCounters()
+    assert table._counted_add(z(2, 6), z(2, 6), -1, True, count=3).shape == (2, 6)
+    assert table.counters.hist == {("add", 2, 2): 3}
+
+
+def test_record_count_equals_repeated_records():
+    once, repeated = OpCounters(), OpCounters()
+    for wide in (True, False):
+        once.record_mul(2, 3, 5, wide, count=7)
+        once.record_add(2, 5, wide, count=7)
+        for _ in range(7):
+            repeated.record_mul(2, 3, 5, wide)
+            repeated.record_add(2, 5, wide)
+    assert once == repeated
+    assert once.hist == {("mul", 2, 3, 5): 14, ("add", 2, 5): 14}
+
+
+def _minors_at_budget(table, monkeypatch, tree_bytes):
+    """Every _minor_rec(i, j), j >= 1, with its own counters, at the given
+    level-array budget."""
+    monkeypatch.setattr(minors, "_TREE_BYTES", tree_bytes)
+    s, out = table.layout.s, {}
+    for i in range(1, s + 1):
+        for j in range(1, s + 2 - i):
+            table.counters = OpCounters()
+            out[(i, j)] = (table._minor_rec(i, j), table.counters)
+    return out
+
+
+# Budget 0 recurses node by node everywhere, 2^62 evaluates every tree level
+# by level, and 600 bytes (2^16 on 3^13) mixes both within one tree.  1447^3
+# stores int64 but multiplies in python ints; 3^21 and 1451^3 store python
+# ints.  Types put t_i = 0 first, in the middle and last, and n = t.
+@pytest.mark.parametrize("ring,n,t", [
+    *(pytest.param(ring, n, t, id=f"{ring.p}^{ring.s}-{n}-{t}")
+      for ring in (RingSpec(2, 4), RingSpec(1447, 3), RingSpec(3, 21), RingSpec(1451, 3))
+      for n, t in ((12, (0, 2, 1, 3, 2)), (12, (2, 1, 0, 2, 3)), (11, (3, 2, 1, 2, 0)),
+                   (8, (2, 1, 3, 2)))),
+    pytest.param(RingSpec(3, 13), 200, (2,) * 13, id="3^13-minors-deep"),
+])
+def test_levels_match_node_by_node(ring, n, t, monkeypatch):
+    table = random_block_table(ring, len(t), n, random.Random(54 + n), t=t)
+    node = _minors_at_budget(table, monkeypatch, 0)
+    for tree_bytes in (600, 1 << 16, 2 ** 62):
+        got = _minors_at_budget(table, monkeypatch, tree_bytes)
+        for key, (arr, counters) in node.items():
+            assert got[key][0].dtype == arr.dtype, key
+            assert np.array_equal(got[key][0], arr), key
+            assert got[key][1] == counters, key
+    assert table.block_minor_rec(1, len(t)) == Matrix(ring, node[(1, len(t))][0])

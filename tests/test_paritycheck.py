@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from zpscodes import (
     z4_parity_check,
     zeros,
 )
-from zpscodes import paritycheck
+from zpscodes import minors, paritycheck
 from zpscodes.matrix import BlockLayout
 from zpscodes.paritycheck import BudgetExceededError
 from zpscodes.zring import DomainError
@@ -244,6 +245,29 @@ def test_minors_budget_boundary(monkeypatch):
     parity_check_minors(random_code(RingSpec(2, 4), 6, (1,) * 4, 0).standard)
     with pytest.raises(BudgetExceededError):
         parity_check_minors(random_code(RingSpec(2, 5), 7, (1,) * 5, 0).standard)
+
+
+def _traced_peak(call, *args):
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_minors_memory_within_tree_budget():
+    # The level arrays of the minors recursion stay within their budget: its
+    # peak exceeds the iterative construction's on the same code (which both
+    # spend mostly on H) by at most minors._TREE_BYTES, and its largest tree
+    # alone, temporaries included, peaks below twice the budget.
+    s = 16
+    code = random_code(RingSpec(3, s), 1000, (2,) * s, 7950)
+    peak_minors = _traced_peak(parity_check_minors, code.standard)
+    peak_iterative = _traced_peak(parity_check_iterative, code.standard)
+    assert peak_minors - peak_iterative <= minors._TREE_BYTES
+    table = minors.BlockMinorTable(extract_blocks(code.standard), code.standard.layout)
+    assert _traced_peak(table._minor_rec, 1, s) < 2 * minors._TREE_BYTES
 
 
 def test_bruteforce_trivial_codes():
