@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .matrix import (
-    Matrix, Permutation, ShapeError, _matmul_reduced, identity, mat_add, mat_mul, mat_neg
+    Matrix, Permutation, ShapeError, _matmul_reduced, _reduce, identity, mat_add, mat_mul, mat_neg
 )
 from .opcounters import OpCounters
 from .zring import DomainError
@@ -149,7 +149,7 @@ class BlockMinorTable:
         if a.shape != b.shape or a.shape[1] % count:
             raise ShapeError(f"block sum not conformable: {count} of {a.shape} vs {b.shape}")
         self.counters.record_add(a.shape[0], a.shape[1] // count, wide, count)
-        return (a + b if sign > 0 else a - b) % self.ring.modulus
+        return _reduce(a + b if sign > 0 else a - b, self.ring.modulus)
 
     def block_minor_sum(self, i: int, j: int) -> Matrix:
         """Order-j block-minor anchored at block-row i via the signed sum

@@ -20,6 +20,7 @@ from .matrix import (
     Matrix,
     ShapeError,
     _matmul_reduced,
+    _reduce,
     apply_col_permutation,
     dtype_for,
 )
@@ -69,7 +70,8 @@ def _assemble(
         cols = dual.group(j)
         scale = ring.p ** (j - 1)
         for i in range(1, s + 2 - j):
-            ht[layout.group(i), cols] = h_blocks[(i, j)] * scale % ring.modulus
+            block = h_blocks[(i, j)]
+            ht[layout.group(i), cols] = block if j == 1 else _reduce(block * scale, ring.modulus)
         # Row group s + 2 - j; for j = 1 the free group's wide identity.
         np.fill_diagonal(ht[layout.group(s + 2 - j), cols], scale)
     # H is a view of H^T, whose entries are reduced already: un-permuting
@@ -100,7 +102,7 @@ def parity_check_minors(sf: StandardForm) -> ParityCheckResult:
         for i in range(1, s + 2 - j):
             order = s + 2 - i - j
             block = table.block_minor_rec(i, order).data
-            h[(i, j)] = -block % m if order % 2 == 1 else block
+            h[(i, j)] = _reduce(-block, m) if order % 2 == 1 else block
     return _assemble(sf, h, counters, "minors")
 
 
@@ -118,13 +120,13 @@ def parity_check_iterative(sf: StandardForm) -> ParityCheckResult:
             continue
         wide = (j == 1)
         top = s - j + 1
-        h[(top, j)] = -a[(top, s - j + 2)] % m
+        h[(top, j)] = _reduce(-a[(top, s - j + 2)], m)
         for i in range(top - 1, 0, -1):
             acc = a[(i, s - j + 2)]
             for k in range(i + 1, top + 1):
                 prod = table._counted_mul(a[(i, k)], h[(k, j)], wide)
                 acc = table._counted_add(acc, prod, 1, wide)
-            h[(i, j)] = -acc % m
+            h[(i, j)] = _reduce(-acc, m)
     return _assemble(sf, h, counters, "iterative")
 
 

@@ -23,6 +23,16 @@ the columns P.  The panel is flushed when the window is used up, or when
 the window holds no pivot of the current valuation; only then is the rest
 of the matrix searched, now up to date.
 
+The search tests one residue per entry.  At stage v every entry of the
+search region (rows from the next pivot row, columns from the next pivot
+column) has valuation >= v: stage v - 1 ended when the region held none of
+valuation v - 1, and a row operation of stage v adds multiples of a row of
+the region.  So an entry has valuation exactly v when it is not divisible
+by p^(v+1); the chosen pivot's valuation is checked again as a scalar.
+The search after a flush scans PANEL_WIDTH columns at a time and stops at
+the first chunk with a hit, so a pivot just past the window costs one
+chunk, and only the search that ends a stage crosses every column.
+
 The pivot order is exactly the unblocked one.  The window's columns are up
 to date, and they come first, so a pivot found there is the first in the
 whole matrix; a pivot beyond the window is searched for only after a flush.
@@ -38,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import BlockLayout, Matrix, Permutation, _matmul_reduced, dtype_for
+from .matrix import BlockLayout, Matrix, Permutation, _matmul_reduced, _reduce_in_place, dtype_for
 from .zring import RingSpec, unit_inverse_int
 
 # Columns a panel searches, and so pivots it defers, before it is flushed.
@@ -58,16 +68,21 @@ class StandardForm:
     perm: Permutation
 
 
-def _first_pivot(block: np.ndarray, pv: int, p: int):
-    """(row, col) in block of the first entry of valuation v, pv = p^v, in
-    the first column that has one; None when no entry has valuation v."""
-    # valuation == v  <=>  p^v | x and p^(v+1) does not
-    mask = (block % pv == 0) & ((block // pv) % p != 0)
-    hit_cols = np.flatnonzero(mask.any(axis=0))
-    if not hit_cols.size:
+def _first_pivot(region: np.ndarray, pv1: int):
+    """(row, col) in region of the first entry not divisible by pv1, in the
+    first column that has one; None when there is none.  The columns are
+    scanned PANEL_WIDTH at a time, up to the first chunk with a hit."""
+    if not region.shape[0]:
         return None
-    c = int(hit_cols[0])
-    return int(np.argmax(mask[:, c])), c
+    for c0 in range(0, region.shape[1], PANEL_WIDTH):
+        chunk = region[:, c0 : c0 + PANEL_WIDTH]
+        # The transpose's flat order runs column by column.
+        hits = (chunk // pv1 * pv1 != chunk).T
+        first = int(hits.argmax())
+        if hits.flat[first]:
+            c, r = divmod(first, chunk.shape[0])
+            return r, c0 + c
+    return None
 
 
 def _flush(
@@ -76,12 +91,12 @@ def _flush(
     """Apply a panel's k pivots, whose rows start at r0 and whose operations
     x records, to the columns of work from wend on; then clear x."""
     if k and wend < work.shape[1]:
-        m = ring.modulus
         d = x[:, :k]
         d[np.arange(r0, r0 + k), np.arange(k)] -= 1
-        d %= m
-        update = _matmul_reduced(d, work[r0 : r0 + k, wend:], ring)
-        work[:, wend:] = (work[:, wend:] + update) % m
+        _reduce_in_place(d, ring.modulus)
+        right = work[:, wend:]
+        right += _matmul_reduced(d, work[r0 : r0 + k, wend:], ring)
+        _reduce_in_place(right, ring.modulus)
     x[:, :k] = 0
 
 
@@ -90,30 +105,38 @@ def standard_form(rows: Matrix) -> StandardForm:
     p, s, m = ring.p, ring.s, ring.modulus
     n = rows.ncols
     # Row operations multiply two reduced entries, which the storage rule
-    # of the ring's arrays keeps exact.
-    work = rows.data.copy()
+    # of the ring's arrays keeps exact.  work and x are column-major, so
+    # that a window, a search chunk and the columns right of a panel are
+    # each one contiguous block.
+    work = rows.data.copy(order="F")
     cols = list(range(n))  # cols[j] = original column now at position j
     # Column k of x: the open panel's operations applied to the unit column
     # of its k-th pivot row; zero until that pivot is chosen.
-    x = np.zeros((work.shape[0], PANEL_WIDTH), dtype=work.dtype)
+    x = np.zeros((work.shape[0], PANEL_WIDTH), dtype=work.dtype, order="F")
 
     t = [0] * s
     row_ptr = 0
     col_ptr = 0
     for v in range(s):
         pv = p ** v
+        # The search region's entries have valuation >= v: those not
+        # divisible by p^(v+1) have valuation v.
+        pv1 = pv * p
         # The open panel: k pivots so far, window [col_ptr, wend).
         k, wend = 0, col_ptr
         while True:
-            hit = _first_pivot(work[row_ptr:, col_ptr:wend], pv, p)
+            hit = _first_pivot(work[row_ptr:, col_ptr:wend], pv1)
             if hit is None:
                 _flush(work, x, row_ptr - k, k, wend, ring)
-                hit = _first_pivot(work[row_ptr:, wend:], pv, p)
+                hit = _first_pivot(work[row_ptr:, wend:], pv1)
                 if hit is None:
                     break
                 hit = (hit[0], hit[1] + wend - col_ptr)
                 k, wend = 0, min(col_ptr + PANEL_WIDTH, n)
             r, c = row_ptr + hit[0], col_ptr + hit[1]
+            pivot = int(work[r, c])
+            if pivot % pv or pivot // pv % p == 0:
+                raise ArithmeticError(f"pivot {pivot} at ({r}, {c}) does not have valuation {v}")
             if r != row_ptr:
                 work[[row_ptr, r]] = work[[r, row_ptr]]
                 x[[row_ptr, r], :k] = x[[r, row_ptr], :k]
@@ -121,23 +144,29 @@ def standard_form(rows: Matrix) -> StandardForm:
                 work[:, [col_ptr, c]] = work[:, [c, col_ptr]]
                 cols[col_ptr], cols[c] = cols[c], cols[col_ptr]
             x[row_ptr, k] = 1
-            win = slice(col_ptr, wend)
-            inv = unit_inverse_int(int(work[row_ptr, col_ptr]) // pv, ring)
-            work[row_ptr, win] = work[row_ptr, win] * inv % m
-            x[row_ptr, : k + 1] = x[row_ptr, : k + 1] * inv % m
+            # The window of work and the panel's columns of x, updated in
+            # place.
+            blocks = (work[:, col_ptr:wend], x[:, : k + 1])
+            inv = unit_inverse_int(pivot // pv, ring)
+            for block in blocks:
+                block[row_ptr] *= inv
+                _reduce_in_place(block[row_ptr], m)
             # Below the pivot entries have valuation >= v, so the quotient
             # clears them exactly; above it reduces the entry into [0, p^v).
             q = work[:, col_ptr] // pv
             q[row_ptr] = 0
             if np.any(q):
-                work[:, win] = (work[:, win] - np.outer(q, work[row_ptr, win])) % m
-                x[:, : k + 1] = (x[:, : k + 1] - np.outer(q, x[row_ptr, : k + 1])) % m
+                for block in blocks:
+                    block -= np.outer(q, block[row_ptr])
+                    _reduce_in_place(block, m)
             t[v] += 1
             row_ptr += 1
             col_ptr += 1
             k += 1
 
-    g = Matrix(ring, work[:row_ptr].reshape(row_ptr, n))
+    # Every entry of work is reduced.  The row-major copy leaves the
+    # redundant rows behind.
+    g = Matrix._of_reduced(ring, np.ascontiguousarray(work[:row_ptr]))
     layout = BlockLayout(n, t)
     perm = Permutation([c + 1 for c in cols])
     return StandardForm(g, layout, perm)
@@ -151,10 +180,11 @@ def extract_blocks(sf: StandardForm) -> dict:
     """
     layout = sf.layout
     ring = sf.matrix.ring
-    data = sf.matrix.data
-    # Row group i of G is p^(i-1) times the stored block.
+    rows = [sf.matrix.data[layout.group(i)] for i in range(1, layout.s + 1)]
+    # Row group i of G is p^(i-1) times the stored block; the quotient of a
+    # reduced entry is reduced.
     return {
-        (i, j): Matrix(ring, data[layout.group(i), layout.group(j)] // ring.p ** (i - 1))
+        (i, j): Matrix._of_reduced(ring, rows[i - 1][:, layout.group(j)] // ring.p ** (i - 1))
         for i in range(1, layout.s + 1)
         for j in range(i + 1, layout.s + 2)
     }

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,13 +24,18 @@ from zpscodes import (
 )
 from zpscodes.matrix import (
     _FORMAT_CHUNK,
+    _REDUCE_FLOOR_MIN,
     FLOAT_MIN_MACS,
     ParseError,
     ShapeError,
     _matmul_reduced,
+    _parse_digits,
     _product_dtype,
+    _reduce,
+    _reduce_in_place,
     extract_block,
 )
+from zpscodes.minors import BlockMinorTable
 from zpscodes.zring import RingMismatchError
 
 from helpers import entrywise_parse_matrix, random_matrix, row_format_matrix
@@ -248,6 +254,111 @@ def test_parse_python_int_ring(p, s):
         assert _parse_outcome(parse_matrix, text) == want
 
 
+def _digit_text(p, s, rows, sep=" "):
+    lines = [f"{p} {s} {len(rows)} {len(rows[0]) if rows else 0}"]
+    lines.extend(sep.join(map(str, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("p,s", [(2, 4), (3, 10), (3, 21), (2, 62)])
+def test_digit_reader_matches_entrywise(p, s):
+    m = RingSpec(p, s).modulus
+    rng = random.Random(f"digits:{p}^{s}")
+    for nrows, ncols in [(1, 1), (7, 11), (40, 3)]:
+        rows = [[rng.randrange(m) for _ in range(ncols)] for _ in range(nrows)]
+        rows[0][0] = m - 1
+        for sep in (" ", "\t", " \t  "):
+            text = _digit_text(p, s, rows, sep)
+            assert parse_matrix(text) == entrywise_parse_matrix(text)
+        # The digit reader itself answers on such a body.
+        body = [(i + 2, " ".join(map(str, row))) for i, row in enumerate(rows)]
+        assert _parse_digits(iter(body), nrows, ncols, m).tolist() == rows
+
+
+def test_digit_reader_long_tokens():
+    # Leading zeros, tokens of 20 digits and more, and 2^63, which numpy
+    # reads as 2^63 - 1: the range test refuses it and the entrywise reader
+    # names it.
+    for token, value in [("0" * 25 + "1", 1), ("0" * 19 + "15", 15), ("0" * 30, 0)]:
+        text = f"2 4 2 2\n{token} 3\n\t4\t{token}\n"
+        assert parse_matrix(text).tolist() == [[value, 3], [4, value]]
+        assert parse_matrix(text) == entrywise_parse_matrix(text)
+    for token in (str(2 ** 63), "9" * 20, "1" + "0" * 25, str(2 ** 64 + 1)):
+        for p, s in [(2, 4), (2, 62), (3, 39)]:
+            text = f"{p} {s} 2 2\n1 2\n3 {token}\n"
+            want = _parse_outcome(entrywise_parse_matrix, text)
+            assert want[0] == "error" and want[2:] == (3, 2)
+            assert _parse_outcome(parse_matrix, text) == want
+
+
+def test_digit_reader_entry_count_errors():
+    for line in ("1 2 3 4", "1 2", "123", ""):
+        text = f"5 2 3 3\n1 1 1\n{line}\n2 2 2\n"
+        want = _parse_outcome(entrywise_parse_matrix, text)
+        assert want[0] == "error"
+        assert _parse_outcome(parse_matrix, text) == want
+    # A missing or an extra line: the row count is named, at the header.
+    for text in ("5 2 3 3\n1 1 1\n2 2 2\n", "5 2 1 3\n1 1 1\n2 2 2\n"):
+        want = _parse_outcome(entrywise_parse_matrix, text)
+        assert want[0] == "error" and want[2] == 1
+        assert _parse_outcome(parse_matrix, text) == want
+    # A header that claims far more than the text holds is refused by count.
+    with pytest.raises(ParseError, match="expected 10000000000 rows"):
+        parse_matrix("2 2 10000000000 10000000000\n1\n")
+
+
+def test_digit_reader_falls_back_late():
+    # Only line 200 leaves the digit-only form; the entrywise reader reads
+    # the body.
+    rng = random.Random(12)
+    rows = [[rng.randrange(25) for _ in range(6)] for _ in range(240)]
+    lines = _digit_text(5, 2, rows).splitlines()
+    lines[199] = "+3 " + lines[199].split(" ", 1)[1]
+    text = "\n".join(lines) + "\n"
+    got = parse_matrix(text)
+    assert got == entrywise_parse_matrix(text)
+    assert got.data[198, 0] == 3
+    # Other line breaks than "\n" are cut as str.splitlines() cuts them.
+    for brk in ("\r\n", "\r", "\x0c", "\u2028"):
+        other = text.replace("\n", brk)
+        assert parse_matrix(other) == got
+
+
+def test_digit_reader_no_rows_or_columns():
+    for text, shape in [("2 4 0 5\n", (0, 5)), ("2 4 0 0\n", (0, 0)), ("2 62 0 3\n# x\n", (0, 3))]:
+        got = parse_matrix(text)
+        assert got.shape == shape
+        assert got == entrywise_parse_matrix(text)
+    text = "2 4 3 0\n\n\n\n"
+    want = _parse_outcome(entrywise_parse_matrix, text)
+    assert want[0] == "error"
+    assert _parse_outcome(parse_matrix, text) == want
+
+
+# The tracemalloc peak of parse_matrix on the input of
+# test_parse_memory_peak when the body was read by one int() pass over its
+# tokens, measured with CPython 3.11 and numpy 2.4.  The int64 result alone
+# is 1.37 MiB.
+INT_PASS_PARSE_PEAK = 1_925_802
+
+
+def test_parse_memory_peak():
+    # The digit reader holds the lines, the result and one line's entries:
+    # no more than the int() pass held.  A whole-body byte tokenizer with
+    # an int64 cumsum per byte peaked at 9.2 MiB.
+    rng = random.Random(3)
+    rows = [[rng.randrange(16) for _ in range(600)] for _ in range(300)]
+    text = _digit_text(2, 4, rows)
+    parse_matrix(text)
+    tracemalloc.start()
+    try:
+        parse_matrix(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= INT_PASS_PARSE_PEAK
+
+
 HEADER_ERRORS = [
     ("x 2 1 1", 1, "bad header field"),
     ("2 y 1 1", 2, "bad header field"),
@@ -301,6 +412,95 @@ def test_storage_rule_boundary():
         assert mat_mul(mat_transpose(a), a).tolist() == [[1, 2], [2, 4]]
         assert mat_add(a, a).tolist() == [[m - 2, m - 4]]
 
+
+# Moduli of int64 storage, from 2 to the largest int64 prime.
+REDUCE_MODULI = [2, 2 ** 4, 3 ** 10, 1447 ** 3, 55103 ** 2, 3037000493]
+
+
+def _reduce_edges(m):
+    """0, +-1, +-(m - 1), +-(m - 1)^2, values within m of -2^63 and of
+    2^63 - 1, and random int64 values."""
+    lo, hi = -(2 ** 63), 2 ** 63 - 1
+    edges = [0, 1, -1, m - 1, 1 - m, (m - 1) ** 2, -((m - 1) ** 2)]
+    edges += [lo, lo + 1, lo + m // 2, lo + m - 1, hi, hi - m + 1]
+    rng = random.Random(m)
+    edges += [rng.randint(lo, hi) for _ in range(50)]
+    return edges
+
+
+@pytest.mark.parametrize("m", REDUCE_MODULI)
+def test_reduce_matches_python_mod(m):
+    edges = _reduce_edges(m)
+    # Short arrays take %, long ones floor division, where q * m wraps for
+    # the entries near -2^63.
+    for size in (len(edges), _REDUCE_FLOOR_MIN, 3 * _REDUCE_FLOOR_MIN + 1):
+        values = [edges[i % len(edges)] for i in range(size)]
+        arr = np.array(values, dtype=np.int64).reshape(-1, 1)
+        out = _reduce(arr, m)
+        assert out is arr and out.dtype == np.int64
+        assert out.ravel().tolist() == [x % m for x in values]
+
+
+def test_reduce_writes_through_views():
+    m = 3 ** 10
+    rng = np.random.default_rng(5)
+    base = rng.integers(-(2 ** 62), 2 ** 62, size=(80, 90))
+    for index in (np.s_[:, 7:60], np.s_[::2, ::3], np.s_[3, :]):
+        arr = base.copy()
+        view = arr[index]
+        want = arr.copy()
+        want[index] = base[index] % m
+        _reduce_in_place(view, m)
+        assert np.array_equal(arr, want)
+    # A column-major array, reduced whole.
+    arr = np.asfortranarray(base)
+    _reduce_in_place(arr, m)
+    assert np.array_equal(arr, base % m)
+
+
+def test_kernels_leave_operands_unchanged():
+    rng = random.Random(8)
+    for ring in (RingSpec(2, 4), RingSpec(3, 13), RingSpec(55103, 2), RingSpec(3, 39)):
+        a = random_matrix(ring, 40, 50, rng).data.copy()
+        b = random_matrix(ring, 50, 60, rng).data.copy()
+        c = random_matrix(ring, 40, 60, rng).data.copy()
+        saved = [x.copy() for x in (a, b, c)]
+        prod = _matmul_reduced(a, b, ring)
+        assert prod.tolist() == _python_product(a, b, ring.modulus)
+        table = BlockMinorTable({(1, 2): Matrix(ring, a)}, None)
+        for sign in (1, -1):
+            total = table._counted_add(prod, c, sign, wide=False)
+            assert total is not prod and total is not c
+        for before, after in zip(saved, (a, b, c)):
+            assert np.array_equal(before, after)
+        g, h = Matrix(ring, a), Matrix(ring, b.T)
+        g_data, h_data = g.data.copy(), h.data.copy()
+        verify_parity(g, h)
+        assert np.array_equal(g.data, g_data) and np.array_equal(h.data, h_data)
+
+
+class _ModOnly(int):
+    """A Python int that refuses floor division."""
+
+    def __floordiv__(self, other):
+        raise AssertionError("floor division on a Python-int array")
+
+
+@pytest.mark.parametrize("p,s", [(55109, 2), (3, 39)])
+def test_reduce_object_rings_use_mod(p, s):
+    m = RingSpec(p, s).modulus
+    edges = [0, 1, -1, m - 1, -(m - 1) ** 2, (m - 1) ** 2 * 5, -(2 ** 100) - 3]
+    values = [edges[i % len(edges)] for i in range(_REDUCE_FLOOR_MIN + 2)]
+    arr = np.array([_ModOnly(x) for x in values], dtype=object).reshape(-1, 3)
+    # _reduce returns a new array; _reduce_in_place writes through a view.
+    got = _reduce(arr.copy(), m)
+    assert got.dtype == object
+    assert got.ravel().tolist() == [x % m for x in values]
+    view = arr[:, 1:]
+    _reduce_in_place(view, m)
+    want = np.array(values, dtype=object).reshape(-1, 3)
+    want[:, 1:] %= m
+    assert arr.tolist() == want.tolist()
 
 def _python_product(a, b, m):
     return [

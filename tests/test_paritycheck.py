@@ -144,6 +144,40 @@ def test_parity_exact_on_large_moduli(p, s, constructions):
         assert all(h == hs[0] for h in hs)
 
 
+def _arbitrary_generators(ring, n, rng):
+    """Rows of random valuations, redundant combinations of them and a zero
+    row, shuffled, with random entries in every column: not a standard
+    form."""
+    m = ring.modulus
+    scales = [ring.p ** rng.randrange(ring.s) for _ in range(7)]
+    base = [[c * rng.randrange(m) % m for _ in range(n)] for c in scales]
+    combos = [[sum(c * row[j] for c, row in zip(coeffs, base)) % m for j in range(n)]
+              for coeffs in ([rng.randrange(m) for _ in base] for _ in range(3))]
+    rows = base + combos + [[0] * n]
+    rng.shuffle(rows)
+    return Matrix(ring, np.array(rows, dtype=object))
+
+
+# At each storage edge: the largest int64 prime, the largest p^2 stored as
+# int64, 2^26 where (m - 1)^2 * 2 < 2^53 still takes the float64 tier, and
+# two rings stored as python ints.
+@pytest.mark.parametrize("p,s", [(3037000493, 1), (55103, 2), (2, 26), (55109, 2), (3, 39)])
+@pytest.mark.parametrize("seed", range(3))
+def test_arbitrary_generators_at_storage_edges(p, s, seed):
+    ring = RingSpec(p, s)
+    rng = random.Random(f"edges:{p}^{s}:{seed}")
+    n = 14
+    g = _arbitrary_generators(ring, n, rng)
+    sf = standard_form(g)
+    constructions = [parity_check_iterative] + ([parity_check_minors] if s <= 8 else [])
+    hs = [construct(sf) for construct in constructions]
+    for result in hs:
+        assert result.h.nrows == n - sf.layout.t[0]
+        assert gh_transpose_is_zero(g, result.h_unpermuted)
+        assert gh_transpose_is_zero(sf.matrix, result.h)
+    assert all(result.h == hs[0].h for result in hs)
+
+
 def _layout_cases(s):
     """(id, n, t): all t_i = 1 with n - t = 2, a zero t_i first, in the
     middle and last, and n = t."""

@@ -17,8 +17,8 @@ from zpscodes import (
     standard_form,
     zeros,
 )
-from zpscodes.matrix import ShapeError
-from zpscodes.stdform import PANEL_WIDTH, reconstruct
+from zpscodes.matrix import ShapeError, dtype_for
+from zpscodes.stdform import PANEL_WIDTH, _flush, reconstruct
 
 from helpers import random_matrix, random_type, row_span_set, sequential_standard_form
 
@@ -245,6 +245,20 @@ def _differential_case(kind, ring, rng):
             for _ in range(12)
         ]
         return rows
+    if kind == "far-beyond":
+        # As beyond-window, but the next pivot column lies more than two
+        # chunks of PANEL_WIDTH columns past the window, and rows of
+        # valuation >= 1 are left at the end of stage 0, whose last search
+        # then crosses every chunk without a hit.
+        ncols, gap = 5 * w + 8, 3 * w + 8
+        rows = [[rng.randrange(m) for _ in range(ncols)] for _ in range(3)]
+        rows += [
+            [p * rng.randrange(m) % m if c < gap else rng.randrange(m) for c in range(ncols)]
+            for _ in range(6)
+        ]
+        rows += [[p * rng.randrange(m) % m for _ in range(ncols)] for _ in range(5)]
+        rng.shuffle(rows)
+        return rows
     if kind == "stages":
         # Rows of every valuation: a stage ends inside a panel's window.
         return _scaled_rows(ring, w + 8, w + 24, list(range(s)), rng)
@@ -276,8 +290,8 @@ def _differential_case(kind, ring, rng):
     raise ValueError(kind)
 
 
-DIFF_KINDS = ["panels", "beyond-window", "stages", "redundant", "gaps", "square",
-              "no-rows", "no-cols"]
+DIFF_KINDS = ["panels", "beyond-window", "far-beyond", "stages", "redundant", "gaps",
+              "square", "no-rows", "no-cols"]
 
 
 @pytest.mark.parametrize("kind", DIFF_KINDS)
@@ -293,3 +307,27 @@ def test_blocked_matches_sequential(ring_id, kind):
     assert got.matrix.data.dtype == want.matrix.data.dtype
     assert got.layout == want.layout
     assert got.perm == want.perm
+
+
+@pytest.mark.parametrize("p,s", [(3, 13), (1447, 3), (55109, 2), (3, 39)])
+def test_flush_reduces_through_views(p, s):
+    # _flush updates the columns right of the window through a view of
+    # work, for int64 and Python-int storage alike: every entry must come
+    # back reduced and equal to the product over the integers.
+    ring = RingSpec(p, s)
+    m = ring.modulus
+    rng = random.Random(f"flush:{p}^{s}")
+    nrows, ncols, r0, k, wend = 30, 70, 4, 5, 9
+    rows = [[rng.randrange(m) for _ in range(ncols)] for _ in range(nrows)]
+    ops = [[rng.randrange(m) for _ in range(PANEL_WIDTH)] for _ in range(nrows)]
+    work = np.array(rows, dtype=dtype_for(ring), order="F")
+    x = np.array(ops, dtype=dtype_for(ring), order="F")
+    _flush(work, x, r0, k, wend, ring)
+    for r in range(nrows):
+        d = [ops[r][i] - (r == r0 + i) for i in range(k)]
+        want = rows[r][:wend] + [
+            (rows[r][c] + sum(d[i] * rows[r0 + i][c] for i in range(k))) % m
+            for c in range(wend, ncols)
+        ]
+        assert [int(v) for v in work[r]] == want
+        assert [int(v) for v in x[r]] == [0] * k + ops[r][k:]
