@@ -181,15 +181,18 @@ def _product_dtype(m: int, k: int, macs: int):
     return object
 
 
+def _matmul_exact(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
+    """a @ b of entries reduced mod m, unreduced, in int64 or python ints."""
+    dtype = _product_dtype(m, a.shape[1], a.shape[0] * a.shape[1] * b.shape[1])
+    prod = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
+    return prod.astype(np.int64) if dtype is np.float64 else prod
+
+
 def _matmul_reduced(a: np.ndarray, b: np.ndarray, ring: RingSpec) -> np.ndarray:
     """a @ b reduced mod p^s, in the ring's storage."""
     m = ring.modulus
-    dtype = _product_dtype(m, a.shape[1], a.shape[0] * a.shape[1] * b.shape[1])
-    prod = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
-    if dtype is np.float64:
-        prod = prod.astype(np.int64)
-    prod = _reduce(prod, m)
-    if dtype is object and m <= _INT64_MAX_MODULUS:
+    prod = _reduce(_matmul_exact(a, b, m), m)
+    if prod.dtype == object and m <= _INT64_MAX_MODULUS:
         prod = prod.astype(np.int64)
     return prod
 

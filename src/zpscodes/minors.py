@@ -11,17 +11,20 @@ constructions consume.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .matrix import (
-    Matrix, Permutation, ShapeError, _matmul_reduced, _reduce, identity, mat_add, mat_mul, mat_neg
+    _INT64_MAX_MODULUS, Matrix, Permutation, ShapeError, _matmul_exact, _matmul_reduced, _reduce,
+    dtype_for, identity, mat_add, mat_mul, mat_neg
 )
 from .opcounters import OpCounters
 from .zring import DomainError
 
-# Bytes the level arrays of one block-minor recursion tree evaluated level
-# by level may take (see BlockMinorTable._minor_rec); a larger tree recurses
-# node by node at its top until its subtrees fit.
+# Bytes the level arrays of one column strip of a block-minor recursion tree
+# may take (see BlockMinorTable._minor_rec); a tree whose single column passes
+# it recurses node by node at its top until its subtrees fit.
 _TREE_BYTES = 1 << 20
 
 
@@ -110,15 +113,13 @@ class BlockMinorTable:
 
     Holds the stripped blocks A_{i,j}, keyed by (i, j), 1 <= i <= s,
     i + 1 <= j <= s + 1, as raw ndarrays; only the public methods build a
-    Matrix.  _counted_mul and _counted_add, the one counted kernel of both
-    parity-check constructions, reduce once per call and record each block
-    op it performs.  The recursion counts one multiplication and one
-    addition per non-identity term; the product by the order-0 identity
-    minor is skipped.  Nothing is memoized: every node of the recursion
-    tree performs its own block products on its own operands, so operation
-    counts reproduce independent recomputation.  Only the dispatch is
-    batched: a tree that fits in _TREE_BYTES is evaluated one anchor level
-    at a time, each level's nodes side by side in one array.
+    Matrix.  _counted_mul and _counted_add, the counted kernel of the
+    iterative construction, reduce once per call and record each block op.
+    The recursion counts one multiplication and one addition per
+    non-identity term, never the product by the order-0 identity minor.
+    Nothing is memoized: every node of a recursion tree performs its own
+    block products, so operation counts reproduce independent
+    recomputation; only the dispatch is batched (see _minor_rec).
     """
 
     def __init__(self, blocks: dict, layout, counters: OpCounters | None = None):
@@ -126,6 +127,17 @@ class BlockMinorTable:
         self.layout = layout
         self.ring = blocks[(1, 2)].ring
         self.counters = counters if counters is not None else OpCounters()
+
+    @cached_property
+    def _signed_rows(self) -> dict:
+        """Row group a as [A(a, a+1) | -A(a, a+2) | ... | ±A(a, s+1)], signed as in _minor_rec."""
+        layout, blocks, m = self.layout, self.blocks, self.ring.modulus
+        widths = (*layout.t, layout.n - layout.total)
+        if any(blk.shape != (widths[a - 1], widths[b - 1]) for (a, b), blk in blocks.items()):
+            raise ShapeError(f"blocks do not fit the type {layout.t}")
+        return {a: np.hstack([blocks[(a, b)] if (b - a) % 2 else _reduce(-blocks[(a, b)], m)
+                              for b in range(a + 1, layout.s + 2)])
+                for a in range(1, layout.s + 1)}
 
     def block(self, i: int, j: int) -> Matrix:
         return Matrix(self.ring, self.blocks[(i, j)])
@@ -151,13 +163,30 @@ class BlockMinorTable:
         self.counters.record_add(a.shape[0], a.shape[1] // count, wide, count)
         return _reduce(a + b if sign > 0 else a - b, self.ring.modulus)
 
+    def _level_product(self, rows, children, leaf, count: int) -> np.ndarray:
+        """count nodes side by side: rows times children, plus leaf on each
+        of the count equal-width column blocks, reduced once.  Uncounted."""
+        (t, w), m, k = leaf.shape, self.ring.modulus, rows.shape[1]
+        if rows.shape != (t, children.shape[0]) or children.shape[1] != count * w:
+            raise ShapeError(f"level not conformable: {rows.shape} {children.shape} {leaf.shape}")
+        # Inner chunks whose products, plus one entry below m, fit int64 when
+        # the ring's entries do: never python ints for an int64 ring.
+        step = (2 ** 63 - m) // (m - 1) ** 2 if m <= _INT64_MAX_MODULUS else max(k, 1)
+        prod = leaf[:, None, :]
+        for k0 in range(0, max(k, 1), step):
+            chunk = _matmul_exact(rows[:, k0 : k0 + step], children[k0 : k0 + step], m)
+            chunk = chunk.astype(leaf.dtype, copy=False).reshape(t, count, w)
+            chunk += prod
+            prod = _reduce(chunk, m)
+        return prod.reshape(t, count * w)
+
     def block_minor_sum(self, i: int, j: int) -> Matrix:
         """Order-j block-minor anchored at block-row i via the signed sum
-        over restricted permutations.  Uncounted, and built on the public
-        Matrix ops, not on the counted kernel; serves as the oracle."""
+        over restricted permutations, or the identity on group i for j = 0.
+        Uncounted, and built on the public Matrix ops; serves as the oracle."""
         self._check_range(i, j)
         if j == 0:
-            return identity(self.ring, self.layout.t[i - 1])
+            return identity(self.ring, self.layout.group(i).stop - self.layout.group(i).start)
         acc = None
         for sigma in enumerate_restricted(j):
             term = None
@@ -174,7 +203,7 @@ class BlockMinorTable:
         recursion; identical value to block_minor_sum."""
         self._check_range(i, j)
         if j == 0:
-            return identity(self.ring, self.layout.t[i - 1])
+            return self.block_minor_sum(i, j)
         return Matrix._of_reduced(self.ring, self._minor_rec(i, j))
 
     def _minor_rec(self, i: int, j: int) -> np.ndarray:
@@ -182,33 +211,37 @@ class BlockMinorTable:
 
         A node at anchor a of the tree ending at end = i + j computes
         O(a) = sum over a < b <= end of (-1)^(b-1-a) A(a, b) O(b), skipping
-        the product by O(end) = Id.  A tree whose level arrays, 8 bytes an
-        entry, fit in _TREE_BYTES is evaluated bottom-up: level a holds its
-        c(a) nodes side by side, t_a x c(a)w, with c(i) = 1 and
-        c(a) = 2^(a-i-1) below.  The children at anchor b of level a are
-        nodes [c(a), 2c(a)) of level b, or node 0 for a = i, so each pair
-        (a, b) is one counted product of c(a) block products and each term
-        one counted sum of c(a).  A larger tree evaluates its root alone
-        and recurses into each child.
+        the product by O(end) = Id.  The tree runs bottom-up on column strips
+        of its leaf, as wide as _TREE_BYTES allows (8 bytes an entry).  Level
+        a holds its c(a) nodes side by side, c(i) = 1 and c(a) = 2^(a-i-1)
+        below; its children at anchor b are nodes [c(a), 2c(a)) of level b,
+        or node 0 for a = i.  So a level is one fused product of the signed
+        row [A(a, a+1) | ... | ±A(a, end-1)] by the stacked children, plus
+        ±A(a, end), counted once at full width on the first strip.  A tree
+        whose single column passes the budget (order above 17 at t = 2)
+        evaluates its root alone over whole children.
         """
         end = i + j
-        wide = (end == self.layout.s + 1)
         t, width = self.layout.t, self.blocks[(i, end)].shape[1]
         nodes = t[i - 1] + sum(t[a - 1] << (a - i - 1) for a in range(i + 1, end))
-        batched = 8 * width * nodes < _TREE_BYTES
-        level = {}
-        for a in range(end - 1 if batched else i, i - 1, -1):
-            count = 1 << max(a - i - 1, 0)
-            lo = 0 if a == i else count * width
-            acc = None
-            for b in range(a + 1, end + 1):
-                if b == end:
-                    term = np.tile(self.blocks[(a, end)], (1, count))
-                else:
-                    children = (level[b][:, lo : lo + count * width] if batched
-                                else self._minor_rec(b, end - b))
-                    term = self._counted_mul(self.blocks[(a, b)], children, wide, count)
-                sign = (-1) ** (b - 1 - a)
-                acc = term if acc is None else self._counted_add(acc, term, sign, wide, count)
-            level[a] = acc
-        return level[i]
+        deep = 8 * nodes > _TREE_BYTES
+        levels = (i,) if deep else range(end - 1, i - 1, -1)
+        kids = {b: self._minor_rec(b, end - b) for b in range(i + 1, end)} if deep else {}
+        strip = max(1, width if deep else _TREE_BYTES // (8 * max(nodes, 1)))
+        out = np.empty((t[i - 1], width), dtype_for(self.ring))
+        wide = (end == self.layout.s + 1)
+        for c0 in range(0, max(width, 1), strip):
+            # A fresh dict per strip lets the last strip's level arrays go.
+            cols, level = min(strip, width - c0), dict(kids)
+            for a in levels:
+                count, row, k = 1 << max(a - i - 1, 0), self._signed_rows[a], sum(t[a : end - 1])
+                lo = 0 if a == i else count * cols
+                children = np.concatenate([np.empty((0, count * cols), row.dtype), *(
+                    level[b][:, lo : lo + count * cols] for b in range(a + 1, end))])
+                level[a] = self._level_product(row[:, :k], children,
+                                               row[:, k + c0 : k + c0 + cols], count)
+                for b in range(a + 1, end) if c0 == 0 else ():  # at full width, once
+                    self.counters.record_mul(t[a - 1], t[b - 1], width, wide, count)
+                    self.counters.record_add(t[a - 1], width, wide, count)
+            out[:, c0 : c0 + cols] = level[i]
+        return out

@@ -96,6 +96,33 @@ def miscount_big_mults(monkeypatch):
     monkeypatch.setattr(OpCounters, "record_mul", record_twice)
 
 
+def node_by_node_minor(table, i, j):
+    """The order-j block-minor of a BlockMinorTable anchored at block-row i
+    (j >= 1) by the plain recursion, one node at a time on python ints:
+    O(a) = sum over a < b <= end of (-1)^(b-1-a) A(a, b) O(b), end = i + j,
+    with the product by O(end) = Id skipped.  Each block product and sum is
+    recorded in table.counters with count 1.  Uses only table.blocks and
+    table.layout: the reference for the table's level-by-level recursion."""
+    end, m, t = i + j, table.ring.modulus, table.layout.t
+    wide = end == table.layout.s + 1
+    width = table.blocks[(i, end)].shape[1]
+
+    def node(a):
+        acc = None
+        for b in range(a + 1, end + 1):
+            term = table.blocks[(a, b)].astype(object)
+            if b < end:
+                term = term.dot(node(b))
+                table.counters.record_mul(t[a - 1], t[b - 1], width, wide)
+            term = -term if (b - 1 - a) % 2 else term
+            if acc is not None:
+                table.counters.record_add(t[a - 1], width, wide)
+            acc = term if acc is None else acc + term
+        return acc % m
+
+    return node(i).astype(table.blocks[(i, end)].dtype)
+
+
 def rows_as_set(matrix: Matrix):
     return {tuple(int(x) for x in row) for row in matrix.data}
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 
@@ -18,11 +19,13 @@ from zpscodes import (
     mat_mul,
 )
 from zpscodes import minors
-from zpscodes.matrix import BlockLayout, ShapeError
+from zpscodes.bench import random_code
+from zpscodes.matrix import BlockLayout, ShapeError, identity
+from zpscodes.stdform import extract_blocks
 from zpscodes.minors import is_restricted
 from zpscodes.zring import DomainError
 
-from helpers import cofactor_det, random_matrix, structured_matrix
+from helpers import cofactor_det, node_by_node_minor, random_matrix, structured_matrix
 
 
 def brute_restricted(n):
@@ -218,6 +221,20 @@ def test_order_four_block_minor_has_eight_terms():
     assert np.array_equal(table.block_minor_rec(1, 4).data, acc)
 
 
+def test_order_zero_minor_of_the_free_group():
+    # O(s + 1) of order 0 is the identity on the free group, of width n - t.
+    ring = RingSpec(3, 3)
+    code = random_code(ring, 10, (1, 2, 1), 1)
+    table = BlockMinorTable(extract_blocks(code.standard), code.standard.layout)
+    assert table.block_minor_rec(4, 0) == identity(ring, 6)
+    assert table.block_minor_sum(4, 0) == identity(ring, 6)
+    # n = t: the free group has width 0.
+    table = random_block_table(ring, 3, 6, random.Random(55), t=(1, 2, 3))
+    assert table.block_minor_rec(4, 0).shape == (0, 0)
+    assert table.block_minor_sum(4, 0) == table.block_minor_rec(4, 0)
+    assert table.block_minor_rec(3, 1).shape == (3, 0)
+
+
 def test_block_minor_range_errors():
     rng = random.Random(52)
     table = random_block_table(RingSpec(2, 2), 2, 6, rng)
@@ -238,10 +255,17 @@ def test_counted_kernel_rejects_nonconformable():
         lambda: table._counted_mul(z(2, 2), z(2, 6), True, count=4),
         lambda: table._counted_add(z(2, 6), z(2, 3), 1, True),
         lambda: table._counted_add(z(2, 6), z(2, 6), 1, True, count=4),
+        # The fused level product: inner dimension, leaf rows, leaf width.
+        lambda: table._level_product(z(2, 3), z(2, 6), z(2, 3), 2),
+        lambda: table._level_product(z(3, 2), z(2, 6), z(2, 3), 2),
+        lambda: table._level_product(z(2, 2), z(2, 6), z(2, 4), 2),
+        lambda: table._level_product(z(2, 2), z(2, 6), z(2, 3), 3),
     ]
     for call in bad:
         with pytest.raises(ShapeError):
             call()
+    assert table.counters == OpCounters()
+    assert table._level_product(z(2, 0), z(0, 6), z(2, 3), 2).shape == (2, 6)
     assert table.counters == OpCounters()
     assert table._counted_add(z(2, 6), z(2, 6), -1, True, count=3).shape == (2, 6)
     assert table.counters.hist == {("add", 2, 2): 3}
@@ -261,7 +285,7 @@ def test_record_count_equals_repeated_records():
 
 def _minors_at_budget(table, monkeypatch, tree_bytes):
     """Every _minor_rec(i, j), j >= 1, with its own counters, at the given
-    level-array budget."""
+    per-strip budget."""
     monkeypatch.setattr(minors, "_TREE_BYTES", tree_bytes)
     s, out = table.layout.s, {}
     for i in range(1, s + 1):
@@ -271,10 +295,22 @@ def _minors_at_budget(table, monkeypatch, tree_bytes):
     return out
 
 
-# Budget 0 recurses node by node everywhere, 2^62 evaluates every tree level
-# by level, and 600 bytes (2^16 on 3^13) mixes both within one tree.  1447^3
-# stores int64 but multiplies in python ints; 3^21 and 1451^3 store python
-# ints.  Types put t_i = 0 first, in the middle and last, and n = t.
+def _node_by_node(table):
+    """node_by_node_minor for every (i, j), j >= 1, with its own counters."""
+    s, out = table.layout.s, {}
+    for i in range(1, s + 1):
+        for j in range(1, s + 2 - i):
+            table.counters = OpCounters()
+            out[(i, j)] = (node_by_node_minor(table, i, j), table.counters)
+    return out
+
+
+# Budget 0 takes the node-by-node top at every node with entries, 2^62
+# evaluates every tree in one strip, and 600 bytes (2^16 on 3^13, where the
+# order-13 trees get strips of one column) mixes strips of several widths
+# with node-by-node tops.  1447^3 stores int64 but multiplies in python
+# ints; 3^21 and 1451^3 store python ints.  Types put t_i = 0 first, in the
+# middle and last, and n = t.
 @pytest.mark.parametrize("ring,n,t", [
     *(pytest.param(ring, n, t, id=f"{ring.p}^{ring.s}-{n}-{t}")
       for ring in (RingSpec(2, 4), RingSpec(1447, 3), RingSpec(3, 21), RingSpec(1451, 3))
@@ -284,11 +320,120 @@ def _minors_at_budget(table, monkeypatch, tree_bytes):
 ])
 def test_levels_match_node_by_node(ring, n, t, monkeypatch):
     table = random_block_table(ring, len(t), n, random.Random(54 + n), t=t)
-    node = _minors_at_budget(table, monkeypatch, 0)
-    for tree_bytes in (600, 1 << 16, 2 ** 62):
+    node = _node_by_node(table)
+    for tree_bytes in (0, 600, 1 << 16, 2 ** 62):
         got = _minors_at_budget(table, monkeypatch, tree_bytes)
         for key, (arr, counters) in node.items():
             assert got[key][0].dtype == arr.dtype, key
             assert np.array_equal(got[key][0], arr), key
             assert got[key][1] == counters, key
     assert table.block_minor_rec(1, len(t)) == Matrix(ring, node[(1, len(t))][0])
+
+
+def _strip_widths(table, monkeypatch):
+    """Leaf widths that _level_product is called with."""
+    widths, level_product = [], minors.BlockMinorTable._level_product
+
+    def spy(self, rows, children, leaf, count):
+        widths.append(leaf.shape[1])
+        return level_product(self, rows, children, leaf, count)
+
+    monkeypatch.setattr(minors.BlockMinorTable, "_level_product", spy)
+    return widths
+
+
+# Tree (1, 4) over t = (2, 1, 2, 1) has 2 + 1 + 2*2 + 1*4 = 11 nodes, 88
+# bytes a column, and four levels.  Its leaf is 7 columns wide, or 0 when
+# n = t, which still runs (and counts) one empty strip.
+@pytest.mark.parametrize("n,tree_bytes,strips", [
+    pytest.param(13, 88 * 3, [3, 3, 1], id="3-does-not-divide-7"),
+    pytest.param(13, 88 * 7 - 1, [6, 1], id="6-of-7"),
+    pytest.param(13, 88 * 7, [7], id="leaf-width"),
+    pytest.param(13, 2 ** 62, [7], id="unbounded"),
+    pytest.param(13, 88, [1] * 7, id="one-column"),
+    pytest.param(6, 2 ** 62, [0], id="width-0"),
+])
+def test_strip_edges(n, tree_bytes, strips, monkeypatch):
+    ring = RingSpec(3, 4)
+    table = random_block_table(ring, 4, n, random.Random(56), t=(2, 1, 2, 1))
+    want = node_by_node_minor(table, 1, 4)
+    counters, table.counters = table.counters, OpCounters()
+    monkeypatch.setattr(minors, "_TREE_BYTES", tree_bytes)
+    widths = _strip_widths(table, monkeypatch)
+    got = table._minor_rec(1, 4)
+    assert widths == [w for w in strips for _ in range(4)]
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert table.counters == counters
+
+
+def test_deep_tree_evaluates_its_root_over_recursed_children(monkeypatch):
+    # At 87 bytes one column of tree (1, 4) (88 bytes) passes the budget:
+    # its root alone is one level product over whole children, each child
+    # tree evaluated by its own call in strips of its own.
+    table = random_block_table(RingSpec(3, 4), 4, 13, random.Random(56), t=(2, 1, 2, 1))
+    want = node_by_node_minor(table, 1, 4)
+    counters, table.counters = table.counters, OpCounters()
+    monkeypatch.setattr(minors, "_TREE_BYTES", 87)
+    calls, minor_rec = [], minors.BlockMinorTable._minor_rec
+
+    def spy(self, i, j):
+        calls.append((i, j))
+        return minor_rec(self, i, j)
+
+    monkeypatch.setattr(minors.BlockMinorTable, "_minor_rec", spy)
+    widths = _strip_widths(table, monkeypatch)
+    got = table._minor_rec(1, 4)
+    assert calls == [(1, 4), (2, 3), (3, 2), (4, 1)]
+    assert widths[-1] == 7 and widths.count(7) == 2  # the root, and tree (4, 1)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert table.counters == counters
+
+
+def test_deep_tree_memory_within_budget(monkeypatch):
+    # One column of an order-18 tree at t_i = 2 takes 2^18 nodes * 8 bytes,
+    # twice the budget, so it recurses at its top; its level arrays stay
+    # within the budget, temporaries included, below twice it.
+    s = 18
+    table = random_block_table(RingSpec(3, s), s, 2 * s + 8, random.Random(59), t=(2,) * s)
+    tracemalloc.start()
+    try:
+        got = table._minor_rec(1, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * minors._TREE_BYTES
+    monkeypatch.setattr(minors, "_TREE_BYTES", 2 ** 62)
+    assert np.array_equal(got, table._minor_rec(1, s))
+
+
+def test_wide_inner_dimension_stays_int64(monkeypatch):
+    # (m - 1)^2 * 6 < 2^63 - m < (m - 1)^2 * 7 at m = 3^19: a level product
+    # whose inner dimension is 7 or more goes in int64 chunks of at most 6,
+    # never in python ints.
+    ring = RingSpec(3, 19)
+    table = random_block_table(ring, 5, 16, random.Random(57), t=(2, 3, 2, 3, 1))
+    dtypes, matmul_exact = [], minors._matmul_exact
+
+    def spy(a, b, m):
+        out = matmul_exact(a, b, m)
+        dtypes.append((a.shape[1], out.dtype))
+        return out
+
+    monkeypatch.setattr(minors, "_matmul_exact", spy)
+    for i in range(1, 6):
+        table.counters = OpCounters()
+        got = table._minor_rec(i, 6 - i)
+        counters, table.counters = table.counters, OpCounters()
+        want = node_by_node_minor(table, i, 6 - i)
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want) and counters == table.counters
+    assert {dtype for _, dtype in dtypes} == {np.dtype(np.int64)}
+    assert max(k for k, _ in dtypes) == 6
+
+
+def test_malformed_blocks_raise_before_counting():
+    table = random_block_table(RingSpec(2, 3), 3, 9, random.Random(58), t=(1, 2, 1))
+    table.blocks[(1, 3)] = table.blocks[(1, 3)][:, :0]
+    with pytest.raises(ShapeError):
+        table._minor_rec(1, 3)
+    assert table.counters == OpCounters()
