@@ -165,7 +165,8 @@ class BlockMinorTable:
 
     def _level_product(self, rows, children, leaf, count: int) -> np.ndarray:
         """count nodes side by side: rows times children, plus leaf on each
-        of the count equal-width column blocks, reduced once.  Uncounted."""
+        of the count equal-width column blocks, reduced once per inner
+        chunk: one, unless (m - 1)^2 k nears 2^63.  Uncounted."""
         (t, w), m, k = leaf.shape, self.ring.modulus, rows.shape[1]
         if rows.shape != (t, children.shape[0]) or children.shape[1] != count * w:
             raise ShapeError(f"level not conformable: {rows.shape} {children.shape} {leaf.shape}")
