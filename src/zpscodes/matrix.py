@@ -333,7 +333,7 @@ def apply_col_permutation(a: Matrix, perm: Permutation) -> Matrix:
 
 
 # Entries per chunk of format_matrix: the chunk's temporaries (values,
-# digits, offsets, its text) stay below 2 MiB.
+# offsets, its text) stay below 2 MiB.
 _FORMAT_CHUNK = 1 << 15
 
 
@@ -344,7 +344,10 @@ def format_matrix(m: Matrix) -> str:
 
 def _format_rows(data: np.ndarray, modulus: int):
     """The text of the rows of a reduced matrix, one str per chunk of whole
-    rows."""
+    rows.  A chunk costs a few passes over its entries plus one pass per
+    place above the units over its entries of two or more digits, so a
+    sparse or block-structured matrix, mostly single digits, costs little
+    more than its size."""
     nrows, ncols = data.shape
     if ncols == 0:
         yield "\n" * nrows
@@ -357,30 +360,45 @@ def _format_rows(data: np.ndarray, modulus: int):
     step = max(1, _FORMAT_CHUNK // ncols)
     for r in range(0, nrows, step):
         x = data[r : r + step].astype(dt, order="C").ravel()
-        # sep[i]: where entry i's separator goes in the chunk's text, which
-        # starts with width spare bytes.
-        sep = np.full(x.size, 2, dtype=np.int64)
-        for power in powers:
-            sep += x >= power
-        np.cumsum(sep, out=sep)
-        sep += width - 1
-        digits = np.empty((width, x.size), dtype=np.uint8)
-        for k in range(width):
-            q = x // 10
-            np.subtract(x, q * 10, out=digits[k], casting="unsafe")
-            x = q
-        digits += ord("0")
-        # Every entry gets width digits, leading zeros included, most
-        # significant first: a short entry's zeros land on bytes of the
-        # entries before it or on the spare bytes, and are overwritten by a
-        # later, less significant pass or by the separators.
-        text = np.empty(int(sep[-1]) + 1, dtype=np.uint8)
-        sep -= width
-        for k in range(width - 1, -1, -1):
-            text[sep] = digits[k]
-            sep += 1
-        text[sep] = ord(" ")
-        text[sep[ncols - 1 :: ncols]] = ord("\n")
+        # The entries of two or more digits: a slice when they are most of
+        # the chunk, so that a dense chunk pays no gathers.
+        big = x >= 10
+        sel = slice(None) if 2 * np.count_nonzero(big) > x.size else np.flatnonzero(big)
+        # Each temporary goes once used, which keeps the chunk's peak within
+        # the bound of test_format_memory_peak.
+        del big
+        xs = x[sel]
+        # last[i]: where entry i's last digit goes in the chunk's text, which
+        # starts with width spare bytes; its separator follows it.
+        last = np.full(x.size, 2, dtype=np.int64)
+        last[0] += width - 2
+        last[sel] += sum((xs >= power).view(np.uint8) for power in powers)
+        # Not np.cumsum(out=), which keeps a few KiB of small buffers.
+        np.add.accumulate(last, out=last)
+        text = np.empty(int(last[-1]) + 2, dtype=np.uint8)
+        # Places width - 1 ... 1 of the entries in sel, most significant
+        # first, leading zeros included: a short entry's zeros land on bytes
+        # of the entries before it or on the spare bytes, and are overwritten
+        # by a later, less significant pass, the last digits or the
+        # separators.  xs keeps what is left below the place written; pos
+        # is last itself when sel is a slice, and ends equal to it either way.
+        pos = last[sel]
+        pos -= width - 1
+        digit = np.empty(xs.shape, dtype=np.uint8)
+        for power in reversed(powers):
+            q = xs // power
+            np.add(q, ord("0"), out=digit, casting="unsafe")
+            text[pos] = digit
+            q *= power
+            xs -= q
+            pos += 1
+        x[sel] = xs
+        del xs, pos, digit
+        text[last] = np.add(x, ord("0"), dtype=np.uint8, casting="unsafe")
+        last += 1
+        text[last] = ord(" ")
+        text[last[ncols - 1 :: ncols]] = ord("\n")
+        del x, last
         yield str(text[width:], "ascii")
 
 

@@ -11,6 +11,7 @@ constructions consume.
 
 from __future__ import annotations
 
+import sys
 from functools import cached_property
 
 import numpy as np
@@ -146,22 +147,19 @@ class BlockMinorTable:
         if not (1 <= i and 0 <= j and i + j <= self.layout.s + 1):
             raise DomainError(f"block-minor ({i}, {j}) out of range for s={self.layout.s}")
 
-    def _counted_mul(self, a: np.ndarray, b: np.ndarray, wide: bool, count=1) -> np.ndarray:
-        """count block products side by side: a times each of the count
-        equal-width column blocks of b."""
-        if a.shape[1] != b.shape[0] or b.shape[1] % count:
-            raise ShapeError(f"block product not conformable: {a.shape} by {count} of {b.shape}")
-        self.counters.record_mul(a.shape[0], a.shape[1], b.shape[1] // count, wide, count)
+    def _counted_mul(self, a: np.ndarray, b: np.ndarray, wide: bool) -> np.ndarray:
+        """The block product a b."""
+        if a.shape[1] != b.shape[0]:
+            raise ShapeError(f"block product not conformable: {a.shape} by {b.shape}")
+        self.counters.record_mul(a.shape[0], a.shape[1], b.shape[1], wide)
         return _matmul_reduced(a, b, self.ring)
 
-    def _counted_add(self, a: np.ndarray, b: np.ndarray, sign: int, wide: bool,
-                     count=1) -> np.ndarray:
-        """count block sums a + sign * b side by side, over equal-width
-        column blocks."""
-        if a.shape != b.shape or a.shape[1] % count:
-            raise ShapeError(f"block sum not conformable: {count} of {a.shape} vs {b.shape}")
-        self.counters.record_add(a.shape[0], a.shape[1] // count, wide, count)
-        return _reduce(a + b if sign > 0 else a - b, self.ring.modulus)
+    def _counted_add(self, a: np.ndarray, b: np.ndarray, wide: bool) -> np.ndarray:
+        """The block sum a + b."""
+        if a.shape != b.shape:
+            raise ShapeError(f"block sum not conformable: {a.shape} vs {b.shape}")
+        self.counters.record_add(a.shape[0], a.shape[1], wide)
+        return _reduce(a + b, self.ring.modulus)
 
     def _level_product(self, rows, children, leaf, count: int) -> np.ndarray:
         """count nodes side by side: rows times children, plus leaf on each
@@ -213,23 +211,27 @@ class BlockMinorTable:
         A node at anchor a of the tree ending at end = i + j computes
         O(a) = sum over a < b <= end of (-1)^(b-1-a) A(a, b) O(b), skipping
         the product by O(end) = Id.  The tree runs bottom-up on column strips
-        of its leaf, as wide as _TREE_BYTES allows (8 bytes an entry).  Level
+        of its leaf, as wide as _TREE_BYTES allows at the storage's bytes an
+        entry: 8 for int64, 8 plus an int object for python ints.  Level
         a holds its c(a) nodes side by side, c(i) = 1 and c(a) = 2^(a-i-1)
         below; its children at anchor b are nodes [c(a), 2c(a)) of level b,
         or node 0 for a = i.  So a level is one fused product of the signed
         row [A(a, a+1) | ... | ±A(a, end-1)] by the stacked children, plus
         ±A(a, end), counted once at full width on the first strip.  A tree
-        whose single column passes the budget (order above 17 at t = 2)
-        evaluates its root alone over whole children.
+        whose single column passes the budget (order above 17 at t = 2 for
+        int64) evaluates its root alone over whole children.
         """
         end = i + j
         t, width = self.layout.t, self.blocks[(i, end)].shape[1]
         nodes = t[i - 1] + sum(t[a - 1] << (a - i - 1) for a in range(i + 1, end))
-        deep = 8 * nodes > _TREE_BYTES
+        dtype = dtype_for(self.ring)
+        # No entry's int object is larger than that of m - 1.
+        entry = 8 + (sys.getsizeof(self.ring.modulus - 1) if dtype is object else 0)
+        deep = entry * nodes > _TREE_BYTES
         levels = (i,) if deep else range(end - 1, i - 1, -1)
         kids = {b: self._minor_rec(b, end - b) for b in range(i + 1, end)} if deep else {}
-        strip = max(1, width if deep else _TREE_BYTES // (8 * max(nodes, 1)))
-        out = np.empty((t[i - 1], width), dtype_for(self.ring))
+        strip = max(1, width if deep else _TREE_BYTES // (entry * max(nodes, 1)))
+        out = np.empty((t[i - 1], width), dtype)
         wide = (end == self.layout.s + 1)
         for c0 in range(0, max(width, 1), strip):
             # A fresh dict per strip lets the last strip's level arrays go.

@@ -125,7 +125,7 @@ def parity_check_iterative(sf: StandardForm) -> ParityCheckResult:
             acc = a[(i, s - j + 2)]
             for k in range(i + 1, top + 1):
                 prod = table._counted_mul(a[(i, k)], h[(k, j)], wide)
-                acc = table._counted_add(acc, prod, 1, wide)
+                acc = table._counted_add(acc, prod, wide)
             h[(i, j)] = _reduce(-acc, m)
     return _assemble(sf, h, counters, "iterative")
 

@@ -22,6 +22,7 @@ from zpscodes import (
     verify_parity,
     zeros,
 )
+from zpscodes.bench import random_code
 from zpscodes.matrix import (
     _FORMAT_CHUNK,
     _REDUCE_FLOOR_MIN,
@@ -194,6 +195,51 @@ def test_format_matches_row_writer(p, s):
     for view in (base.T, base[:, [2, 0, 1, 2 * k - 1]], base[1::2, ::3]):
         m = Matrix._of_reduced(ring, view)
         assert format_matrix(m) == row_format_matrix(m)
+    # H-shaped: an identity beside zero blocks and a p-scaled identity, with
+    # rows wider than one chunk, and with several rows a chunk.
+    for rows, zero_cols in ((3, _FORMAT_CHUNK), (150, 150)):
+        m = _identity_beside_zeros(ring, rows, zero_cols)
+        assert format_matrix(m) == row_format_matrix(m), (rows, zero_cols)
+    if ring.modulus > 10:
+        m = _chunks_by_digit_count(ring)
+        assert format_matrix(m) == row_format_matrix(m)
+
+
+def _identity_beside_zeros(ring, rows, zero_cols):
+    """[I | 0 | p I | three columns of digit edges] with the given rows."""
+    eye = np.eye(rows, dtype=np.int64).astype(object)
+    edges = np.resize(np.array(_digit_edges(ring.modulus), dtype=object), (rows, 3))
+    zero = np.zeros((rows, zero_cols), dtype=object)
+    return Matrix(ring, np.hstack([eye, zero, ring.p * eye, edges]))
+
+
+# Chunks of 512 rows of 64 entries, exactly _FORMAT_CHUNK entries each.
+_CHUNK_COLS = 64
+
+
+def _chunks_by_digit_count(ring):
+    """Three whole chunks: exactly half of the entries of two or more digits
+    (index selection), then half + 1 (slice selection), then none.  The
+    first two start with 10, whose leading zeros land on the spare bytes,
+    and end every row with an entry of two or more digits."""
+    m = ring.modulus
+    multi = [v for v in _digit_edges(m) if v >= 10]
+    single = list(range(min(m, 10)))
+    size = _FORMAT_CHUNK
+    assert size % _CHUNK_COLS == 0
+    chunks = []
+    for extra in (0, 1):
+        # Odd positions hold the wide entries, row ends included; position
+        # 0 takes the place of position 1, and position 2 is the extra one.
+        wide = np.arange(size) % 2 == 1
+        wide[[0, 1, 2]] = [True, False, extra == 1]
+        assert np.count_nonzero(wide) == size // 2 + extra
+        chunk = np.resize(np.array(single, dtype=object), size)
+        chunk[wide] = np.resize(np.array(multi, dtype=object), np.count_nonzero(wide))
+        chunk[0] = 10
+        chunks.append(chunk)
+    chunks.append(np.resize(np.array(single, dtype=object), size))
+    return Matrix(ring, np.concatenate(chunks).reshape(-1, _CHUNK_COLS))
 
 
 def _corpus_text(tokens, ncols=3):
@@ -359,6 +405,37 @@ def test_parse_memory_peak():
     assert peak <= INT_PASS_PARSE_PEAK
 
 
+# The tracemalloc peaks of format_matrix on the inputs of
+# test_format_memory_peak when every entry took width divide passes and
+# width byte scatters, measured with CPython 3.11 and numpy 2.4.
+DENSE_FORMAT_PEAK = 1_009_901
+H_FORMAT_PEAK = 4_113_220
+
+
+def _format_peak(m):
+    format_matrix(m)
+    tracemalloc.start()
+    try:
+        format_matrix(m)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_format_memory_peak():
+    # A dense 150 x 200 matrix over 3^13 is one chunk of 7-digit entries;
+    # the H of a code of type (2,) * 10, n = 1000, over 3^10 is 998 x 1000,
+    # 98 % single digits.
+    rng = random.Random(12)
+    ring = RingSpec(3, 13)
+    dense = Matrix(ring, [[rng.randrange(ring.modulus) for _ in range(200)] for _ in range(150)])
+    assert _format_peak(dense) <= DENSE_FORMAT_PEAK
+    code = random_code(RingSpec(3, 10), 1000, (2,) * 10, seed=12)
+    h = parity_check_iterative(code.standard).h_unpermuted
+    assert h.shape == (998, 1000)
+    assert _format_peak(h) <= H_FORMAT_PEAK
+
+
 HEADER_ERRORS = [
     ("x 2 1 1", 1, "bad header field"),
     ("2 y 1 1", 2, "bad header field"),
@@ -468,9 +545,9 @@ def test_kernels_leave_operands_unchanged():
         prod = _matmul_reduced(a, b, ring)
         assert prod.tolist() == _python_product(a, b, ring.modulus)
         table = BlockMinorTable({(1, 2): Matrix(ring, a)}, None)
-        for sign in (1, -1):
-            total = table._counted_add(prod, c, sign, wide=False)
-            assert total is not prod and total is not c
+        total = table._counted_add(prod, c, wide=False)
+        assert total is not prod and total is not c
+        assert total.tolist() == ((prod.astype(object) + c) % ring.modulus).tolist()
         for before, after in zip(saved, (a, b, c)):
             assert np.array_equal(before, after)
         g, h = Matrix(ring, a), Matrix(ring, b.T)

@@ -252,9 +252,9 @@ def test_counted_kernel_rejects_nonconformable():
 
     bad = [
         lambda: table._counted_mul(z(2, 3), z(2, 4), True),
-        lambda: table._counted_mul(z(2, 2), z(2, 6), True, count=4),
-        lambda: table._counted_add(z(2, 6), z(2, 3), 1, True),
-        lambda: table._counted_add(z(2, 6), z(2, 6), 1, True, count=4),
+        lambda: table._counted_mul(z(2, 2), z(3, 6), True),
+        lambda: table._counted_add(z(2, 6), z(2, 3), True),
+        lambda: table._counted_add(z(2, 6), z(3, 6), True),
         # The fused level product: inner dimension, leaf rows, leaf width.
         lambda: table._level_product(z(2, 3), z(2, 6), z(2, 3), 2),
         lambda: table._level_product(z(3, 2), z(2, 6), z(2, 3), 2),
@@ -267,8 +267,9 @@ def test_counted_kernel_rejects_nonconformable():
     assert table.counters == OpCounters()
     assert table._level_product(z(2, 0), z(0, 6), z(2, 3), 2).shape == (2, 6)
     assert table.counters == OpCounters()
-    assert table._counted_add(z(2, 6), z(2, 6), -1, True, count=3).shape == (2, 6)
-    assert table.counters.hist == {("add", 2, 2): 3}
+    assert table._counted_add(z(2, 6), z(2, 6), True).shape == (2, 6)
+    assert table._counted_mul(z(2, 2), z(2, 6), True).shape == (2, 6)
+    assert table.counters.hist == {("add", 2, 6): 1, ("mul", 2, 2, 6): 1}
 
 
 def test_record_count_equals_repeated_records():
@@ -363,6 +364,23 @@ def test_strip_edges(n, tree_bytes, strips, monkeypatch):
     got = table._minor_rec(1, 4)
     assert widths == [w for w in strips for _ in range(4)]
     assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert table.counters == counters
+
+
+def test_strips_count_python_int_bytes(monkeypatch):
+    # Over 11^10, stored as python ints, an entry holds an 8-byte pointer
+    # and an int object of up to 32 bytes (CPython 3.11, 64-bit).  A column
+    # of tree (1, 10) at t_i = 2, 1024 nodes, takes 40 KiB, so 1 MiB gives
+    # strips of 25 of its leaf's 60 columns; at 8 bytes an entry it was one
+    # strip of 60.
+    table = random_block_table(RingSpec(11, 10), 10, 80, random.Random(60), t=(2,) * 10)
+    want = node_by_node_minor(table, 1, 10)
+    counters, table.counters = table.counters, OpCounters()
+    monkeypatch.setattr(minors, "_TREE_BYTES", 1 << 20)
+    widths = _strip_widths(table, monkeypatch)
+    got = table._minor_rec(1, 10)
+    assert widths == [w for w in (25, 25, 10) for _ in range(10)]
+    assert got.dtype == want.dtype == object and np.array_equal(got, want)
     assert table.counters == counters
 
 

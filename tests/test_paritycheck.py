@@ -12,10 +12,12 @@ from zpscodes import (
     codes_equal,
     dual_type,
     extract_blocks,
+    format_matrix,
     identity,
     parity_check_bruteforce,
     parity_check_iterative,
     parity_check_minors,
+    parse_matrix,
     predicted_counts_iterative,
     predicted_counts_minors,
     random_code,
@@ -160,8 +162,10 @@ def _arbitrary_generators(ring, n, rng):
 
 # At each storage edge: the largest int64 prime, the largest p^2 stored as
 # int64, 2^26 where (m - 1)^2 * 2 < 2^53 still takes the float64 tier, and
-# two rings stored as python ints.
-@pytest.mark.parametrize("p,s", [(3037000493, 1), (55103, 2), (2, 26), (55109, 2), (3, 39)])
+# rings stored as python ints, up to the largest prime below 2^63 and 2^62,
+# whose 19-digit entries the formatter writes through uint64.
+@pytest.mark.parametrize("p,s", [(3037000493, 1), (55103, 2), (2, 26), (55109, 2), (3, 39),
+                                 (9223372036854775783, 1), (2, 62)])
 @pytest.mark.parametrize("seed", range(3))
 def test_arbitrary_generators_at_storage_edges(p, s, seed):
     ring = RingSpec(p, s)
@@ -176,6 +180,7 @@ def test_arbitrary_generators_at_storage_edges(p, s, seed):
         assert gh_transpose_is_zero(g, result.h_unpermuted)
         assert gh_transpose_is_zero(sf.matrix, result.h)
     assert all(result.h == hs[0].h for result in hs)
+    assert all(parse_matrix(format_matrix(result.h)) == result.h for result in hs)
 
 
 def _layout_cases(s):
