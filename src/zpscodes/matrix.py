@@ -56,19 +56,25 @@ _REDUCE_FLOOR_MIN = 1024
 def _reduce_in_place(arr: np.ndarray, m: int) -> None:
     """Reduce arr into [0, m) in place; a view writes through.
 
-    An int64 array of _REDUCE_FLOOR_MIN entries or more becomes
-    arr - (arr // m) * m: numpy divides an array by a scalar through a
-    precomputed reciprocal (Granlund and Montgomery, 1994), which costs a
-    fraction of the true division that % takes.  Where q * m wraps, for
-    entries within m of -2^63, arr - q * m wraps back: the result, in
-    [0, m), is still exact.  Small arrays and Python ints go through %.
+    When m is a power of two, an int64 array of any size becomes
+    arr & (m - 1): in two's complement the low bits of every int64,
+    -2^63 included, are its residue mod m, and the mask takes one pass
+    with no temporary.  Any other int64 array of _REDUCE_FLOOR_MIN entries
+    or more becomes arr - (arr // m) * m: numpy divides an array by a
+    scalar through a precomputed reciprocal (Granlund and Montgomery,
+    1994), which costs a fraction of the true division that % takes.
+    Where q * m wraps, for entries within m of -2^63, arr - q * m wraps
+    back: the result, in [0, m), is still exact.  Small arrays and Python
+    ints go through %.
     """
-    if arr.dtype == object or arr.size < _REDUCE_FLOOR_MIN:
+    if arr.dtype != object and not m & (m - 1):
+        arr &= m - 1
+    elif arr.dtype == object or arr.size < _REDUCE_FLOOR_MIN:
         arr %= m
-        return
-    q = arr // m
-    q *= m
-    arr -= q
+    else:
+        q = arr // m
+        q *= m
+        arr -= q
 
 
 def _reduce(arr: np.ndarray, m: int) -> np.ndarray:
@@ -360,10 +366,15 @@ def _format_rows(data: np.ndarray, modulus: int):
     step = max(1, _FORMAT_CHUNK // ncols)
     for r in range(0, nrows, step):
         x = data[r : r + step].astype(dt, order="C").ravel()
-        # The entries of two or more digits: a slice when they are most of
-        # the chunk, so that a dense chunk pays no gathers.
+        # The entries of two or more digits, as a slice or as an index.  A
+        # slice costs width - 1 place passes over the whole chunk; an index
+        # costs those passes over its entries plus about four passes of
+        # gathers and scatters.  So take the slice when they are more than
+        # (width - 1) / (width + 3) of the chunk: a fifth at width 2, one
+        # half at width 5, three fifths at width 7.
         big = x >= 10
-        sel = slice(None) if 2 * np.count_nonzero(big) > x.size else np.flatnonzero(big)
+        wide = np.count_nonzero(big)
+        sel = slice(None) if (width + 3) * wide > (width - 1) * x.size else np.flatnonzero(big)
         # Each temporary goes once used, which keeps the chunk's peak within
         # the bound of test_format_memory_peak.
         del big

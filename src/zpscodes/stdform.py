@@ -23,23 +23,44 @@ the columns P.  The panel is flushed when the window is used up, or when
 the window holds no pivot of the current valuation; only then is the rest
 of the matrix searched, now up to date.
 
+The window and X sit side by side in one column-major panel buffer, rows x
+2 PANEL_WIDTH: the window is copied in when the panel opens and written
+back, reduced, when it is flushed.  So a pivot normalizes one row and makes
+one rank-1 update, over [window from the pivot column | X], applied through
+the buffer's transpose so that the update and the outer product it
+subtracts are both row-major.
+
+The buffer is reduced lazily (delayed reduction, as in FFLAS-FFPACK: Dumas,
+Giorgi and Pernet, 2008).  An update subtracts products of two reduced
+entries, so it lowers an entry by at most (m - 1)^2, and an int64 buffer
+stays exact for (2^63 - m) // (m - 1)^2 updates: it is reduced when that
+many are pending, and at each flush.  That is once a flush below about
+2^28, and after every update at the largest int64 modulus; a Python-int
+buffer is reduced after every update.  Each pivot reduces only what it
+reads: its column, before the quotients are taken, and its row, before
+and after the scaling by the unit inverse.
+
 The search tests one residue per entry.  At stage v every entry of the
 search region (rows from the next pivot row, columns from the next pivot
 column) has valuation >= v: stage v - 1 ended when the region held none of
 valuation v - 1, and a row operation of stage v adds multiples of a row of
 the region.  So an entry has valuation exactly v when it is not divisible
-by p^(v+1); the chosen pivot's valuation is checked again as a scalar.
-The search after a flush scans PANEL_WIDTH columns at a time and stops at
-the first chunk with a hit, so a pivot just past the window costs one
-chunk, and only the search that ends a stage crosses every column.
+by p^(v+1).  p^(v+1) divides p^s, so the test holds on unreduced entries
+too; for p = 2 it masks the low v + 1 bits.  The chosen pivot's valuation
+is checked again as a scalar.  The search after a flush scans PANEL_WIDTH
+columns, then twice as many, four times as many and so on, and stops at
+the first chunk with a hit: a pivot just past the window costs one chunk,
+and a search that crosses every column costs a number of chunks
+logarithmic in their count.
 
 The pivot order is exactly the unblocked one.  The window's columns are up
 to date, and they come first, so a pivot found there is the first in the
 whole matrix; a pivot beyond the window is searched for only after a flush.
-A row swap is applied at once to every column of work and to the rows of X:
-it exchanges two rows that are not yet pivot rows, so it commutes with the
-panel's pending operations.  A column swap exchanges two columns that are
-up to date, either both in the window or right after a flush.
+A row swap is applied at once to every column of work and to the rows of
+the buffer: it exchanges two rows that are not yet pivot rows, so it
+commutes with the panel's pending operations.  A column swap exchanges two
+columns that are up to date, either both in the window or right after a
+flush.
 """
 
 from __future__ import annotations
@@ -71,17 +92,25 @@ class StandardForm:
 def _first_pivot(region: np.ndarray, pv1: int):
     """(row, col) in region of the first entry not divisible by pv1, in the
     first column that has one; None when there is none.  The columns are
-    scanned PANEL_WIDTH at a time, up to the first chunk with a hit."""
+    scanned in chunks of PANEL_WIDTH, then twice as many, four times as
+    many and so on, up to the first chunk with a hit."""
     if not region.shape[0]:
         return None
-    for c0 in range(0, region.shape[1], PANEL_WIDTH):
-        chunk = region[:, c0 : c0 + PANEL_WIDTH]
-        # The transpose's flat order runs column by column.
-        hits = (chunk // pv1 * pv1 != chunk).T
+    c0, width = 0, PANEL_WIDTH
+    while c0 < region.shape[1]:
+        chunk = region[:, c0 : c0 + width]
+        # The transpose's flat order runs column by column.  The low bits of
+        # an int64 or a Python int are its residue mod a power of two.
+        if pv1 & (pv1 - 1):
+            hits = (chunk // pv1 * pv1 != chunk).T
+        else:
+            hits = ((chunk & (pv1 - 1)) != 0).T
         first = int(hits.argmax())
         if hits.flat[first]:
             c, r = divmod(first, chunk.shape[0])
             return r, c0 + c
+        c0 += width
+        width *= 2
     return None
 
 
@@ -104,15 +133,19 @@ def standard_form(rows: Matrix) -> StandardForm:
     ring = rows.ring
     p, s, m = ring.p, ring.s, ring.modulus
     n = rows.ncols
-    # Row operations multiply two reduced entries, which the storage rule
-    # of the ring's arrays keeps exact.  work and x are column-major, so
-    # that a window, a search chunk and the columns right of a panel are
-    # each one contiguous block.
+    # work and buf are column-major, so that a window, a search chunk and
+    # the columns right of a panel are each one contiguous block.
     work = rows.data.copy(order="F")
     cols = list(range(n))  # cols[j] = original column now at position j
-    # Column k of x: the open panel's operations applied to the unit column
-    # of its k-th pivot row; zero until that pivot is chosen.
-    x = np.zeros((work.shape[0], PANEL_WIDTH), dtype=work.dtype, order="F")
+    # The panel buffer: the open window [wstart, wend) of work in columns
+    # [0, wend - wstart), zeros up to PANEL_WIDTH, then X.  Column k of X:
+    # the open panel's operations applied to the unit column of its k-th
+    # pivot row; zero until that pivot is chosen.
+    buf = np.zeros((work.shape[0], 2 * PANEL_WIDTH), dtype=work.dtype, order="F")
+    x = buf[:, PANEL_WIDTH:]
+    # Updates the buffer takes before it is reduced: each lowers an entry
+    # by at most (m - 1)^2, and int64 entries must stay above -2^63.
+    step = 1 if work.dtype == object else (2 ** 63 - m) // (m - 1) ** 2
 
     t = [0] * s
     row_ptr = 0
@@ -122,43 +155,62 @@ def standard_form(rows: Matrix) -> StandardForm:
         # The search region's entries have valuation >= v: those not
         # divisible by p^(v+1) have valuation v.
         pv1 = pv * p
-        # The open panel: k pivots so far, window [col_ptr, wend).
-        k, wend = 0, col_ptr
+        # The open panel: k pivots so far, pending updates since the buffer
+        # was last reduced, window [wstart, wend).
+        k, pending, wstart, wend = 0, 0, col_ptr, col_ptr
         while True:
-            hit = _first_pivot(work[row_ptr:, col_ptr:wend], pv1)
+            hit = _first_pivot(buf[row_ptr:, col_ptr - wstart : wend - wstart], pv1)
             if hit is None:
+                window = buf[:, : wend - wstart]
+                _reduce_in_place(window, m)
+                work[:, wstart:wend] = window
                 _flush(work, x, row_ptr - k, k, wend, ring)
                 hit = _first_pivot(work[row_ptr:, wend:], pv1)
                 if hit is None:
                     break
-                hit = (hit[0], hit[1] + wend - col_ptr)
-                k, wend = 0, min(col_ptr + PANEL_WIDTH, n)
-            r, c = row_ptr + hit[0], col_ptr + hit[1]
-            pivot = int(work[r, c])
+                c = wend + hit[1]
+                if c != col_ptr:
+                    work[:, [col_ptr, c]] = work[:, [c, col_ptr]]
+                    cols[col_ptr], cols[c] = cols[c], cols[col_ptr]
+                k, pending, wstart, wend = 0, 0, col_ptr, min(col_ptr + PANEL_WIDTH, n)
+                buf[:, : wend - wstart] = work[:, wstart:wend]
+                buf[:, wend - wstart : PANEL_WIDTH] = 0
+            else:
+                c = col_ptr + hit[1]
+                if c != col_ptr:
+                    a, b = col_ptr - wstart, c - wstart
+                    buf[:, [a, b]] = buf[:, [b, a]]
+                    cols[col_ptr], cols[c] = cols[c], cols[col_ptr]
+            r = row_ptr + hit[0]
+            if r != row_ptr:
+                # The window's columns of work are stale until the flush
+                # writes the buffer back.
+                work[[row_ptr, r]] = work[[r, row_ptr]]
+                buf[[row_ptr, r]] = buf[[r, row_ptr]]
+            col = buf[:, col_ptr - wstart]
+            _reduce_in_place(col, m)
+            pivot = int(col[row_ptr])
             if pivot % pv or pivot // pv % p == 0:
                 raise ArithmeticError(f"pivot {pivot} at ({r}, {c}) does not have valuation {v}")
-            if r != row_ptr:
-                work[[row_ptr, r]] = work[[r, row_ptr]]
-                x[[row_ptr, r], :k] = x[[r, row_ptr], :k]
-            if c != col_ptr:
-                work[:, [col_ptr, c]] = work[:, [c, col_ptr]]
-                cols[col_ptr], cols[c] = cols[c], cols[col_ptr]
             x[row_ptr, k] = 1
-            # The window of work and the panel's columns of x, updated in
-            # place.
-            blocks = (work[:, col_ptr:wend], x[:, : k + 1])
-            inv = unit_inverse_int(pivot // pv, ring)
-            for block in blocks:
-                block[row_ptr] *= inv
-                _reduce_in_place(block[row_ptr], m)
+            # The window from the pivot column on and the panel's columns of
+            # X, updated in place.
+            act = buf[:, col_ptr - wstart : PANEL_WIDTH + k + 1]
+            prow = act[row_ptr]
+            _reduce_in_place(prow, m)
+            prow *= unit_inverse_int(pivot // pv, ring)
+            _reduce_in_place(prow, m)
             # Below the pivot entries have valuation >= v, so the quotient
             # clears them exactly; above it reduces the entry into [0, p^v).
-            q = work[:, col_ptr] // pv
+            q = col // pv
             q[row_ptr] = 0
             if np.any(q):
-                for block in blocks:
-                    block -= np.outer(q, block[row_ptr])
-                    _reduce_in_place(block, m)
+                # Through the transpose both operands are row-major.
+                np.subtract(act.T, np.outer(prow, q), out=act.T)
+                pending += 1
+                if pending == step:
+                    _reduce_in_place(act, m)
+                    pending = 0
             t[v] += 1
             row_ptr += 1
             col_ptr += 1

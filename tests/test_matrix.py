@@ -242,6 +242,29 @@ def _chunks_by_digit_count(ring):
     return Matrix(ring, np.concatenate(chunks).reshape(-1, _CHUNK_COLS))
 
 
+@pytest.mark.parametrize("p,s", [(p, s) for p, s in FORMAT_RINGS if p ** s > 10])
+def test_format_at_switch_point(p, s):
+    # Two whole chunks whose entries of two or more digits are exactly
+    # (width - 1) / (width + 3) of the chunk, rounded down (index
+    # selection), then one more (slice selection), at random places after
+    # a leading 10.
+    ring = RingSpec(p, s)
+    m = ring.modulus
+    width = len(str(m - 1))
+    size = _FORMAT_CHUNK
+    at = (width - 1) * size // (width + 3)
+    multi = np.array([v for v in _digit_edges(m) if v >= 10], dtype=object)
+    rng = random.Random(m)
+    chunks = []
+    for count in (at, at + 1):
+        chunk = np.resize(np.arange(10, dtype=object), size)
+        chunk[rng.sample(range(1, size), count - 1)] = np.resize(multi, count - 1)
+        chunk[0] = 10
+        chunks.append(chunk)
+    mat = Matrix(ring, np.concatenate(chunks).reshape(-1, _CHUNK_COLS))
+    assert format_matrix(mat) == row_format_matrix(mat)
+
+
 def _corpus_text(tokens, ncols=3):
     """A 5^2 matrix text whose entries, in reading order, are tokens
     padded with valid entries."""
@@ -490,8 +513,9 @@ def test_storage_rule_boundary():
         assert mat_add(a, a).tolist() == [[m - 2, m - 4]]
 
 
-# Moduli of int64 storage, from 2 to the largest int64 prime.
-REDUCE_MODULI = [2, 2 ** 4, 3 ** 10, 1447 ** 3, 55103 ** 2, 3037000493]
+# Moduli of int64 storage, from 2 to the largest int64 prime; the powers of
+# two take the mask.
+REDUCE_MODULI = [2, 2 ** 4, 2 ** 26, 2 ** 31, 3 ** 10, 1447 ** 3, 55103 ** 2, 3037000493]
 
 
 def _reduce_edges(m):
@@ -509,7 +533,7 @@ def _reduce_edges(m):
 def test_reduce_matches_python_mod(m):
     edges = _reduce_edges(m)
     # Short arrays take %, long ones floor division, where q * m wraps for
-    # the entries near -2^63.
+    # the entries near -2^63; a power of two takes the mask at every size.
     for size in (len(edges), _REDUCE_FLOOR_MIN, 3 * _REDUCE_FLOOR_MIN + 1):
         values = [edges[i % len(edges)] for i in range(size)]
         arr = np.array(values, dtype=np.int64).reshape(-1, 1)
@@ -519,20 +543,21 @@ def test_reduce_matches_python_mod(m):
 
 
 def test_reduce_writes_through_views():
-    m = 3 ** 10
     rng = np.random.default_rng(5)
     base = rng.integers(-(2 ** 62), 2 ** 62, size=(80, 90))
-    for index in (np.s_[:, 7:60], np.s_[::2, ::3], np.s_[3, :]):
-        arr = base.copy()
-        view = arr[index]
-        want = arr.copy()
-        want[index] = base[index] % m
-        _reduce_in_place(view, m)
-        assert np.array_equal(arr, want)
-    # A column-major array, reduced whole.
-    arr = np.asfortranarray(base)
-    _reduce_in_place(arr, m)
-    assert np.array_equal(arr, base % m)
+    # Floor division, then the mask.
+    for m in (3 ** 10, 2 ** 31):
+        for index in (np.s_[:, 7:60], np.s_[::2, ::3], np.s_[3, :]):
+            arr = base.copy()
+            view = arr[index]
+            want = arr.copy()
+            want[index] = base[index] % m
+            _reduce_in_place(view, m)
+            assert np.array_equal(arr, want)
+        # A column-major array, reduced whole.
+        arr = np.asfortranarray(base)
+        _reduce_in_place(arr, m)
+        assert np.array_equal(arr, base % m)
 
 
 def test_kernels_leave_operands_unchanged():

@@ -453,3 +453,35 @@ def test_degenerate_full_length_type():
     assert result.h.nrows == dual_type(code.layout).total == 1
     ok, _ = verify_parity(code.standard.matrix, result.h)
     assert ok
+
+
+def _degenerate_type(case, s):
+    """(n, t) of a degenerate type over a ring of length s."""
+    if case == "n=t":
+        t = (2,) + (1,) * (s - 1)
+        return sum(t), t
+    if case == "no-rows":
+        return 5, (0,) * s
+    if case == "no-cols":
+        return 0, (0,) * s
+    if case == "some-zero":
+        t = tuple(2 * (i % 2) for i in range(s))
+        return sum(t) + 3, t
+    raise ValueError(case)
+
+
+@pytest.mark.parametrize("case", ["n=t", "no-rows", "no-cols", "some-zero"])
+@pytest.mark.parametrize("p,s", [(2, 4), (3, 5), (55109, 2)])
+def test_degenerate_types_both_constructions(p, s, case):
+    ring = RingSpec(p, s)
+    n, t = _degenerate_type(case, s)
+    code = random_code(ring, n, t, 17)
+    dual = dual_type(code.layout)
+    assert dual == BlockLayout(n, (n - sum(t),) + tuple(reversed(t[1:])))
+    assert cardinality(code.layout, p) * cardinality(dual, p) == p ** (s * n)
+    h = parity_check_minors(code.standard).h
+    assert h == parity_check_iterative(code.standard).h
+    assert h.shape == (dual.total, n)
+    assert gh_transpose_is_zero(code.standard.matrix, h)
+    # H generates a code of the dual type.
+    assert standard_form(h).layout == dual

@@ -214,6 +214,17 @@ DIFF_RINGS = {
     "3^5": RingSpec(3, 5),
     "5^3": RingSpec(5, 3),
     "1447^3": RingSpec(1447, 3),  # the largest odd cube stored as int64
+    # Stored as int64, at each step of the reduction rule: the panel buffer
+    # is reduced once a flush (2^26), every 8 updates, inside a panel
+    # (2^30), every 2, through the mask (2^31), and after every update
+    # (the largest int64 prime).  Overflow wraps exactly mod a power of
+    # two, so 3^19, reduced every 6 updates, is the case where a missed
+    # reduction shows.
+    "2^26": RingSpec(2, 26),
+    "2^30": RingSpec(2, 30),
+    "2^31": RingSpec(2, 31),
+    "3^19": RingSpec(3, 19),
+    "3037000493": RingSpec(3037000493, 1),
     "3^21": RingSpec(3, 21),  # python ints
     "1451^3": RingSpec(1451, 3),  # python ints
 }
@@ -283,6 +294,22 @@ def _differential_case(kind, ring, rng):
         order = list(range(k))
         rng.shuffle(order)
         return [[row[c] for c in order] for row in rows]
+    if kind == "mixed":
+        # Shaped like generic-gen: rows of every valuation, redundant rows
+        # as combinations of them, all rows mixed by a random invertible
+        # matrix (a product of elementary row operations), rows and columns
+        # shuffled, and more than four panels of pivots.
+        k, ncols = 4 * w + 12, 4 * w + 40
+        base = np.array(_scaled_rows(ring, k, ncols, list(range(s)), rng), dtype=object)
+        coeffs = np.array([[rng.randrange(m) for _ in range(k)] for _ in range(16)], dtype=object)
+        rows = np.vstack([base, coeffs @ base % m])
+        for _ in range(3):
+            for i in range(len(rows)):
+                j = rng.randrange(len(rows) - 1)
+                j += j >= i
+                rows[i] = (rows[i] + rng.randrange(m) * rows[j]) % m
+        rows = rows[rng.sample(range(len(rows)), len(rows))]
+        return rows[:, rng.sample(range(ncols), ncols)]
     if kind == "no-rows":
         return np.zeros((0, 12), dtype=np.int64)
     if kind == "no-cols":
@@ -291,7 +318,7 @@ def _differential_case(kind, ring, rng):
 
 
 DIFF_KINDS = ["panels", "beyond-window", "far-beyond", "stages", "redundant", "gaps",
-              "square", "no-rows", "no-cols"]
+              "square", "mixed", "no-rows", "no-cols"]
 
 
 @pytest.mark.parametrize("kind", DIFF_KINDS)
@@ -307,6 +334,8 @@ def test_blocked_matches_sequential(ring_id, kind):
     assert got.matrix.data.dtype == want.matrix.data.dtype
     assert got.layout == want.layout
     assert got.perm == want.perm
+    if kind == "mixed":
+        assert sum(got.layout.t) > 4 * PANEL_WIDTH
 
 
 @pytest.mark.parametrize("p,s", [(3, 13), (1447, 3), (55109, 2), (3, 39)])
