@@ -174,41 +174,49 @@ def mat_scalar(c: int, a: Matrix) -> Matrix:
 FLOAT_MIN_MACS = 4096
 
 
+def _headroom(m: int) -> int:
+    """Products of two entries reduced mod m that an int64 may gain or lose
+    from an entry in [0, m) and stay exact mod m: (2^63 - m) // (m - 1)^2.
+    A power of two has no bound, 2^63 here: int64 wraps modulo 2^64, a
+    multiple of m, and the mask of _reduce_in_place reduces any int64."""
+    return (2 ** 63 - m) // (m - 1) ** 2 if m & (m - 1) else 2 ** 63
+
+
 def _product_dtype(m: int, k: int, macs: int):
-    """The dtype in which a product of entries reduced mod m, with inner
-    dimension k and macs multiply-adds, is exact.  Every partial sum is an
-    integer below (m - 1)^2 * k: float64 holds each one exactly below 2^53
-    (and runs on BLAS), int64 below 2^63; python ints hold any."""
-    bound = (m - 1) ** 2 * k
-    if bound < 2 ** 53 and macs >= FLOAT_MIN_MACS:
-        return np.float64
-    if bound < 2 ** 63:
-        return np.int64
-    return object
+    """float64, on BLAS, for a product of entries reduced mod m whose partial
+    sums, each below (m - 1)^2 * k, it holds exactly (below 2^53) and whose
+    macs multiply-adds repay the conversions; int64 otherwise."""
+    return np.float64 if (m - 1) ** 2 * k < 2 ** 53 and macs >= FLOAT_MIN_MACS else np.int64
 
 
-def _matmul_exact(a: np.ndarray, b: np.ndarray, m: int) -> np.ndarray:
-    """a @ b of entries reduced mod m, unreduced, in int64 or python ints."""
-    dtype = _product_dtype(m, a.shape[1], a.shape[0] * a.shape[1] * b.shape[1])
-    prod = a.astype(dtype, copy=False) @ b.astype(dtype, copy=False)
-    return prod.astype(np.int64) if dtype is np.float64 else prod
-
-
-def _matmul_reduced(a: np.ndarray, b: np.ndarray, ring: RingSpec) -> np.ndarray:
-    """a @ b reduced mod p^s, in the ring's storage."""
-    m = ring.modulus
-    prod = _reduce(_matmul_exact(a, b, m), m)
-    if prod.dtype == object and m <= _INT64_MAX_MODULUS:
-        prod = prod.astype(np.int64)
-    return prod
+def _matmul_reduced(a: np.ndarray, b: np.ndarray, ring: RingSpec, c=None) -> np.ndarray:
+    """(a @ b, plus c on each block of c.shape[1] columns) mod p^s in the
+    ring's storage, for reduced a, b and c: the one place where the
+    arithmetic of a product is decided.  It runs in float64 as
+    _product_dtype says, else in the storage: an int64 ring in inner chunks
+    of _headroom(m), each added to the sum so far and reduced once, so
+    Python ints serve only a ring stored in them."""
+    m, (rows, k), cols, storage = ring.modulus, a.shape, b.shape[1], dtype_for(ring)
+    dtype = storage if storage is object else _product_dtype(m, k, rows * k * cols)
+    step = _headroom(m) if dtype is np.int64 else max(k, 1)
+    # The product, as blocks of c's width, takes c on each.
+    width = cols if c is None else c.shape[1]
+    acc = None if c is None else c[:, None, :]
+    for k0 in range(0, max(k, 1), step):
+        # Converted a chunk at a time, so that no converted operand outlives its product.
+        x, y = a[:, k0 : k0 + step], b[k0 : k0 + step]
+        prod = x.astype(dtype, copy=False) @ y.astype(dtype, copy=False)
+        prod = prod.astype(storage, copy=False).reshape(rows, cols // max(width, 1), width)
+        if acc is not None:
+            prod += acc
+        acc = _reduce(prod, m)
+    return acc.reshape(rows, cols)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     ring = _same_ring(a, b)
     if a.ncols != b.nrows:
         raise ShapeError(f"mul: {a.shape} by {b.shape}")
-    if a.ncols == 0:
-        return zeros(ring, a.nrows, b.ncols)
     return Matrix._of_reduced(ring, _matmul_reduced(a.data, b.data, ring))
 
 

@@ -17,8 +17,8 @@ from functools import cached_property
 import numpy as np
 
 from .matrix import (
-    _INT64_MAX_MODULUS, Matrix, Permutation, ShapeError, _matmul_exact, _matmul_reduced, _reduce,
-    dtype_for, identity, mat_add, mat_mul, mat_neg
+    Matrix, Permutation, ShapeError, _matmul_reduced, _reduce, dtype_for, identity, mat_add,
+    mat_mul, mat_neg
 )
 from .opcounters import OpCounters
 from .zring import DomainError
@@ -163,21 +163,11 @@ class BlockMinorTable:
 
     def _level_product(self, rows, children, leaf, count: int) -> np.ndarray:
         """count nodes side by side: rows times children, plus leaf on each
-        of the count equal-width column blocks, reduced once per inner
-        chunk: one, unless (m - 1)^2 k nears 2^63.  Uncounted."""
-        (t, w), m, k = leaf.shape, self.ring.modulus, rows.shape[1]
+        of the count equal-width column blocks, in one kernel call.  Uncounted."""
+        t, w = leaf.shape
         if rows.shape != (t, children.shape[0]) or children.shape[1] != count * w:
             raise ShapeError(f"level not conformable: {rows.shape} {children.shape} {leaf.shape}")
-        # Inner chunks whose products, plus one entry below m, fit int64 when
-        # the ring's entries do: never python ints for an int64 ring.
-        step = (2 ** 63 - m) // (m - 1) ** 2 if m <= _INT64_MAX_MODULUS else max(k, 1)
-        prod = leaf[:, None, :]
-        for k0 in range(0, max(k, 1), step):
-            chunk = _matmul_exact(rows[:, k0 : k0 + step], children[k0 : k0 + step], m)
-            chunk = chunk.astype(leaf.dtype, copy=False).reshape(t, count, w)
-            chunk += prod
-            prod = _reduce(chunk, m)
-        return prod.reshape(t, count * w)
+        return _matmul_reduced(rows, children, self.ring, leaf)
 
     def block_minor_sum(self, i: int, j: int) -> Matrix:
         """Order-j block-minor anchored at block-row i via the signed sum

@@ -33,12 +33,15 @@ subtracts are both row-major.
 The buffer is reduced lazily (delayed reduction, as in FFLAS-FFPACK: Dumas,
 Giorgi and Pernet, 2008).  An update subtracts products of two reduced
 entries, so it lowers an entry by at most (m - 1)^2, and an int64 buffer
-stays exact for (2^63 - m) // (m - 1)^2 updates: it is reduced when that
-many are pending, and at each flush.  That is once a flush below about
-2^28, and after every update at the largest int64 modulus; a Python-int
-buffer is reduced after every update.  Each pivot reduces only what it
-reads: its column, before the quotients are taken, and its row, before
-and after the scaling by the unit inverse.
+stays exact for matrix._headroom(m) = (2^63 - m) // (m - 1)^2 updates: it
+is reduced when that many are pending, and at each flush.  That is once a
+flush below about 2^28, and after every update at the largest odd int64
+moduli; a Python-int buffer is reduced after every update.  A power of two
+has no bound, as int64 wraps modulo 2^64, a multiple of m, and the mask
+reduces any int64: 2^30 and 2^31, which the formula would reduce every 8
+and every 2 updates, are reduced at the flush only.  Each pivot reduces
+only what it reads: its column, before the quotients are taken, and its
+row, before and after the scaling by the unit inverse.
 
 The search tests one residue per entry.  At stage v every entry of the
 search region (rows from the next pivot row, columns from the next pivot
@@ -69,7 +72,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import BlockLayout, Matrix, Permutation, _matmul_reduced, _reduce_in_place, dtype_for
+from .matrix import (BlockLayout, Matrix, Permutation, _headroom, _matmul_reduced,
+                     _reduce_in_place, dtype_for)
 from .zring import RingSpec, unit_inverse_int
 
 # Columns a panel searches, and so pivots it defers, before it is flushed.
@@ -123,9 +127,7 @@ def _flush(
         d = x[:, :k]
         d[np.arange(r0, r0 + k), np.arange(k)] -= 1
         _reduce_in_place(d, ring.modulus)
-        right = work[:, wend:]
-        right += _matmul_reduced(d, work[r0 : r0 + k, wend:], ring)
-        _reduce_in_place(right, ring.modulus)
+        work[:, wend:] = _matmul_reduced(d, work[r0 : r0 + k, wend:], ring, work[:, wend:])
     x[:, :k] = 0
 
 
@@ -143,9 +145,8 @@ def standard_form(rows: Matrix) -> StandardForm:
     # pivot row; zero until that pivot is chosen.
     buf = np.zeros((work.shape[0], 2 * PANEL_WIDTH), dtype=work.dtype, order="F")
     x = buf[:, PANEL_WIDTH:]
-    # Updates the buffer takes before it is reduced: each lowers an entry
-    # by at most (m - 1)^2, and int64 entries must stay above -2^63.
-    step = 1 if work.dtype == object else (2 ** 63 - m) // (m - 1) ** 2
+    # Updates the buffer takes before it is reduced.
+    step = 1 if work.dtype == object else _headroom(m)
 
     t = [0] * s
     row_ptr = 0

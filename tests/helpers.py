@@ -123,6 +123,20 @@ def node_by_node_minor(table, i, j):
     return node(i).astype(table.blocks[(i, end)].dtype)
 
 
+def chunk_spy(chunks: list):
+    """An ndarray subclass that appends (inner dimension, dtype) to chunks for
+    each product it is the left factor of: viewed as one, the left operand
+    of matrix._matmul_reduced records the kernel's chunk products."""
+
+    class ChunkSpy(np.ndarray):
+        def __matmul__(self, other):
+            out = np.asarray(self) @ other
+            chunks.append((self.shape[1], out.dtype))
+            return out
+
+    return ChunkSpy
+
+
 def rows_as_set(matrix: Matrix):
     return {tuple(int(x) for x in row) for row in matrix.data}
 

@@ -155,8 +155,8 @@ def test_bench_csv_determinism(tmp_path, capsys):
     assert main(args + ["--out", str(a)]) == 0
     assert main(args + ["--out", str(b)]) == 0
     capsys.readouterr()
-    rows_a = list(csv.reader(a.open()))
-    rows_b = list(csv.reader(b.open()))
+    rows_a = list(csv.reader(a.read_text().splitlines()))
+    rows_b = list(csv.reader(b.read_text().splitlines()))
     assert len(rows_a) == 1 + 2 * 2 * 2  # header + methods x s x trials
     wall = rows_a[0].index("wall_ns")
     strip = lambda rows: [r[:wall] + r[wall + 1:] for r in rows]

@@ -29,17 +29,19 @@ from zpscodes.matrix import (
     FLOAT_MIN_MACS,
     ParseError,
     ShapeError,
+    _headroom,
     _matmul_reduced,
     _parse_digits,
     _product_dtype,
     _reduce,
     _reduce_in_place,
+    dtype_for,
     extract_block,
 )
 from zpscodes.minors import BlockMinorTable
 from zpscodes.zring import RingMismatchError
 
-from helpers import entrywise_parse_matrix, random_matrix, row_format_matrix
+from helpers import chunk_spy, entrywise_parse_matrix, random_matrix, row_format_matrix
 
 Z4 = RingSpec(2, 2)
 
@@ -569,6 +571,8 @@ def test_kernels_leave_operands_unchanged():
         saved = [x.copy() for x in (a, b, c)]
         prod = _matmul_reduced(a, b, ring)
         assert prod.tolist() == _python_product(a, b, ring.modulus)
+        plus_c = _matmul_reduced(a, b, ring, c)
+        assert plus_c.tolist() == ((prod.astype(object) + c) % ring.modulus).tolist()
         table = BlockMinorTable({(1, 2): Matrix(ring, a)}, None)
         total = table._counted_add(prod, c, wide=False)
         assert total is not prod and total is not c
@@ -649,6 +653,49 @@ def test_float_tier_size_gate():
         a = random_matrix(ring, rows, 16, rng).data
         b = random_matrix(ring, 16, 16, rng).data
         assert _matmul_reduced(a, b, ring).tolist() == _python_product(a, b, m)
+
+
+# Int64 rings at the chunk rule's edges, with their headroom (2^63 for a
+# power of two, which has no bound), and a Python-int ring.
+KERNEL_RINGS = [(3, 16, 4977), (3, 19, 6), (55103, 2, 1), (3037000493, 1, 1), (2, 31, 2 ** 63),
+                (3, 39, None)]
+
+
+@pytest.mark.parametrize("p,s,headroom", KERNEL_RINGS)
+def test_kernel_matches_python_ints(p, s, headroom):
+    ring = RingSpec(p, s)
+    m, storage = ring.modulus, dtype_for(ring)
+    if headroom is not None:
+        assert _headroom(m) == headroom
+    # Without a bound every product is one chunk.
+    unbounded = headroom in (None, 2 ** 63)
+    ks = [0, 1, 2, 65] if unbounded else [0, 1, headroom, headroom + 1, 3 * headroom + 2]
+    for k in ks:
+        a = np.full((3, k), m - 1, dtype=storage)
+        # (columns of the product, width of c): none, the product's shape,
+        # two blocks, zero width.
+        for cols, width in [(4, None), (4, 4), (4, 2), (0, 0)]:
+            b = np.full((k, cols), m - 1, dtype=storage)
+            c = None
+            if width is not None:
+                c = np.arange(3 * width, dtype=storage).reshape(3, width) + (m - 12)
+            chunks = []
+            got = _matmul_reduced(a.view(chunk_spy(chunks)), b, ring, c)
+            want = a.astype(object) @ b.astype(object)
+            if c is not None:
+                want += np.tile(c.astype(object), (1, cols // max(width, 1)))
+            assert got.dtype == storage and got.shape == (3, cols)
+            assert got.tolist() == (want % m).tolist()
+            size = max(k, 1) if unbounded else headroom
+            widths = [min(size, k - k0) for k0 in range(0, max(k, 1), size)]
+            assert chunks == [(w, np.dtype(storage)) for w in widths]
+
+
+def test_product_dtype_is_never_object():
+    for m in (2, 2 ** 4, 3 ** 16, 3037000493, 55109 ** 2, 3 ** 39, 2 ** 62):
+        for k in (0, 1, 7, 10 ** 6):
+            for macs in (0, FLOAT_MIN_MACS, 10 ** 9):
+                assert _product_dtype(m, k, macs) in (np.float64, np.int64)
 
 
 def test_verify_parity_witness_at_float_tier():

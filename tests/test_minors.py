@@ -25,7 +25,7 @@ from zpscodes.stdform import extract_blocks
 from zpscodes.minors import is_restricted
 from zpscodes.zring import DomainError
 
-from helpers import cofactor_det, node_by_node_minor, random_matrix, structured_matrix
+from helpers import chunk_spy, cofactor_det, node_by_node_minor, random_matrix, structured_matrix
 
 
 def brute_restricted(n):
@@ -430,14 +430,13 @@ def test_wide_inner_dimension_stays_int64(monkeypatch):
     # never in python ints.
     ring = RingSpec(3, 19)
     table = random_block_table(ring, 5, 16, random.Random(57), t=(2, 3, 2, 3, 1))
-    dtypes, matmul_exact = [], minors._matmul_exact
+    chunks, matmul_reduced = [], minors._matmul_reduced
+    spy_type = chunk_spy(chunks)
 
-    def spy(a, b, m):
-        out = matmul_exact(a, b, m)
-        dtypes.append((a.shape[1], out.dtype))
-        return out
+    def spy(a, b, ring, c=None):
+        return matmul_reduced(a.view(spy_type), b, ring, c)
 
-    monkeypatch.setattr(minors, "_matmul_exact", spy)
+    monkeypatch.setattr(minors, "_matmul_reduced", spy)
     for i in range(1, 6):
         table.counters = OpCounters()
         got = table._minor_rec(i, 6 - i)
@@ -445,8 +444,8 @@ def test_wide_inner_dimension_stays_int64(monkeypatch):
         want = node_by_node_minor(table, i, 6 - i)
         assert got.dtype == want.dtype == np.int64
         assert np.array_equal(got, want) and counters == table.counters
-    assert {dtype for _, dtype in dtypes} == {np.dtype(np.int64)}
-    assert max(k for k, _ in dtypes) == 6
+    assert {dtype for _, dtype in chunks} == {np.dtype(np.int64)}
+    assert max(k for k, _ in chunks) == 6
 
 
 def test_malformed_blocks_raise_before_counting():
