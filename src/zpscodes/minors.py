@@ -23,9 +23,10 @@ from .matrix import (
 from .opcounters import OpCounters
 from .zring import DomainError
 
-# Bytes the level arrays of one column strip of a block-minor recursion tree
-# may take (see BlockMinorTable._minor_rec); a tree whose single column passes
-# it recurses node by node at its top until its subtrees fit.
+# Bytes that the level arrays of one column strip of a block-minor recursion
+# tree, the leaf level excluded, and its largest children stack may take
+# together (see BlockMinorTable._strips); a tree whose single column passes it
+# recurses node by node at its top until its subtrees fit.
 _TREE_BYTES = 1 << 20
 
 
@@ -128,6 +129,7 @@ class BlockMinorTable:
         self.layout = layout
         self.ring = blocks[(1, 2)].ring
         self.counters = counters if counters is not None else OpCounters()
+        self._stack = np.empty(0, dtype_for(self.ring))
 
     @cached_property
     def _signed_rows(self) -> dict:
@@ -195,46 +197,82 @@ class BlockMinorTable:
             return self.block_minor_sum(i, j)
         return Matrix._of_reduced(self.ring, self._minor_rec(i, j))
 
+    def _strips(self, i: int, end: int) -> tuple:
+        """(deep, strip, stack) of tree (i, end): whether one column passes
+        _TREE_BYTES, the strip width, and the children-stack entries a strip
+        takes.  A column holds levels i..end-2 and the largest level's
+        children, sum(t[a:end-1]) rows for each of its c(a) nodes; a deep
+        tree's one strip stacks its root's."""
+        t, width = self.layout.t, self.blocks[(i, end)].shape[1]
+        # 8 bytes an entry, plus an int object no larger than m - 1's.
+        entry = 8 + (sys.getsizeof(self.ring.modulus - 1) if self._stack.dtype == object else 0)
+        levels = stack = kids = 0
+        for a in range(end - 2, i - 1, -1):
+            count = 1 << max(a - i - 1, 0)
+            kids += t[a]  # sum(t[a:end-1])
+            levels += t[a - 1] * count
+            stack = max(stack, kids * count)
+        if entry * (levels + stack) > _TREE_BYTES:
+            return True, max(width, 1), kids * width
+        strip = max(1, _TREE_BYTES // (entry * max(levels + stack, 1)))
+        return False, strip, stack * min(strip, width)
+
+    def _children_stack(self, size: int) -> np.ndarray:
+        """The buffer every level product stacks its children in, of at least
+        size entries.  It is allocated at the largest use over all trees of
+        the table, so once for a table unless _TREE_BYTES grows."""
+        if self._stack.size < size:
+            s = self.layout.s
+            uses = (self._strips(a, e)[2] for a in range(1, s + 1) for e in range(a + 1, s + 2))
+            self._stack = np.empty(max(uses), self._stack.dtype)
+        return self._stack
+
     def _minor_rec(self, i: int, j: int) -> np.ndarray:
         """The recursion of block_minor_rec on raw arrays, for j >= 1.
 
         A node at anchor a of the tree ending at end = i + j computes
         O(a) = sum over a < b <= end of (-1)^(b-1-a) A(a, b) O(b), skipping
         the product by O(end) = Id.  The tree runs bottom-up on column strips
-        of its leaf, as wide as _TREE_BYTES allows at the storage's bytes an
-        entry: 8 for int64, 8 plus an int object for python ints.  Level
-        a holds its c(a) nodes side by side, c(i) = 1 and c(a) = 2^(a-i-1)
-        below; its children at anchor b are nodes [c(a), 2c(a)) of level b,
-        or node 0 for a = i.  So a level is one fused product of the signed
-        row [A(a, a+1) | ... | ±A(a, end-1)] by the stacked children, plus
-        ±A(a, end), counted once at full width on the first strip.  A tree
-        whose single column passes the budget (order above 17 at t = 2 for
-        int64) evaluates its root alone over whole children.
+        of its leaf (see _strips).  Level a holds its c(a) nodes side by side,
+        c(i) = 1 and c(a) = 2^(a-i-1) below; its children at anchor b are
+        nodes [c(a), 2c(a)) of level b, or node 0 for a = i.  So a level is
+        one fused product of the signed row [A(a, a+1) | ... | ±A(a, end-1)]
+        by its children, written one anchor at a time into the table's
+        stack, plus ±A(a, end), counted once at full width on the first
+        strip.  The leaf level end - 1 is never computed: each of its nodes
+        is the leaf A(end-1, end), so an order-1 tree is a copy of it.  A
+        tree whose single column passes the budget (order above 17 at t = 2
+        for int64) evaluates its root alone over whole children.
         """
         end = i + j
         t, width = self.layout.t, self.blocks[(i, end)].shape[1]
-        nodes = t[i - 1] + sum(t[a - 1] << (a - i - 1) for a in range(i + 1, end))
-        dtype = dtype_for(self.ring)
-        # No entry's int object is larger than that of m - 1.
-        entry = 8 + (sys.getsizeof(self.ring.modulus - 1) if dtype is object else 0)
-        deep = entry * nodes > _TREE_BYTES
-        levels = (i,) if deep else range(end - 1, i - 1, -1)
-        kids = {b: self._minor_rec(b, end - b) for b in range(i + 1, end)} if deep else {}
-        strip = max(1, width if deep else _TREE_BYTES // (entry * max(nodes, 1)))
-        out = np.empty((t[i - 1], width), dtype)
+        deep, strip, used = self._strips(i, end)
+        # Node 0 of each child level, as level arrays of one node.
+        kids = {b: self._minor_rec(b, end - b)[:, None] for b in range(i + 1, end)} if deep else {}
+        stack, leaf = self._children_stack(used), self._signed_rows[end - 1]
+        out = np.empty((t[i - 1], width), stack.dtype)
         wide = (end == self.layout.s + 1)
         for c0 in range(0, max(width, 1), strip):
-            # A fresh dict per strip lets the last strip's level arrays go.
+            # Level b holds its c(b) nodes as (t_b, c(b), cols), the leaf level
+            # its one distinct node; a fresh dict per strip lets the last
+            # strip's level arrays go.
             cols, level = min(strip, width - c0), dict(kids)
-            for a in levels:
+            if not deep:
+                level[end - 1] = leaf[:, None, c0 : c0 + cols]
+            for a in (i,) if deep else range(end - 2, i - 1, -1):
                 count, row, k = 1 << max(a - i - 1, 0), self._signed_rows[a], sum(t[a : end - 1])
-                lo = 0 if a == i else count * cols
-                children = np.concatenate([np.empty((0, count * cols), row.dtype), *(
-                    level[b][:, lo : lo + count * cols] for b in range(a + 1, end))])
-                level[a] = self._level_product(row[:, :k], children,
-                                               row[:, k + c0 : k + c0 + cols], count)
-                for b in range(a + 1, end) if c0 == 0 else ():  # at full width, once
-                    self.counters.record_mul(t[a - 1], t[b - 1], width, wide, count)
-                    self.counters.record_add(t[a - 1], width, wide, count)
-            out[:, c0 : c0 + cols] = level[i]
+                lo, r = (0 if a == i else count), 0
+                children = stack[: k * count * cols].reshape(k, count, cols)
+                for b in range(a + 1, end):
+                    kid = level[b] if b == end - 1 else level[b][:, lo : lo + count]
+                    children[r : r + t[b - 1]] = kid
+                    r += t[b - 1]
+                level[a] = self._level_product(
+                    row[:, :k], children.reshape(k, count * cols),
+                    row[:, k + c0 : k + c0 + cols], count).reshape(t[a - 1], count, cols)
+                if c0 == 0:  # at full width, once
+                    for b in range(a + 1, end):
+                        self.counters.record_mul(t[a - 1], t[b - 1], width, wide, count)
+                    self.counters.record_add(t[a - 1], width, wide, (end - 1 - a) * count)
+            out[:, c0 : c0 + cols] = level[i][:, 0]
         return out

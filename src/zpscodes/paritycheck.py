@@ -103,6 +103,7 @@ def parity_check_minors(sf: StandardForm) -> ParityCheckResult:
             order = s + 2 - i - j
             block = table.block_minor_rec(i, order).data
             h[(i, j)] = _reduce(-block, m) if order % 2 == 1 else block
+    del table  # its children stack goes before H is assembled
     return _assemble(sf, h, counters, "minors")
 
 

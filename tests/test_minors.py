@@ -17,6 +17,8 @@ from zpscodes import (
     enumerate_restricted,
     j_set,
     mat_mul,
+    parity_check_iterative,
+    parity_check_minors,
 )
 from zpscodes import minors
 from zpscodes.bench import random_code
@@ -343,9 +345,11 @@ def _strip_widths(table, monkeypatch):
     return widths
 
 
-# Tree (1, 4) over t = (2, 1, 2, 1) has 2 + 1 + 2*2 + 1*4 = 11 nodes, 88
-# bytes a column, and four levels.  Its leaf is 7 columns wide, or 0 when
-# n = t, which still runs (and counts) one empty strip.
+# Tree (1, 4) over t = (2, 1, 2, 1) computes three levels of 2 + 1 + 2*2 = 7
+# nodes (its leaf level of 1*4 is never computed), and its largest children
+# stack, the root's, has 1 + 2 + 1 = 4 rows: 11 entries, 88 bytes a column.
+# Its leaf is 7 columns wide, or 0 when n = t, which still runs (and counts)
+# one empty strip.
 @pytest.mark.parametrize("n,tree_bytes,strips", [
     pytest.param(13, 88 * 3, [3, 3, 1], id="3-does-not-divide-7"),
     pytest.param(13, 88 * 7 - 1, [6, 1], id="6-of-7"),
@@ -362,7 +366,7 @@ def test_strip_edges(n, tree_bytes, strips, monkeypatch):
     monkeypatch.setattr(minors, "_TREE_BYTES", tree_bytes)
     widths = _strip_widths(table, monkeypatch)
     got = table._minor_rec(1, 4)
-    assert widths == [w for w in strips for _ in range(4)]
+    assert widths == [w for w in strips for _ in range(3)]
     assert got.dtype == want.dtype and np.array_equal(got, want)
     assert table.counters == counters
 
@@ -370,18 +374,64 @@ def test_strip_edges(n, tree_bytes, strips, monkeypatch):
 def test_strips_count_python_int_bytes(monkeypatch):
     # Over 11^10, stored as python ints, an entry holds an 8-byte pointer
     # and an int object of up to 32 bytes (CPython 3.11, 64-bit).  A column
-    # of tree (1, 10) at t_i = 2, 1024 nodes, takes 40 KiB, so 1 MiB gives
-    # strips of 25 of its leaf's 60 columns; at 8 bytes an entry it was one
-    # strip of 60.
+    # of tree (1, 10) at t_i = 2 holds 512 nodes of its nine computed levels
+    # and a children stack of at most 256 rows (level 8's or 9's), 768
+    # entries, 30 KiB, so 1 MiB gives strips of 34 of its leaf's 60 columns;
+    # at 8 bytes an entry it was one strip of 60.  So its level arrays and
+    # stack, temporaries included, stay below twice the budget.
     table = random_block_table(RingSpec(11, 10), 10, 80, random.Random(60), t=(2,) * 10)
     want = node_by_node_minor(table, 1, 10)
     counters, table.counters = table.counters, OpCounters()
     monkeypatch.setattr(minors, "_TREE_BYTES", 1 << 20)
     widths = _strip_widths(table, monkeypatch)
-    got = table._minor_rec(1, 10)
-    assert widths == [w for w in (25, 25, 10) for _ in range(10)]
+    tracemalloc.start()
+    try:
+        got = table._minor_rec(1, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert widths == [w for w in (34, 26) for _ in range(9)]
     assert got.dtype == want.dtype == object and np.array_equal(got, want)
     assert table.counters == counters
+    assert peak < 2 * minors._TREE_BYTES
+
+
+# The leaf level's nodes skip the product by the identity, so none reaches
+# the kernel: no level product has inner dimension 0.  Every level, strip and
+# tree of a table stacks its children in the table's one buffer.  3^13 has
+# order-13 trees, 2^4 a mixed type, 11^10 python ints.
+@pytest.mark.parametrize("ring,n,t", [
+    pytest.param(RingSpec(3, 13), 40, (2,) * 13, id="3^13"),
+    pytest.param(RingSpec(2, 4), 12, (2, 1, 3, 1), id="2^4"),
+    pytest.param(RingSpec(11, 10), 80, (2,) * 10, id="11^10"),
+])
+def test_leaf_level_skipped_and_one_stack_per_table(ring, n, t, monkeypatch):
+    sf = random_code(ring, n, t, 61).standard
+    calls, minors_of = [], {}
+    level_product = minors.BlockMinorTable._level_product
+    block_minor_rec = minors.BlockMinorTable.block_minor_rec
+
+    def product_spy(self, rows, children, leaf, count):
+        calls.append((self, self._stack, children))
+        return level_product(self, rows, children, leaf, count)
+
+    def minor_spy(self, i, j):
+        minors_of[(i, j)] = block_minor_rec(self, i, j)
+        return minors_of[(i, j)]
+
+    monkeypatch.setattr(minors.BlockMinorTable, "_level_product", product_spy)
+    monkeypatch.setattr(minors.BlockMinorTable, "block_minor_rec", minor_spy)
+    res = parity_check_minors(sf)
+    table, stack, _ = calls[0]
+    assert all(call[0] is table and call[1] is stack for call in calls)
+    assert all(children.shape[0] > 0 and np.shares_memory(children, stack)
+               for _, _, children in calls)
+    ref = BlockMinorTable(extract_blocks(sf), sf.layout)
+    for (i, j), got in minors_of.items():
+        want = node_by_node_minor(ref, i, j)
+        assert got.data.dtype == want.dtype and np.array_equal(got.data, want), (i, j)
+    assert res.counters == ref.counters
+    assert res.h == parity_check_iterative(sf).h
 
 
 def test_deep_tree_evaluates_its_root_over_recursed_children(monkeypatch):
@@ -402,7 +452,7 @@ def test_deep_tree_evaluates_its_root_over_recursed_children(monkeypatch):
     widths = _strip_widths(table, monkeypatch)
     got = table._minor_rec(1, 4)
     assert calls == [(1, 4), (2, 3), (3, 2), (4, 1)]
-    assert widths[-1] == 7 and widths.count(7) == 2  # the root, and tree (4, 1)
+    assert widths[-1] == 7 and widths.count(7) == 1  # the root; tree (4, 1) copies its leaf
     assert got.dtype == want.dtype and np.array_equal(got, want)
     assert table.counters == counters
 
