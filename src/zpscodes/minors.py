@@ -115,9 +115,8 @@ class BlockMinorTable:
 
     Holds the stripped blocks A_{i,j}, keyed by (i, j), 1 <= i <= s,
     i + 1 <= j <= s + 1, as raw ndarrays; only the public methods build a
-    Matrix.  _counted_mul and _counted_add, the counted kernel of the
-    iterative construction, reduce once per call and record each block op.
-    The recursion counts one multiplication and one addition per
+    Matrix.  The recursion counts through OpCounters.record_node, as the
+    iterative construction does: one multiplication and one addition per
     non-identity term, never the product by the order-0 identity minor.
     Nothing is memoized: every node of a recursion tree performs its own
     block products, so operation counts reproduce independent
@@ -149,15 +148,14 @@ class BlockMinorTable:
         if not (1 <= i and 0 <= j and i + j <= self.layout.s + 1):
             raise DomainError(f"block-minor ({i}, {j}) out of range for s={self.layout.s}")
 
+    # A counted block product and sum, kept only as perfbench/tracer.py's targets.
     def _counted_mul(self, a: np.ndarray, b: np.ndarray, wide: bool) -> np.ndarray:
-        """The block product a b."""
         if a.shape[1] != b.shape[0]:
             raise ShapeError(f"block product not conformable: {a.shape} by {b.shape}")
         self.counters.record_mul(a.shape[0], a.shape[1], b.shape[1], wide)
         return _matmul_reduced(a, b, self.ring)
 
     def _counted_add(self, a: np.ndarray, b: np.ndarray, wide: bool) -> np.ndarray:
-        """The block sum a + b."""
         if a.shape != b.shape:
             raise ShapeError(f"block sum not conformable: {a.shape} vs {b.shape}")
         self.counters.record_add(a.shape[0], a.shape[1], wide)
@@ -271,8 +269,6 @@ class BlockMinorTable:
                     row[:, :k], children.reshape(k, count * cols),
                     row[:, k + c0 : k + c0 + cols], count).reshape(t[a - 1], count, cols)
                 if c0 == 0:  # at full width, once
-                    for b in range(a + 1, end):
-                        self.counters.record_mul(t[a - 1], t[b - 1], width, wide, count)
-                    self.counters.record_add(t[a - 1], width, wide, (end - 1 - a) * count)
+                    self.counters.record_node(t[a - 1], t[a : end - 1], width, wide, count)
             out[:, c0 : c0 + cols] = level[i][:, 0]
         return out

@@ -6,8 +6,8 @@ S(a,b) = a*b scalar additions.  Counters split block ops into "big" (target
 in the wide n - t column group) and "small" (target in a t_i column group),
 which is the split under which the closed-form totals are exact; the
 predicted_counts_* functions give those totals.  Products by an order-0
-identity minor are never performed, hence never counted.  A batched call
-records count block ops of one shape at once.
+identity minor are never performed, hence never counted.  Both
+constructions count through record_node, count nodes of one shape at once.
 """
 
 from __future__ import annotations
@@ -39,6 +39,12 @@ class OpCounters:
         else:
             self.small_adds += count
         self.hist[("add", a, b)] += count
+
+    def record_node(self, rows: int, inner, width: int, wide: bool, count: int = 1) -> None:
+        """count nodes, each a term plus a rows x b by b x width product per b in inner."""
+        for b in inner:
+            self.record_mul(rows, b, width, wide, count)
+        self.record_add(rows, width, wide, len(inner) * count)
 
     def total_block_ops(self) -> int:
         return self.big_mults + self.big_adds + self.small_mults + self.small_adds

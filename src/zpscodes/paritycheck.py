@@ -1,12 +1,12 @@
 """Parity-check matrix constructions and verification.
 
-Both constructions assemble the same transposed parity-check matrix: column
-group 1 (width n - t) stacks the wide blocks over an identity, and column
-group j >= 2 (width t_{s+2-j}) stacks p^(j-1)-scaled blocks over a scaled
-identity and zeros.  The minors construction computes every block through an
-independent block-minor recursion; the iterative construction reuses the
-blocks of the same column group, which is what makes it polynomial in s.
-The two results are entrywise identical.
+Both constructions fill one unscaled H^T in place, through _construct.  Its
+column group 1 (width n - t) stacks the wide blocks over an identity; group
+j >= 2 (width t_{s+2-j}) stacks blocks over an identity and zeros, and is
+scaled by p^(j-1) at the end.  The minors construction computes every block
+through an independent block-minor recursion; the iterative one is a block
+back-substitution, polynomial in s.  Both count through
+OpCounters.record_node.  The two results are entrywise identical.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .matrix import (
 )
 from .minors import BlockMinorTable
 from .opcounters import OpCounters, predicted_counts_minors
-from .stdform import StandardForm, extract_blocks
+from .stdform import StandardForm, extract_blocks, stripped_row
 from .zring import DomainError, RingMismatchError
 
 
@@ -54,26 +54,20 @@ def dual_type(layout: BlockLayout) -> BlockLayout:
     return BlockLayout(layout.n, (layout.n - layout.total,) + tuple(reversed(t[1:])))
 
 
-def _assemble(
-    sf: StandardForm, h_blocks: dict, counters: OpCounters, method: str
-) -> ParityCheckResult:
-    """Write H^T once into one array from the reduced ndarray blocks H_{i,j},
-    keyed (i, j), of every column group j of nonzero width."""
-    layout = sf.layout
-    ring = sf.matrix.ring
-    s = layout.s
-    dual = dual_type(layout)
+def _construct(sf: StandardForm, method: str, fill) -> ParityCheckResult:
+    """H^T with the identity block of column group j in row group s + 2 - j,
+    once fill(ht, dual, counters) has written the blocks H_{i,j},
+    i <= s + 1 - j, unscaled; column group j is then scaled by p^(j-1)."""
+    layout, ring = sf.layout, sf.matrix.ring
+    s, dual = layout.s, dual_type(layout)
     ht = np.zeros((layout.n, dual.total), dtype=dtype_for(ring))
-    for j, width in enumerate(dual.t, start=1):
-        if width == 0:
-            continue
-        cols = dual.group(j)
-        scale = ring.p ** (j - 1)
-        for i in range(1, s + 2 - j):
-            block = h_blocks[(i, j)]
-            ht[layout.group(i), cols] = block if j == 1 else _reduce(block * scale, ring.modulus)
-        # Row group s + 2 - j; for j = 1 the free group's wide identity.
-        np.fill_diagonal(ht[layout.group(s + 2 - j), cols], scale)
+    diag = np.concatenate([np.r_[dual.group(j)] for j in range(s, 0, -1)])
+    ht[np.arange(layout.group(2).start, layout.n), diag] = 1
+    counters = OpCounters()
+    fill(ht, dual, counters)
+    for j in range(2, s + 1):
+        block = ht[: layout.group(s + 2 - j).stop, dual.group(j)]  # zeros below
+        block[...] = _reduce(block * ring.p ** (j - 1), ring.modulus)
     # H is a view of H^T, whose entries are reduced already: un-permuting
     # holds one more (n - t_1) x n array besides it.
     h = Matrix._of_reduced(ring, ht.T)
@@ -85,50 +79,53 @@ def parity_check_minors(sf: StandardForm) -> ParityCheckResult:
     computed through an independent (unmemoized) block-minor recursion.
     Refused, before any work, when its 2^s - 1 - s big block-product pairs
     exceed MINORS_BUDGET."""
-    s = sf.layout.s
+    layout, s, m = sf.layout, sf.layout.s, sf.matrix.ring.modulus
     big_pairs, _ = predicted_counts_minors(s)
     if big_pairs > MINORS_BUDGET:
         raise BudgetExceededError(
             f"minors construction at s={s} needs {big_pairs} big block-product pairs, "
             f"over the budget of {MINORS_BUDGET}"
         )
-    counters = OpCounters()
-    table = BlockMinorTable(extract_blocks(sf), sf.layout, counters)
-    m = table.ring.modulus
-    h = {}
-    for j, width in enumerate(dual_type(sf.layout).t, start=1):
-        if width == 0:
-            continue
-        for i in range(1, s + 2 - j):
-            order = s + 2 - i - j
-            block = table.block_minor_rec(i, order).data
-            h[(i, j)] = _reduce(-block, m) if order % 2 == 1 else block
-    del table  # its children stack goes before H is assembled
-    return _assemble(sf, h, counters, "minors")
+
+    def fill(ht, dual, counters):
+        # The table, and with it its children stack, goes when fill returns.
+        table = BlockMinorTable(extract_blocks(sf), layout, counters)
+        for j, width in enumerate(dual.t, start=1):
+            if width == 0:
+                continue
+            for i in range(1, s + 2 - j):
+                order = s + 2 - i - j
+                block = table.block_minor_rec(i, order).data
+                ht[layout.group(i), dual.group(j)] = _reduce(-block, m) if order % 2 else block
+
+    return _construct(sf, "minors", fill)
 
 
 def parity_check_iterative(sf: StandardForm) -> ParityCheckResult:
-    """Iterative construction: per column group j, seed with
-    H_{s-j+1,j} = -A_{s-j+1,s-j+2} and fill i = s-j, ..., 1 reusing the
-    already computed blocks of the same group."""
-    counters = OpCounters()
-    s = sf.layout.s
-    table = BlockMinorTable(extract_blocks(sf), sf.layout, counters)
-    a, m = table.blocks, table.ring.modulus
-    h = {}
-    for j, width in enumerate(dual_type(sf.layout).t, start=1):
-        if width == 0:
-            continue
-        wide = (j == 1)
-        top = s - j + 1
-        h[(top, j)] = _reduce(-a[(top, s - j + 2)], m)
-        for i in range(top - 1, 0, -1):
-            acc = a[(i, s - j + 2)]
-            for k in range(i + 1, top + 1):
-                prod = table._counted_mul(a[(i, k)], h[(k, j)], wide)
-                acc = table._counted_add(acc, prod, wide)
-            h[(i, j)] = _reduce(-acc, m)
-    return _assemble(sf, h, counters, "iterative")
+    """Iterative construction: H_{i,j} = -(A_{i,s-j+2} + sum_{i<k<=s+1-j}
+    A_{i,k} H_{k,j}) as one block back-substitution into H^T, i = s, ..., 1.
+    Once row groups i+1..s are done, row group i of column groups 1..s+1-i
+    is one kernel call, -([A_{i,i+1} | ... | A_{i,s}] H^T[groups i+1..s] +
+    [A_{i,s+1} | 0]): the free group's wide identity is never multiplied.
+    Each block of a column group of nonzero width is counted as the
+    recurrence computes it, one product and one sum per term k."""
+    layout, ring = sf.layout, sf.matrix.ring
+    s, t, total = layout.s, layout.t, layout.total
+
+    def fill(ht, dual, counters):
+        for i in range(s, 0, -1):
+            # Its first total - lo columns take row groups i+1..s of H^T; the
+            # rest, A_{i,s+1}, is the added term under column group 1.
+            row, lo = stripped_row(sf, i), layout.group(i + 1).start
+            out = ht[layout.group(i), : row.shape[1]]
+            out[:, : layout.n - total] = row[:, total - lo :]
+            prod = _matmul_reduced(row[:, : total - lo], ht[lo:total, : row.shape[1]], ring, out)
+            out[...] = _reduce(-prod, ring.modulus)
+            for j in range(1, s + 1 - i):
+                if dual.t[j - 1]:
+                    counters.record_node(t[i - 1], t[i : s + 1 - j], dual.t[j - 1], j == 1)
+
+    return _construct(sf, "iterative", fill)
 
 
 def parity_check_bruteforce(generators: Matrix) -> Matrix:
@@ -149,12 +146,8 @@ def parity_check_bruteforce(generators: Matrix) -> Matrix:
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
         vecs = (idx[:, None] // powers[None, :]) % m
-        if gt.shape[1] == 0:
-            mask = np.ones(len(idx), dtype=bool)
-        else:
-            syndromes = (vecs @ gt) % m
-            mask = ~syndromes.any(axis=1)
-        found.append(vecs[mask])
+        # With no generators every vector has the empty syndrome.
+        found.append(vecs[~((vecs @ gt) % m).any(axis=1)])
     rows = np.vstack(found) if found else np.zeros((0, n), np.int64)
     return Matrix(ring, rows)
 

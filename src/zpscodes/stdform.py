@@ -225,22 +225,26 @@ def standard_form(rows: Matrix) -> StandardForm:
     return StandardForm(g, layout, perm)
 
 
+def stripped_row(sf: StandardForm, i: int) -> np.ndarray:
+    """[A_{i,i+1} | ... | A_{i,s+1}]: row group i of the standard form right of
+    its identity, over p^(i-1), which leaves it reduced."""
+    cols = slice(sf.layout.group(i + 1).start, None)
+    return sf.matrix.data[sf.layout.group(i), cols] // sf.matrix.ring.p ** (i - 1)
+
+
 def extract_blocks(sf: StandardForm) -> dict:
     """Blocks A_{i,j} of the standard form, p-power scaling stripped.
 
     Keys are (i, j) for 1 <= i <= s, i + 1 <= j <= s + 1.  A_{i,j} has t_i
     rows; t_j columns for j <= s and n - t columns for j = s + 1.
     """
-    layout = sf.layout
-    ring = sf.matrix.ring
-    rows = [sf.matrix.data[layout.group(i)] for i in range(1, layout.s + 1)]
-    # Row group i of G is p^(i-1) times the stored block; the quotient of a
-    # reduced entry is reduced.
-    return {
-        (i, j): Matrix._of_reduced(ring, rows[i - 1][:, layout.group(j)] // ring.p ** (i - 1))
-        for i in range(1, layout.s + 1)
-        for j in range(i + 1, layout.s + 2)
-    }
+    layout, ring, out = sf.layout, sf.matrix.ring, {}
+    for i in range(1, layout.s + 1):
+        row, start = stripped_row(sf, i), layout.group(i + 1).start
+        for j in range(i + 1, layout.s + 2):
+            cols = layout.group(j)
+            out[(i, j)] = Matrix._of_reduced(ring, row[:, cols.start - start : cols.stop - start])
+    return out
 
 
 def _write_blocks(ring: RingSpec, layout: BlockLayout, blocks: dict, scaled: bool):

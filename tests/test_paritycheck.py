@@ -26,7 +26,7 @@ from zpscodes import (
     z4_parity_check,
     zeros,
 )
-from zpscodes import minors, paritycheck
+from zpscodes import matrix, minors, paritycheck, stdform
 from zpscodes.matrix import BlockLayout
 from zpscodes.paritycheck import BudgetExceededError
 from zpscodes.zring import DomainError
@@ -445,16 +445,6 @@ def test_counters_deterministic():
     assert first.hist == second.hist
 
 
-def test_degenerate_full_length_type():
-    # n - t = 0: the wide column group is empty
-    ring = RingSpec(2, 2)
-    code = random_code(ring, 3, (2, 1), 5)
-    result = parity_check_minors(code.standard)
-    assert result.h.nrows == dual_type(code.layout).total == 1
-    ok, _ = verify_parity(code.standard.matrix, result.h)
-    assert ok
-
-
 def _degenerate_type(case, s):
     """(n, t) of a degenerate type over a ring of length s."""
     if case == "n=t":
@@ -471,7 +461,7 @@ def _degenerate_type(case, s):
 
 
 @pytest.mark.parametrize("case", ["n=t", "no-rows", "no-cols", "some-zero"])
-@pytest.mark.parametrize("p,s", [(2, 4), (3, 5), (55109, 2)])
+@pytest.mark.parametrize("p,s", [(2, 2), (2, 4), (3, 5), (55109, 2)])
 def test_degenerate_types_both_constructions(p, s, case):
     ring = RingSpec(p, s)
     n, t = _degenerate_type(case, s)
@@ -485,3 +475,35 @@ def test_degenerate_types_both_constructions(p, s, case):
     assert gh_transpose_is_zero(code.standard.matrix, h)
     # H generates a code of the dual type.
     assert standard_form(h).layout == dual
+    # The same code with shuffled columns, in both coordinate systems: the
+    # standard form's, and the caller's generators.
+    order = list(range(n))
+    random.Random(17).shuffle(order)
+    g = Matrix(ring, code.generators.data[:, order])
+    sf = standard_form(g)
+    assert sf.layout == code.layout
+    results = [parity_check_minors(sf), parity_check_iterative(sf)]
+    for result in results:
+        assert gh_transpose_is_zero(sf.matrix, result.h)
+        assert gh_transpose_is_zero(g, result.h_unpermuted)
+    assert results[0].h_unpermuted == results[1].h_unpermuted
+
+
+def test_iterative_is_one_kernel_call_per_row_group(monkeypatch):
+    # The back-substitution makes one product-kernel call per row group,
+    # whichever module calls the kernel, and still counts the paper's
+    # per-block recurrence.
+    calls, kernel = [], paritycheck._matmul_reduced
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return kernel(*args, **kwargs)
+
+    for module in (paritycheck, minors, stdform, matrix):
+        monkeypatch.setattr(module, "_matmul_reduced", spy)
+    s = 10
+    code = random_code(RingSpec(3, s), 1000, (2,) * s, 7)
+    c = parity_check_iterative(code.standard).counters
+    assert 0 < len(calls) <= s
+    big, small = predicted_counts_iterative(s)
+    assert (c.big_mults, c.big_adds, c.small_mults, c.small_adds) == (big, big, small, small)
