@@ -168,9 +168,11 @@ def mat_scalar(c: int, a: Matrix) -> Matrix:
     return Matrix(a.ring, a.data * (c % a.ring.modulus))
 
 
-# Multiply-adds below which a float64 product costs more than it saves:
+# Multiply-adds below which a float product costs more than it saves:
 # converting the operands and the result outweighs the faster BLAS kernel.
-# Measured crossover against int64 on square and panel-shaped products.
+# Measured crossover against int64 on square and panel-shaped products, for
+# float64 and again for float32: over 2^4 and 3^5, float32 breaks even with
+# int64 near 2048 and is faster on every shape tried from 4096.
 FLOAT_MIN_MACS = 4096
 
 
@@ -183,19 +185,25 @@ def _headroom(m: int) -> int:
 
 
 def _product_dtype(m: int, k: int, macs: int):
-    """float64, on BLAS, for a product of entries reduced mod m whose partial
-    sums, each below (m - 1)^2 * k, it holds exactly (below 2^53) and whose
-    macs multiply-adds repay the conversions; int64 otherwise."""
-    return np.float64 if (m - 1) ** 2 * k < 2 ** 53 and macs >= FLOAT_MIN_MACS else np.int64
+    """The BLAS dtype for a product of entries reduced mod m whose macs
+    multiply-adds repay the conversions: float32 when every partial sum,
+    an integer below (m - 1)^2 * k, is below 2^24, float64 when it is below
+    2^53; either holds each partial sum exactly, in any order.  int64
+    otherwise, and for products too small to repay the conversions."""
+    bound = (m - 1) ** 2 * k
+    if macs < FLOAT_MIN_MACS or bound >= 2 ** 53:
+        return np.int64
+    return np.float32 if bound < 2 ** 24 else np.float64
 
 
 def _matmul_reduced(a: np.ndarray, b: np.ndarray, ring: RingSpec, c=None) -> np.ndarray:
     """(a @ b, plus c on each block of c.shape[1] columns) mod p^s in the
     ring's storage, for reduced a, b and c: the one place where the
-    arithmetic of a product is decided.  It runs in float64 as
+    arithmetic of a product is decided.  It runs in float32 or float64 as
     _product_dtype says, else in the storage: an int64 ring in inner chunks
     of _headroom(m), each added to the sum so far and reduced once, so
-    Python ints serve only a ring stored in them."""
+    Python ints serve only a ring stored in them.  c is added in the
+    storage, after the product."""
     m, (rows, k), cols, storage = ring.modulus, a.shape, b.shape[1], dtype_for(ring)
     dtype = storage if storage is object else _product_dtype(m, k, rows * k * cols)
     step = _headroom(m) if dtype is np.int64 else max(k, 1)

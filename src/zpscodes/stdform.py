@@ -19,7 +19,10 @@ The columns right of the window are updated once per panel, by one matrix
 product: work[:, wend:] += (X - I_P) @ work[P, wend:], with P the panel's
 pivot rows.  That is exact because every row operation of the panel takes a
 pivot row as its source, so their product differs from the identity only in
-the columns P.  The panel is flushed when the window is used up, or when
+the columns P.  work is column-major, so the flush runs the product
+transposed, work[:, wend:]^T += work[P, wend:]^T @ (X - I_P)^T: every
+operand, the added term and the result are then row-major, and no pass over
+them is strided.  The panel is flushed when the window is used up, or when
 the window holds no pivot of the current valuation; only then is the rest
 of the matrix searched, now up to date.
 
@@ -127,7 +130,9 @@ def _flush(
         d = x[:, :k]
         d[np.arange(r0, r0 + k), np.arange(k)] -= 1
         _reduce_in_place(d, ring.modulus)
-        work[:, wend:] = _matmul_reduced(d, work[r0 : r0 + k, wend:], ring, work[:, wend:])
+        # Transposed, every operand, c and the result are row-major.
+        rest = work[:, wend:].T
+        rest[...] = _matmul_reduced(rest[:, r0 : r0 + k], d.T, ring, rest)
     x[:, :k] = 0
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 
@@ -615,30 +616,44 @@ def _python_product(a, b, m):
     ]
 
 
-@pytest.mark.parametrize("p,s,k_float", [(2, 26, 2), (3, 16, 4)])
-def test_float_tier_boundary(p, s, k_float):
-    # k_float is the largest inner dimension with k (m - 1)^2 < 2^53.
+def _check_product_edge(p, s, k_edge, below, above):
+    # k_edge is the largest inner dimension whose partial sums the dtype
+    # below holds exactly; at k_edge + 1 the product takes the dtype above.
     ring = RingSpec(p, s)
     m = ring.modulus
-    outer = 64  # outer * k * outer multiply-adds pass the size gate
-    assert outer * outer * k_float >= FLOAT_MIN_MACS
-    assert _product_dtype(m, k_float, outer * outer * k_float) is np.float64
-    assert _product_dtype(m, k_float + 1, outer * outer * (k_float + 1)) is np.int64
-    for k in (k_float, k_float + 1):
-        # Entries m - 1, and m - 2 in the last place when p is odd, so that
-        # past the bound each entry of the exact product is an odd sum.
+    # Few rows, but enough for the products to pass the size gate.
+    outer = max(2, math.ceil(math.sqrt(FLOAT_MIN_MACS / k_edge)))
+    assert outer * outer * k_edge >= FLOAT_MIN_MACS
+    assert _product_dtype(m, k_edge, outer * outer * k_edge) is below
+    assert _product_dtype(m, k_edge + 1, outer * outer * (k_edge + 1)) is above
+    digits = np.finfo(below).nmant + 1  # 24 for float32, 53 for float64
+    for k in (k_edge, k_edge + 1):
+        # Entries m - 1, and m - 2 in the last place where that makes the
+        # entries of the exact product past the bound odd sums.
         a = np.full((outer, k), m - 1, dtype=np.int64)
-        if p % 2:
+        if (k_edge + 1) * (m - 1) ** 2 % 2 == 0:
             a[:, -1] = m - 2
         exact = sum(int(x) * int(x) for x in a[0])
-        assert (exact < 2 ** 53) == (k == k_float)
-        if k > k_float:
-            # float64 would round it: above 2^53 it holds only even integers.
+        assert (exact < 2 ** digits) == (k == k_edge)
+        if k > k_edge:
+            # The dtype below would round it: past 2^digits it holds only
+            # even integers.
             assert exact % 2 == 1
-            assert int(float(exact)) != exact
+            assert int(below(exact)) != exact
         got = _matmul_reduced(a, a.T.copy(), ring)
         assert got.dtype == np.int64
-        assert np.all(got == exact % m)
+        assert got.tolist() == _python_product(a.tolist(), a.T.tolist(), m)
+
+
+@pytest.mark.parametrize("p,s,k_float", [(2, 26, 2), (3, 16, 4)])
+def test_float_tier_boundary(p, s, k_float):
+    _check_product_edge(p, s, k_float, np.float64, np.int64)
+
+
+# (m - 1)^2 * k_float < 2^24 <= (m - 1)^2 * (k_float + 1).
+@pytest.mark.parametrize("p,s,k_float", [(2, 4, 74565), (3, 5, 286), (2, 12, 1)])
+def test_float32_tier_boundary(p, s, k_float):
+    _check_product_edge(p, s, k_float, np.float32, np.float64)
 
 
 def test_float_tier_size_gate():
@@ -648,7 +663,7 @@ def test_float_tier_size_gate():
     # 16 x 16 x 16 is exactly FLOAT_MIN_MACS multiply-adds; one row fewer
     # falls below the gate.
     assert 16 * 16 * 16 == FLOAT_MIN_MACS
-    for rows, dtype in [(15, np.int64), (16, np.float64)]:
+    for rows, dtype in [(15, np.int64), (16, np.float32)]:
         assert _product_dtype(m, 16, rows * 16 * 16) is dtype
         a = random_matrix(ring, rows, 16, rng).data
         b = random_matrix(ring, 16, 16, rng).data
@@ -695,7 +710,7 @@ def test_product_dtype_is_never_object():
     for m in (2, 2 ** 4, 3 ** 16, 3037000493, 55109 ** 2, 3 ** 39, 2 ** 62):
         for k in (0, 1, 7, 10 ** 6):
             for macs in (0, FLOAT_MIN_MACS, 10 ** 9):
-                assert _product_dtype(m, k, macs) in (np.float64, np.int64)
+                assert _product_dtype(m, k, macs) in (np.float32, np.float64, np.int64)
 
 
 def test_verify_parity_witness_at_float_tier():
@@ -704,7 +719,7 @@ def test_verify_parity_witness_at_float_tier():
     rng = random.Random(7)
     g = random_matrix(ring, 40, 60, rng)
     h = parity_check_iterative(standard_form(g)).h_unpermuted
-    assert _product_dtype(m, g.ncols, g.nrows * g.ncols * h.nrows) is np.float64
+    assert _product_dtype(m, g.ncols, g.nrows * g.ncols * h.nrows) is np.float32
     assert verify_parity(g, h) == (True, None)
     bad = h.data.copy()
     for _ in range(2):

@@ -32,12 +32,14 @@ from zpscodes.paritycheck import BudgetExceededError
 from zpscodes.zring import DomainError
 
 from helpers import (
+    chunk_spy,
     gh_transpose_is_zero,
     miscount_big_mults,
     random_matrix,
     random_type,
     rows_as_set,
     row_span_set,
+    sequential_standard_form,
 )
 
 Z4 = RingSpec(2, 2)
@@ -507,3 +509,38 @@ def test_iterative_is_one_kernel_call_per_row_group(monkeypatch):
     assert 0 < len(calls) <= s
     big, small = predicted_counts_iterative(s)
     assert (c.big_mults, c.big_adds, c.small_mults, c.small_adds) == (big, big, small, small)
+
+
+def test_generic_gen_products_run_in_float32(monkeypatch):
+    # Shaped like the generic-gen benchmark over Z_16: a random standard
+    # form with redundant rows added, mixed by unit triangular matrices, rows
+    # and columns shuffled.  Every partial sum of every product is below
+    # 15^2 * 240 < 2^24, so each panel flush of standard_form and the
+    # product of verify_parity run exactly in float32.
+    ring = RingSpec(2, 4)
+    m, rng = ring.modulus, np.random.default_rng(17)
+    base = random_code(ring, 240, (20,) * 4, 17).standard.matrix.data
+    rows = np.vstack([base, rng.integers(0, m, (20, len(base))) @ base % m])
+    square = (len(rows), len(rows))
+    for strict in (np.tril(rng.integers(0, m, square), -1), np.triu(rng.integers(0, m, square), 1)):
+        rows = (rows + strict @ rows) % m
+    rows = rows[rng.permutation(len(rows))][:, rng.permutation(rows.shape[1])]
+    g = Matrix(ring, rows)
+
+    def spy_on(module):
+        chunks, kernel = [], module._matmul_reduced
+        spy_type = chunk_spy(chunks)
+        monkeypatch.setattr(module, "_matmul_reduced",
+                            lambda a, b, ring, c=None: kernel(a.view(spy_type), b, ring, c))
+        return chunks
+
+    flushes = spy_on(stdform)
+    sf = standard_form(g)
+    want = sequential_standard_form(g)
+    assert (sf.matrix, sf.layout, sf.perm) == (want.matrix, want.layout, want.perm)
+    assert len(flushes) >= 4
+    assert {dtype for _, dtype in flushes} == {np.dtype(np.float32)}
+    h = parity_check_iterative(sf).h_unpermuted
+    products = spy_on(paritycheck)
+    assert verify_parity(g, h) == (True, None)
+    assert products == [(240, np.dtype(np.float32))]
