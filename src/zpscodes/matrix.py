@@ -45,6 +45,17 @@ def dtype_for(ring: RingSpec):
     return np.int64 if ring.modulus <= _INT64_MAX_MODULUS else object
 
 
+def _carve(buf, shape, dtype):
+    """The leading bytes of the flat, contiguous buffer buf as a C-contiguous
+    array of shape in dtype, sharing buf's memory; None without a buffer."""
+    if buf is None:
+        return None
+    size = math.prod(shape)
+    if buf.dtype == dtype:
+        return buf[:size].reshape(shape)
+    return buf.view(np.uint8)[: size * np.dtype(dtype).itemsize].view(dtype).reshape(shape)
+
+
 # Entries below which one % costs less than floor division's three passes:
 # on small arrays numpy's per-call overhead dominates.  On int64 by 16 the
 # two break even near 512 entries; % takes 0.9 us on 4 entries against
@@ -53,8 +64,10 @@ def dtype_for(ring: RingSpec):
 _REDUCE_FLOOR_MIN = 1024
 
 
-def _reduce_in_place(arr: np.ndarray, m: int) -> None:
-    """Reduce arr into [0, m) in place; a view writes through.
+def _reduce_in_place(arr: np.ndarray, m: int, work=None) -> None:
+    """Reduce arr into [0, m) in place; a view writes through.  work, a flat
+    int64 buffer of arr.size entries or more, takes the quotient of floor
+    division if given.
 
     When m is a power of two, an int64 array of any size becomes
     arr & (m - 1): in two's complement the low bits of every int64,
@@ -72,7 +85,7 @@ def _reduce_in_place(arr: np.ndarray, m: int) -> None:
     elif arr.dtype == object or arr.size < _REDUCE_FLOOR_MIN:
         arr %= m
     else:
-        q = arr // m
+        q = np.floor_divide(arr, m, out=_carve(work, arr.shape, np.int64))
         q *= m
         arr -= q
 
@@ -196,29 +209,64 @@ def _product_dtype(m: int, k: int, macs: int):
     return np.float32 if bound < 2 ** 24 else np.float64
 
 
-def _matmul_reduced(a: np.ndarray, b: np.ndarray, ring: RingSpec, c=None) -> np.ndarray:
+def _matmul_dtype(ring: RingSpec, rows: int, k: int, cols: int):
+    """The dtype in which _matmul_reduced multiplies a rows x k matrix by a
+    k x cols one: the storage for a ring stored in Python ints, else as
+    _product_dtype says."""
+    storage = dtype_for(ring)
+    return storage if storage is object else _product_dtype(ring.modulus, k, rows * k * cols)
+
+
+def _matmul_reduced(a: np.ndarray, b: np.ndarray, ring: RingSpec, c=None, out=None,
+                    work=None) -> np.ndarray:
     """(a @ b, plus c on each block of c.shape[1] columns) mod p^s in the
     ring's storage, for reduced a, b and c: the one place where the
     arithmetic of a product is decided.  It runs in float32 or float64 as
     _product_dtype says, else in the storage: an int64 ring in inner chunks
     of _headroom(m), each added to the sum so far and reduced once, so
     Python ints serve only a ring stored in them.  c is added in the
-    storage, after the product."""
+    storage, after the product.  A b already in _matmul_dtype is used as
+    it is.
+
+    The result is a new array unless out, a C-contiguous array of its shape
+    in the storage, is given to take it.  A product in one chunk then
+    allocates nothing that grows with it: unless it runs in float32, it is
+    written into out's own bytes and converted there, and the quotient of
+    its last reduction goes to work, a flat buffer in the storage of as
+    many entries or more.  work is written only once b has been read, so
+    it may hold b.
+    """
     m, (rows, k), cols, storage = ring.modulus, a.shape, b.shape[1], dtype_for(ring)
-    dtype = storage if storage is object else _product_dtype(m, k, rows * k * cols)
+    dtype = _matmul_dtype(ring, rows, k, cols)
     step = _headroom(m) if dtype is np.int64 else max(k, 1)
     # The product, as blocks of c's width, takes c on each.
     width = cols if c is None else c.shape[1]
-    acc = None if c is None else c[:, None, :]
-    for k0 in range(0, max(k, 1), step):
-        # Converted a chunk at a time, so that no converted operand outlives its product.
+    blocks = (rows, cols // max(width, 1), width)
+
+    def chunk(k0, into=None):
+        # Converted here, so that no converted operand outlives its product.
         x, y = a[:, k0 : k0 + step], b[k0 : k0 + step]
-        prod = x.astype(dtype, copy=False) @ y.astype(dtype, copy=False)
-        prod = prod.astype(storage, copy=False).reshape(rows, cols // max(width, 1), width)
-        if acc is not None:
-            prod += acc
-        acc = _reduce(prod, m)
-    return acc.reshape(rows, cols)
+        return np.matmul(x.astype(dtype, copy=False), y.astype(dtype, copy=False), out=into)
+
+    if out is None:
+        total = chunk(0).astype(storage, copy=False)
+    else:
+        prod = chunk(0, out.view(dtype) if np.dtype(dtype).itemsize == out.itemsize else None)
+        if prod.dtype != storage:
+            # Where prod is out's own bytes, each entry is converted where it
+            # lies: in one dimension numpy copies nothing.
+            np.copyto(out.reshape(-1), prod.reshape(-1), casting="unsafe")
+        total = out
+    total = total.reshape(blocks)
+    if c is not None:
+        total += c[:, None, :]
+    for k0 in range(step, k, step):  # int64 chunks after the first
+        _reduce_in_place(total, m)
+        total += chunk(k0).reshape(blocks)
+    if out is None:
+        return _reduce(total, m).reshape(rows, cols)
+    _reduce_in_place(total, m, work)
+    return out
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

@@ -77,9 +77,10 @@ def _construct(sf: StandardForm, method: str, fill) -> ParityCheckResult:
 def parity_check_minors(sf: StandardForm) -> ParityCheckResult:
     """Minors construction: every block H_{i,j} = (-1)^(s+2-i-j) O^i_{s+2-i-j}
     computed through an independent (unmemoized) block-minor recursion.
-    Refused, before any work, when its 2^s - 1 - s big block-product pairs
-    exceed MINORS_BUDGET."""
-    layout, s, m = sf.layout, sf.layout.s, sf.matrix.ring.modulus
+    The trees of one column group run as one forest that writes its signed
+    minors straight into H^T.  Refused, before any work, when its
+    2^s - 1 - s big block-product pairs exceed MINORS_BUDGET."""
+    layout, s = sf.layout, sf.layout.s
     big_pairs, _ = predicted_counts_minors(s)
     if big_pairs > MINORS_BUDGET:
         raise BudgetExceededError(
@@ -88,15 +89,12 @@ def parity_check_minors(sf: StandardForm) -> ParityCheckResult:
         )
 
     def fill(ht, dual, counters):
-        # The table, and with it its children stack, goes when fill returns.
+        # The table, and with it its workspace, goes when fill returns.
         table = BlockMinorTable(extract_blocks(sf), layout, counters)
         for j, width in enumerate(dual.t, start=1):
-            if width == 0:
-                continue
-            for i in range(1, s + 2 - j):
-                order = s + 2 - i - j
-                block = table.block_minor_rec(i, order).data
-                ht[layout.group(i), dual.group(j)] = _reduce(-block, m) if order % 2 else block
+            if width:
+                end = s + 2 - j
+                table.block_minor_rec(1, end - 1, ht[: layout.group(end).start, dual.group(j)])
 
     return _construct(sf, "minors", fill)
 

@@ -125,13 +125,17 @@ def node_by_node_minor(table, i, j):
 
 def chunk_spy(chunks: list):
     """An ndarray subclass that appends (inner dimension, dtype) to chunks for
-    each product it is the left factor of: viewed as one, the left operand
-    of matrix._matmul_reduced records the kernel's chunk products."""
+    each product it is the left factor of, by @ or by np.matmul, with or
+    without out: viewed as one, the left operand of matrix._matmul_reduced
+    records the kernel's chunk products."""
 
     class ChunkSpy(np.ndarray):
-        def __matmul__(self, other):
-            out = np.asarray(self) @ other
-            chunks.append((self.shape[1], out.dtype))
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            left = inputs[0] is self
+            inputs = tuple(np.asarray(x) for x in inputs)
+            out = getattr(ufunc, method)(*inputs, **kwargs)
+            if ufunc is np.matmul and left:
+                chunks.append((self.shape[1], out.dtype))
             return out
 
     return ChunkSpy

@@ -30,7 +30,9 @@ from zpscodes.matrix import (
     FLOAT_MIN_MACS,
     ParseError,
     ShapeError,
+    _carve,
     _headroom,
+    _matmul_dtype,
     _matmul_reduced,
     _parse_digits,
     _product_dtype,
@@ -704,6 +706,41 @@ def test_kernel_matches_python_ints(p, s, headroom):
             size = max(k, 1) if unbounded else headroom
             widths = [min(size, k - k0) for k0 in range(0, max(k, 1), size)]
             assert chunks == [(w, np.dtype(storage)) for w in widths]
+
+
+# The kernel writing into out, with b held in work in the dtype it
+# multiplies in, on each tier: float32 (2^4), float64 (3^13), int64 in one
+# chunk (3^19 at k = 6, and 2^31, whose mask needs no headroom) and in three
+# (3^19 at k = 14), and Python ints (3^39).  A product in one chunk, float32
+# aside, allocates nothing that grows with it: adding c takes a buffer of
+# numpy's iterator, at most 8192 entries, a quarter of this product.
+@pytest.mark.parametrize("p,s,k,tier", [
+    (2, 4, 64, np.float32), (3, 13, 64, np.float64), (3, 19, 6, np.int64),
+    (3, 19, 14, np.int64), (2, 31, 64, np.int64), (3, 39, 8, object),
+])
+def test_kernel_into_out_and_work(p, s, k, tier):
+    ring = RingSpec(p, s)
+    m, storage, rows, width = ring.modulus, dtype_for(ring), 16, 64
+    cols = 256 if storage is object else 2048
+    rng = np.random.default_rng(k)
+    a, b, c = (rng.integers(0, m, shape).astype(storage)
+               for shape in ((rows, k), (k, cols), (rows, width)))
+    assert _matmul_dtype(ring, rows, k, cols) is tier
+    work = np.empty(k * cols + rows * cols, storage)
+    held = _carve(work, (k, cols), tier)
+    held[...] = b
+    out = np.empty((rows, cols), storage)
+    tracemalloc.start()
+    try:
+        got = _matmul_reduced(a, held, ring, c, out, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = a.astype(object) @ b.astype(object) + np.tile(c.astype(object), (1, cols // width))
+    assert got.dtype == storage and np.shares_memory(got, out)
+    assert out.tolist() == (want % m).tolist() == _matmul_reduced(a, b, ring, c).tolist()
+    if tier is not np.float32 and storage is not object and k <= _headroom(m):
+        assert peak < out.nbytes // 2
 
 
 def test_product_dtype_is_never_object():

@@ -1,6 +1,7 @@
 import itertools
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from zpscodes import (
 )
 from zpscodes import minors
 from zpscodes.bench import random_code
-from zpscodes.matrix import BlockLayout, ShapeError, identity
+from zpscodes.matrix import BlockLayout, ShapeError, dtype_for, identity
 from zpscodes.stdform import extract_blocks
 from zpscodes.minors import is_restricted
 from zpscodes.zring import DomainError
@@ -308,12 +309,36 @@ def _node_by_node(table):
     return out
 
 
+def _groups_at_budget(table, monkeypatch, tree_bytes):
+    """For every end, the column-group pass block_minor_rec(1, end - 1, out)
+    with its own counters, at the given per-strip budget.  out is a column
+    slice of a wider array, strided as a column group of H^T is."""
+    monkeypatch.setattr(minors, "_TREE_BYTES", tree_bytes)
+    layout, out = table.layout, {}
+    for end in range(2, layout.s + 2):
+        width = table.blocks[(1, end)].shape[1]
+        wider = np.zeros((layout.group(end).start, width + 2), dtype_for(table.ring))
+        table.counters = OpCounters()
+        assert table.block_minor_rec(1, end - 1, wider[:, 1 : width + 1]) is None
+        assert not wider[:, 0].any() and not wider[:, -1].any()
+        out[end] = (wider[:, 1 : width + 1], table.counters)
+    return out
+
+
+def _summed(counters):
+    fields = ("big_mults", "big_adds", "small_mults", "small_adds")
+    return OpCounters(*(sum(getattr(c, f) for c in counters) for f in fields),
+                      sum((c.hist for c in counters), Counter()))
+
+
 # Budget 0 takes the node-by-node top at every node with entries, 2^62
 # evaluates every tree in one strip, and 600 bytes (2^16 on 3^13, where the
 # order-13 trees get strips of one column) mixes strips of several widths
-# with node-by-node tops.  1447^3 stores int64 but multiplies in python
-# ints; 3^21 and 1451^3 store python ints.  Types put t_i = 0 first, in the
-# middle and last, and n = t.
+# with node-by-node tops.  A column group whose one column passes the budget
+# runs its trees alone.  1447^3 stores int64 and multiplies in int64 chunks
+# of one; 3^21 and 1451^3 store python ints.  Types put t_i = 0 first, in
+# the middle and last, and n = t; (0, 2, 1, 3, 2) has a column group of
+# width 1.
 @pytest.mark.parametrize("ring,n,t", [
     *(pytest.param(ring, n, t, id=f"{ring.p}^{ring.s}-{n}-{t}")
       for ring in (RingSpec(2, 4), RingSpec(1447, 3), RingSpec(3, 21), RingSpec(1451, 3))
@@ -324,12 +349,24 @@ def _node_by_node(table):
 def test_levels_match_node_by_node(ring, n, t, monkeypatch):
     table = random_block_table(ring, len(t), n, random.Random(54 + n), t=t)
     node = _node_by_node(table)
+    # Column group end: the signed minors (-1)^(end-a) O(a, end) of the
+    # trees a = 1..end-1, stacked, and their counters summed.
+    m, groups = ring.modulus, {}
+    for end in range(2, len(t) + 2):
+        trees = [node[(a, end - a)] for a in range(1, end)]
+        signed = [arr if (end - a) % 2 == 0 else (-arr) % m for a, (arr, _) in enumerate(trees, 1)]
+        groups[end] = (np.vstack(signed), _summed([c for _, c in trees]))
     for tree_bytes in (0, 600, 1 << 16, 2 ** 62):
         got = _minors_at_budget(table, monkeypatch, tree_bytes)
         for key, (arr, counters) in node.items():
             assert got[key][0].dtype == arr.dtype, key
             assert np.array_equal(got[key][0], arr), key
             assert got[key][1] == counters, key
+        got = _groups_at_budget(table, monkeypatch, tree_bytes)
+        for end, (arr, counters) in groups.items():
+            assert got[end][0].dtype == arr.dtype, (tree_bytes, end)
+            assert np.array_equal(got[end][0], arr), (tree_bytes, end)
+            assert got[end][1] == counters, (tree_bytes, end)
     assert table.block_minor_rec(1, len(t)) == Matrix(ring, node[(1, len(t))][0])
 
 
@@ -337,9 +374,9 @@ def _strip_widths(table, monkeypatch):
     """Leaf widths that _level_product is called with."""
     widths, level_product = [], minors.BlockMinorTable._level_product
 
-    def spy(self, rows, children, leaf, count):
+    def spy(self, rows, children, leaf, count, *work):
         widths.append(leaf.shape[1])
-        return level_product(self, rows, children, leaf, count)
+        return level_product(self, rows, children, leaf, count, *work)
 
     monkeypatch.setattr(minors.BlockMinorTable, "_level_product", spy)
     return widths
@@ -398,8 +435,11 @@ def test_strips_count_python_int_bytes(monkeypatch):
 
 # The leaf level's nodes skip the product by the identity, so none reaches
 # the kernel: no level product has inner dimension 0.  Every level, strip and
-# tree of a table stacks its children in the table's one buffer.  3^13 has
-# order-13 trees, 2^4 a mixed type, 11^10 python ints.
+# column group of a table works in the table's one workspace: the children
+# it stacks and the level it writes.  parity_check_minors reaches each column
+# group through block_minor_rec(1, end - 1, out), which leaves the signed
+# minors of the group's trees in out.  3^13 has order-13 trees, 2^4 a mixed
+# type, 11^10 python ints.
 @pytest.mark.parametrize("ring,n,t", [
     pytest.param(RingSpec(3, 13), 40, (2,) * 13, id="3^13"),
     pytest.param(RingSpec(2, 4), 12, (2, 1, 3, 1), id="2^4"),
@@ -407,30 +447,66 @@ def test_strips_count_python_int_bytes(monkeypatch):
 ])
 def test_leaf_level_skipped_and_one_stack_per_table(ring, n, t, monkeypatch):
     sf = random_code(ring, n, t, 61).standard
-    calls, minors_of = [], {}
+    calls, groups = [], {}
     level_product = minors.BlockMinorTable._level_product
     block_minor_rec = minors.BlockMinorTable.block_minor_rec
 
-    def product_spy(self, rows, children, leaf, count):
-        calls.append((self, self._stack, children))
-        return level_product(self, rows, children, leaf, count)
+    def product_spy(self, rows, children, leaf, count, *work):
+        level = level_product(self, rows, children, leaf, count, *work)
+        calls.append((self, self._work, children, level))
+        return level
 
-    def minor_spy(self, i, j):
-        minors_of[(i, j)] = block_minor_rec(self, i, j)
-        return minors_of[(i, j)]
+    def minor_spy(self, i, j, out=None):
+        got = block_minor_rec(self, i, j, out)
+        groups[(i, j)] = out.copy()  # a view of H^T, scaled once filled
+        return got
 
     monkeypatch.setattr(minors.BlockMinorTable, "_level_product", product_spy)
     monkeypatch.setattr(minors.BlockMinorTable, "block_minor_rec", minor_spy)
     res = parity_check_minors(sf)
-    table, stack, _ = calls[0]
-    assert all(call[0] is table and call[1] is stack for call in calls)
-    assert all(children.shape[0] > 0 and np.shares_memory(children, stack)
-               for _, _, children in calls)
-    ref = BlockMinorTable(extract_blocks(sf), sf.layout)
-    for (i, j), got in minors_of.items():
-        want = node_by_node_minor(ref, i, j)
-        assert got.data.dtype == want.dtype and np.array_equal(got.data, want), (i, j)
+    table, work = calls[0][:2]
+    assert all(call[0] is table and call[1] is work for call in calls)
+    assert all(children.shape[0] > 0 and np.shares_memory(children, work)
+               and np.shares_memory(level, work) for _, _, children, level in calls)
+    ref, layout = BlockMinorTable(extract_blocks(sf), sf.layout), sf.layout
+    assert len(groups) == sum(1 for w in (n - sum(t), *t[1:]) if w)
+    for (i, j), got in groups.items():
+        assert i == 1
+        for a in range(1, 1 + j):
+            want = node_by_node_minor(ref, a, 1 + j - a)
+            want = want if (1 + j - a) % 2 == 0 else (-want) % ring.modulus
+            block = got[layout.group(a)]
+            assert block.dtype == want.dtype and np.array_equal(block, want), (j, a)
     assert res.counters == ref.counters
+    assert res.h == parity_check_iterative(sf).h
+
+
+def test_one_level_product_per_group_level_and_strip(monkeypatch):
+    # minors-deep: 3^13, n = 200, t = (2,) * 13.  Column group end runs its
+    # levels end - 2..1 as one forest, level a with 2^(a-1) nodes, on strips
+    # of its width from the budget on the forest's levels and largest
+    # children stack; each (level, strip) is one level product, whose
+    # children and output live in the table's workspace.
+    ring, n, t = RingSpec(3, 13), 200, (2,) * 13
+    sf = random_code(ring, n, t, 62).standard
+    want = 0
+    for end in range(2, len(t) + 2):
+        width = n - sum(t) if end == len(t) + 1 else t[end - 1]
+        levels = sum(t[a - 1] << (a - 1) for a in range(1, end - 1))
+        stack = max((sum(t[a : end - 1]) << (a - 1) for a in range(1, end - 1)), default=0)
+        strip = max(1, minors._TREE_BYTES // (8 * max(levels + stack, 1)))
+        want += -(-width // strip) * (end - 2)
+    assert want == 282  # 18 strips of the wide group's 12 levels, and 66
+    calls, level_product = [], minors.BlockMinorTable._level_product
+
+    def spy(self, rows, children, leaf, count, *work):
+        level = level_product(self, rows, children, leaf, count, *work)
+        calls.append(np.shares_memory(children, self._work) and np.shares_memory(level, self._work))
+        return level
+
+    monkeypatch.setattr(minors.BlockMinorTable, "_level_product", spy)
+    res = parity_check_minors(sf)
+    assert len(calls) == want and all(calls)
     assert res.h == parity_check_iterative(sf).h
 
 
@@ -483,8 +559,8 @@ def test_wide_inner_dimension_stays_int64(monkeypatch):
     chunks, matmul_reduced = [], minors._matmul_reduced
     spy_type = chunk_spy(chunks)
 
-    def spy(a, b, ring, c=None):
-        return matmul_reduced(a.view(spy_type), b, ring, c)
+    def spy(a, b, ring, *rest):
+        return matmul_reduced(a.view(spy_type), b, ring, *rest)
 
     monkeypatch.setattr(minors, "_matmul_reduced", spy)
     for i in range(1, 6):
