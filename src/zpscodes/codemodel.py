@@ -77,7 +77,7 @@ def is_member(code: CodeSpec, v) -> bool:
     perm = code.standard.perm
     g = code.standard.matrix.data
     # Move v into the standard form's coordinates (pull convention).
-    w = vec[[img - 1 for img in perm.images]] % m
+    w = vec[perm.index] % m
     for r, pv in enumerate(_row_scales(layout, p)):
         val = int(w[r])
         if val % pv:

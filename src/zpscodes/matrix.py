@@ -332,16 +332,21 @@ class BlockLayout:
 
 
 class Permutation:
-    """A permutation of {1, ..., n}, stored as its image array."""
+    """A permutation of {1, ..., n}, stored as its images, a tuple of Python
+    ints, and as index, the read-only int64 array of images - 1."""
 
-    __slots__ = ("images",)
+    __slots__ = ("images", "index")
 
     def __init__(self, images):
-        images = tuple(int(x) for x in images)
-        n = len(images)
-        if sorted(images) != list(range(1, n + 1)):
-            raise ShapeError(f"not a permutation of 1..{n}: {images}")
-        self.images = images
+        if not isinstance(images, np.ndarray):
+            images = np.fromiter(images, np.int64)
+        index = images.astype(np.int64) - 1
+        n = index.size
+        if index.ndim != 1 or not np.array_equal(np.sort(index), np.arange(n)):
+            raise ShapeError(f"not a permutation of 1..{n}: {tuple(images.tolist())}")
+        index.setflags(write=False)
+        self.index = index
+        self.images = tuple((index + 1).tolist())
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -364,10 +369,7 @@ class Permutation:
         return f"Permutation({list(self.images)})"
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.degree
-        for pos, img in enumerate(self.images, start=1):
-            inv[img - 1] = pos
-        return Permutation(inv)
+        return Permutation(np.argsort(self.index) + 1)
 
     def sign(self) -> int:
         seen = [False] * self.degree
@@ -390,8 +392,7 @@ def apply_col_permutation(a: Matrix, perm: Permutation) -> Matrix:
     """Pull convention: column j of the result is column perm(j) of a."""
     if perm.degree != a.ncols:
         raise ShapeError(f"permutation degree {perm.degree} != ncols {a.ncols}")
-    idx = [img - 1 for img in perm.images]
-    return Matrix._of_reduced(a.ring, a.data[:, idx])
+    return Matrix._of_reduced(a.ring, a.data.take(perm.index, axis=1))
 
 
 # --- text format ------------------------------------------------------------

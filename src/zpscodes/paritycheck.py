@@ -1,9 +1,12 @@
 """Parity-check matrix constructions and verification.
 
-Both constructions fill one unscaled H^T in place, through _construct.  Its
-column group 1 (width n - t) stacks the wide blocks over an identity; group
-j >= 2 (width t_{s+2-j}) stacks blocks over an identity and zeros, and is
-scaled by p^(j-1) at the end.  The minors construction computes every block
+Both constructions fill the first t rows of an unscaled H^T in place,
+through _construct; its last n - t rows are [I_{n-t} | 0] and are never
+stored.  Column group 1 (width n - t) of those rows holds the wide blocks;
+group j >= 2 (width t_{s+2-j}) holds blocks over an identity and zeros, and
+is scaled by p^(j-1) at the end.  _construct then writes H in the caller's
+coordinates once, row-major; H in the standard form's coordinates is built
+from it on first read.  The minors construction computes every block
 through an independent block-minor recursion; the iterative one is a block
 back-substitution, polynomial in s.  Both count through
 OpCounters.record_node.  The two results are entrywise identical.
@@ -12,12 +15,14 @@ OpCounters.record_node.  The two results are entrywise identical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .matrix import (
     BlockLayout,
     Matrix,
+    Permutation,
     ShapeError,
     _matmul_reduced,
     _reduce,
@@ -42,10 +47,18 @@ class BudgetExceededError(DomainError):
 
 @dataclass(frozen=True)
 class ParityCheckResult:
-    h: Matrix
+    """H in the caller's coordinates, h_unpermuted, and in the standard
+    form's, h, which is built from it on first read: column j of h is
+    column perm(j) of h_unpermuted."""
+
     method: str
     counters: OpCounters
     h_unpermuted: Matrix
+    perm: Permutation
+
+    @cached_property
+    def h(self) -> Matrix:
+        return apply_col_permutation(self.h_unpermuted, self.perm)
 
 
 def dual_type(layout: BlockLayout) -> BlockLayout:
@@ -55,23 +68,26 @@ def dual_type(layout: BlockLayout) -> BlockLayout:
 
 
 def _construct(sf: StandardForm, method: str, fill) -> ParityCheckResult:
-    """H^T with the identity block of column group j in row group s + 2 - j,
-    once fill(ht, dual, counters) has written the blocks H_{i,j},
-    i <= s + 1 - j, unscaled; column group j is then scaled by p^(j-1)."""
+    """The first t rows of H^T, with the identity block of column group j in
+    row group s + 2 - j, once fill(ht, dual, counters) has written the blocks
+    H_{i,j}, i <= s + 1 - j, unscaled; column group j is then scaled by
+    p^(j-1).  Row r of H^T is column perm(r) of h_unpermuted, which is
+    written once, row-major: rows r < t from ht, and the free rows r >= t,
+    [I_{n-t} | 0], as unit entries.  ht goes when this returns."""
     layout, ring = sf.layout, sf.matrix.ring
-    s, dual = layout.s, dual_type(layout)
-    ht = np.zeros((layout.n, dual.total), dtype=dtype_for(ring))
-    diag = np.concatenate([np.r_[dual.group(j)] for j in range(s, 0, -1)])
-    ht[np.arange(layout.group(2).start, layout.n), diag] = 1
+    s, t, dual = layout.s, layout.total, dual_type(layout)
+    ht = np.zeros((t, dual.total), dtype=dtype_for(ring))
+    for j in range(2, s + 1):
+        np.fill_diagonal(ht[layout.group(s + 2 - j), dual.group(j)], 1)
     counters = OpCounters()
     fill(ht, dual, counters)
     for j in range(2, s + 1):
         block = ht[: layout.group(s + 2 - j).stop, dual.group(j)]  # zeros below
         block[...] = _reduce(block * ring.p ** (j - 1), ring.modulus)
-    # H is a view of H^T, whose entries are reduced already: un-permuting
-    # holds one more (n - t_1) x n array besides it.
-    h = Matrix._of_reduced(ring, ht.T)
-    return ParityCheckResult(h, method, counters, apply_col_permutation(h, sf.perm.inverse()))
+    h = np.zeros((dual.total, layout.n), dtype=ht.dtype)
+    h[:, sf.perm.index[:t]] = ht.T
+    h[np.arange(layout.n - t), sf.perm.index[t:]] = 1
+    return ParityCheckResult(method, counters, Matrix._of_reduced(ring, h), sf.perm)
 
 
 def parity_check_minors(sf: StandardForm) -> ParityCheckResult:

@@ -226,7 +226,7 @@ def standard_form(rows: Matrix) -> StandardForm:
     # redundant rows behind.
     g = Matrix._of_reduced(ring, np.ascontiguousarray(work[:row_ptr]))
     layout = BlockLayout(n, t)
-    perm = Permutation([c + 1 for c in cols])
+    perm = Permutation(np.add(cols, 1))
     return StandardForm(g, layout, perm)
 
 

@@ -135,6 +135,45 @@ def test_permutation_round_trip_randomized():
         assert pi.inverse().inverse() == pi
 
 
+def _python_inverse(images):
+    inv = [0] * len(images)
+    for pos, img in enumerate(images, start=1):
+        inv[img - 1] = pos
+    return tuple(inv)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 1000])
+def test_permutation_matches_python_reference(n):
+    images = list(range(1, n + 1))
+    random.Random(n).shuffle(images)
+    pi = Permutation(images)
+    assert pi.images == tuple(images)
+    assert all(type(x) is int for x in pi.images)
+    assert pi.index.tolist() == [x - 1 for x in images]
+    assert not pi.index.flags.writeable
+    assert hash(pi) == hash(tuple(images))
+    assert repr(pi) == f"Permutation({images})"
+    # Any iterable of the images gives the same permutation.
+    assert pi == Permutation(np.array(images, dtype=np.int32)) == Permutation(iter(images))
+    inv = pi.inverse()
+    assert inv.images == _python_inverse(images)
+    assert inv == Permutation(_python_inverse(images))
+    assert hash(inv) == hash(_python_inverse(images))
+    assert inv.inverse() == pi
+    if n > 1:
+        assert pi != Permutation(images[1:] + images[:1])
+    bad = []
+    if n:
+        bad += [[0] + images[1:], [n + 1] + images[1:]]
+    if n > 1:
+        bad.append(images[:-1] + images[:1])
+    for wrong in bad:
+        with pytest.raises(ShapeError):
+            Permutation(wrong)
+    with pytest.raises(ShapeError):
+        Permutation(np.ones((1, 1), dtype=np.int64))
+
+
 def test_permutation_sign():
     assert Permutation.identity(4).sign() == 1
     assert Permutation([2, 1, 3]).sign() == -1

@@ -27,7 +27,7 @@ from zpscodes import (
     zeros,
 )
 from zpscodes import matrix, minors, paritycheck, stdform
-from zpscodes.matrix import BlockLayout
+from zpscodes.matrix import BlockLayout, apply_col_permutation, dtype_for
 from zpscodes.paritycheck import BudgetExceededError
 from zpscodes.zring import DomainError
 
@@ -489,6 +489,57 @@ def test_degenerate_types_both_constructions(p, s, case):
         assert gh_transpose_is_zero(sf.matrix, result.h)
         assert gh_transpose_is_zero(g, result.h_unpermuted)
     assert results[0].h_unpermuted == results[1].h_unpermuted
+
+
+# The degenerate grid, plus two rings stored as Python ints, where minors
+# runs only within its budget.
+@pytest.mark.parametrize("case", ["n=t", "no-rows", "no-cols", "some-zero"])
+@pytest.mark.parametrize("p,s", [(2, 2), (2, 4), (3, 5), (55109, 2), (3, 21), (1451, 3)])
+def test_h_is_built_from_h_unpermuted(p, s, case):
+    ring = RingSpec(p, s)
+    n, t = _degenerate_type(case, s)
+    code = random_code(ring, n, t, 23)
+    order = list(range(n))
+    random.Random(23).shuffle(order)
+    g = Matrix(ring, code.generators.data[:, order])
+    sf = standard_form(g)
+    constructions = [parity_check_iterative]
+    if predicted_counts_minors(s)[0] <= paritycheck.MINORS_BUDGET:
+        constructions.append(parity_check_minors)
+    for construct in constructions:
+        result = construct(sf)
+        assert "h" not in vars(result)  # not built until read
+        h, hu = result.h, result.h_unpermuted
+        assert result.h is h
+        assert h == apply_col_permutation(hu, sf.perm)
+        assert hu == apply_col_permutation(h, sf.perm.inverse())
+        for m in (h, hu):
+            assert m.data.dtype == dtype_for(ring)
+            assert not m.data.flags.writeable
+            assert m.data.flags.c_contiguous
+        assert gh_transpose_is_zero(sf.matrix, h)
+        assert gh_transpose_is_zero(g, hu)
+
+
+def test_iterative_stores_only_the_computed_rows_of_ht():
+    # Only the first t rows of H^T depend on the code: the construction holds
+    # them and h_unpermuted, written once, and frees the rows when it returns.
+    # Holding all n rows of H^T, or a second copy of H, costs n x (n - t_1).
+    code = random_code(RingSpec(3, 10), 1000, (2,) * 10, 8101)
+    layout = code.standard.layout
+    rows_bytes = layout.total * (layout.n - layout.t[0]) * 8
+    held = []
+
+    def construct(sf):
+        held.append(parity_check_iterative(sf))
+        held.append(tracemalloc.get_traced_memory()[0])
+
+    peak = _traced_peak(construct, code.standard)
+    result, current = held
+    h = result.h_unpermuted.data
+    assert h.flags.c_contiguous
+    assert peak <= h.nbytes + 2 * rows_bytes
+    assert current < h.nbytes + rows_bytes
 
 
 def test_iterative_is_one_kernel_call_per_row_group(monkeypatch):
