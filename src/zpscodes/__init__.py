@@ -1,29 +1,7 @@
 """Parity-check matrices for additive codes over Z_{p^s}."""
 
 from .bench import random_code, run_suite
-from .codemodel import CodeSpec, cardinality, codes_equal, enumerate_codewords, is_member
-from .matrix import (
-    BlockLayout,
-    Matrix,
-    Permutation,
-    apply_col_permutation,
-    format_matrix,
-    identity,
-    insert_block,
-    mat_add,
-    mat_mul,
-    mat_scalar,
-    mat_transpose,
-    parse_matrix,
-    zeros,
-)
-from .minors import (
-    BlockMinorTable,
-    det_structured_laplace,
-    det_structured_sum,
-    enumerate_restricted,
-    j_set,
-)
+from .matrix import BlockLayout, Matrix, Permutation, format_matrix, parse_matrix
 from .opcounters import OpCounters, predicted_counts_iterative, predicted_counts_minors
 from .paritycheck import (
     ParityCheckResult,
@@ -32,10 +10,15 @@ from .paritycheck import (
     parity_check_iterative,
     parity_check_minors,
     verify_parity,
-    z4_parity_check,
 )
-from .stdform import StandardForm, extract_blocks, reduced_associated, standard_form
+from .stdform import StandardForm, standard_form
 from .zring import RingSpec
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BlockLayout", "Matrix", "OpCounters", "ParityCheckResult", "Permutation", "RingSpec",
+    "StandardForm", "dual_type", "format_matrix", "parity_check_bruteforce",
+    "parity_check_iterative", "parity_check_minors", "parse_matrix",
+    "predicted_counts_iterative", "predicted_counts_minors", "random_code", "run_suite",
+    "standard_form", "verify_parity",
+]
 __version__ = "0.1.0"

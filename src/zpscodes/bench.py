@@ -19,11 +19,10 @@ from itertools import product
 
 import numpy as np
 
-from .codemodel import CodeSpec
-from .matrix import BlockLayout, Matrix, Permutation
+from .matrix import BlockLayout, Matrix, Permutation, dtype_for
 from .opcounters import OpCounters, predicted_counts_iterative, predicted_counts_minors
 from .paritycheck import parity_check_iterative, parity_check_minors
-from .stdform import StandardForm, from_blocks
+from .stdform import StandardForm
 from .zring import DomainError, RingSpec
 
 CSV_COLUMNS = [
@@ -52,26 +51,28 @@ def derive_seed(master_seed: int, trial: int) -> int:
     return int.from_bytes(digest, "little") >> 1
 
 
-def random_code(ring: RingSpec, n: int, type_vector, seed: int) -> CodeSpec:
-    """A random code given directly by a standard-form generator matrix with
-    canonical block entries (A_{i,j} entries below p^(j-i) for pivot column
-    groups, below p^(s-i+1) for the free group)."""
+def random_code(ring: RingSpec, n: int, type_vector, seed: int) -> StandardForm:
+    """A random standard form with the identity permutation: row group i is
+    p^(i-1) (0, Id, A_{i,i+1}, ..., A_{i,s+1}), the identity at column group
+    i, with canonical block entries (A_{i,j} entries below p^(j-i) for pivot
+    column groups, below p^(s-i+1) for the free group)."""
     layout = BlockLayout(n, type_vector)
     p, s = ring.p, ring.s
     if layout.s != s:
         raise DomainError(f"type vector length {layout.s} != s = {s}")
-    blocks = {}
+    g = np.zeros((layout.total, n), dtype=dtype_for(ring))
     for i in range(1, s + 1):
+        rows = g[layout.group(i)]
+        np.fill_diagonal(rows[:, layout.group(i)], 1)
         for j in range(i + 1, s + 2):
             cols = layout.group(j)
             shape = (layout.t[i - 1], cols.stop - cols.start)
             bound = p ** (j - i) if j <= s else p ** (s - i + 1)
             # Entry (r, c) is draw r * width + c of the block.
             draws = [_hash_uniform(seed, i, j, k, bound) for k in range(shape[0] * shape[1])]
-            blocks[(i, j)] = Matrix(ring, np.array(draws, dtype=object).reshape(shape))
-    matrix = from_blocks(ring, layout, blocks)
-    sf = StandardForm(matrix, layout, Permutation.identity(n))
-    return CodeSpec(matrix, standard=sf)
+            rows[:, cols] = np.array(draws, dtype=object).reshape(shape)
+        rows *= p ** (i - 1)
+    return StandardForm(Matrix._of_reduced(ring, g), layout, Permutation.identity(n))
 
 
 @dataclass(frozen=True)
@@ -128,10 +129,10 @@ def run_suite(p: int, s_values, ell_values, n_values, trials: int, seed: int,
     for ring, ell, n in grid:
         s = ring.s
         for trial in range(trials):
-            code = random_code(ring, n, (ell,) * s, derive_seed(seed, trial))
+            sf = random_code(ring, n, (ell,) * s, derive_seed(seed, trial))
             for method, construct in _METHODS.items():
                 t0 = time.perf_counter_ns()
-                result = construct(code.standard)
+                result = construct(sf)
                 wall = time.perf_counter_ns() - t0
                 _verify_counters(method, s, result.counters)
                 records.append(BenchRecord(

@@ -371,22 +371,6 @@ class Permutation:
     def inverse(self) -> "Permutation":
         return Permutation(np.argsort(self.index) + 1)
 
-    def sign(self) -> int:
-        seen = [False] * self.degree
-        sign = 1
-        for start in range(self.degree):
-            if seen[start]:
-                continue
-            length = 0
-            i = start
-            while not seen[i]:
-                seen[i] = True
-                i = self.images[i] - 1
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        return sign
-
 
 def apply_col_permutation(a: Matrix, perm: Permutation) -> Matrix:
     """Pull convention: column j of the result is column perm(j) of a."""
@@ -398,7 +382,8 @@ def apply_col_permutation(a: Matrix, perm: Permutation) -> Matrix:
 # --- text format ------------------------------------------------------------
 #
 # line 1:  p s nrows ncols
-# then nrows lines of ncols entries in [0, p^s), space separated.
+# then nrows lines of ncols entries in [0, p^s), space separated; blank when
+# ncols = 0, so that such a body may also be left out.
 # Lines starting with "type:" or "perm:" (emitted by the std-form command)
 # and blank lines are skipped.
 
@@ -512,7 +497,9 @@ def parse_matrix(text: str) -> Matrix:
     for column, size in ((3, nrows), (4, ncols)):
         if size < 0:
             raise ParseError("negative dimensions", lineno, column)
-    if len(lines) != nrows:
+    # A matrix without columns has blank rows, which format_matrix writes
+    # and the loop above skips.
+    if len(lines) != nrows and (ncols or lines):
         raise ParseError(f"expected {nrows} rows, found {len(lines)}", lineno)
     data = _parse_digits(lines, nrows, ncols, ring.modulus)
     if data is None:

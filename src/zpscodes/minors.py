@@ -1,12 +1,15 @@
-"""Restricted permutations and structured (block-)determinants.
+"""Block-minors of the reduced associated matrix of a standard form.
 
-The determinant machinery applies to square matrices whose first subdiagonal
-is all ones with zeros below it.  For such matrices only permutations with
-sigma(h) >= h - 1 contribute, and the surviving factors are indexed by
-J_sigma = {h : sigma(h) >= h}.  The same signed-sum formula defines a
-block-determinant on the reduced associated matrix of a standard-form
-generator matrix; block-minors of its diagonal are what the parity-check
-constructions consume.
+The reduced associated matrix of a standard-form generator matrix has the
+stripped blocks A_{i,j} above its block diagonal and identities on the
+block subdiagonal.  Its diagonal block-minor O(i, end) of order end - i is
+the signed sum, over the permutations with sigma(h) >= h - 1, of products
+of blocks; the minors construction takes every block of H from one such
+minor.  Here they are evaluated only by the first-column Laplace recursion,
+O(a, end) = sum over a < b <= end of (-1)^(b-1-a) A(a, b) O(b, end), with
+O(end, end) the identity: all the trees of one column group of H^T at once,
+as one forest of levels of nodes (see BlockMinorTable._levels).  The signed
+sum itself serves only as an oracle, in the tests.
 """
 
 from __future__ import annotations
@@ -17,8 +20,7 @@ from functools import cached_property
 import numpy as np
 
 from .matrix import (
-    Matrix, Permutation, ShapeError, _carve, _matmul_dtype, _matmul_reduced, _reduce,
-    _reduce_in_place, dtype_for, identity, mat_add, mat_mul, mat_neg
+    ShapeError, _carve, _matmul_dtype, _matmul_reduced, _reduce, _reduce_in_place, dtype_for
 )
 from .opcounters import OpCounters
 from .zring import DomainError
@@ -29,86 +31,6 @@ from .zring import DomainError
 # tree whose single column passes it recurses node by node at its top until
 # its subtrees fit; such a forest runs its trees alone.
 _TREE_BYTES = 1 << 20
-
-
-def is_restricted(perm: Permutation) -> bool:
-    """Membership test for the sigma(h) >= h - 1 family."""
-    return all(perm(h) >= h - 1 for h in range(1, perm.degree + 1))
-
-
-def enumerate_restricted(n: int):
-    """All degree-n permutations with sigma(h) >= h - 1, in lexicographic
-    order of their image arrays.  There are exactly 2^(n-1) of them."""
-    if n < 1:
-        raise DomainError(f"degree {n} must be >= 1")
-    out = []
-    images = [0] * n
-    used = [False] * (n + 1)
-
-    def place(h):
-        if h > n:
-            out.append(Permutation(images))
-            return
-        for img in range(max(1, h - 1), n + 1):
-            if not used[img]:
-                used[img] = True
-                images[h - 1] = img
-                place(h + 1)
-                used[img] = False
-
-    place(1)
-    return out
-
-
-def j_set(perm: Permutation) -> tuple:
-    """Indices h with sigma(h) >= h, in increasing order."""
-    return tuple(h for h in range(1, perm.degree + 1) if perm(h) >= h)
-
-
-def _check_structured(a: Matrix) -> int:
-    n = a.nrows
-    if n != a.ncols or n < 1:
-        raise DomainError(f"need a square matrix of positive size, got {a.shape}")
-    for r in range(1, n):
-        for c in range(r):
-            want = 1 if c == r - 1 else 0
-            if int(a.data[r, c]) != want:
-                raise DomainError(
-                    f"entry ({r + 1}, {c + 1}) = {int(a.data[r, c])} breaks the "
-                    "unit-subdiagonal structure"
-                )
-    return n
-
-
-def det_structured_sum(a: Matrix) -> int:
-    """Determinant via the restricted-permutation signed sum."""
-    n = _check_structured(a)
-    m = a.ring.modulus
-    total = 0
-    for sigma in enumerate_restricted(n):
-        term = 1
-        for h in j_set(sigma):
-            term = term * int(a.data[h - 1, sigma(h) - 1]) % m
-        total = (total + sigma.sign() * term) % m
-    return total
-
-
-def det_structured_laplace(a: Matrix) -> int:
-    """Determinant via the first-column Laplace recursion on diagonal minors."""
-    n = _check_structured(a)
-    m = a.ring.modulus
-
-    def minor(i, j):
-        # i-th diagonal minor of order j (1-based anchor).
-        if j == 0:
-            return 1
-        total = 0
-        for k in range(i, i + j):
-            sub = minor(k + 1, i + j - 1 - k)
-            total = (total + (-1) ** (k - i) * int(a.data[i - 1, k - 1]) * sub) % m
-        return total
-
-    return minor(1, n)
 
 
 def _put(dst: np.ndarray, src: np.ndarray, negate: bool, m: int) -> None:
@@ -126,8 +48,7 @@ class BlockMinorTable:
     """Block-minors of the block diagonal of a reduced associated matrix.
 
     Holds the stripped blocks A_{i,j}, keyed by (i, j), 1 <= i <= s,
-    i + 1 <= j <= s + 1, as raw ndarrays; only the public methods build a
-    Matrix.  The recursion counts through OpCounters.record_node, as the
+    i + 1 <= j <= s + 1, as raw ndarrays.  The recursion counts through OpCounters.record_node, as the
     iterative construction does: one multiplication and one addition per
     non-identity term, never the product by the order-0 identity minor.
     Nothing is memoized: every node of a recursion tree performs its own
@@ -155,9 +76,6 @@ class BlockMinorTable:
                               for b in range(a + 1, layout.s + 2)])
                 for a in range(1, layout.s + 1)}
 
-    def block(self, i: int, j: int) -> Matrix:
-        return Matrix(self.ring, self.blocks[(i, j)])
-
     def _check_range(self, i: int, j: int) -> None:
         if not (1 <= i and 0 <= j and i + j <= self.layout.s + 1):
             raise DomainError(f"block-minor ({i}, {j}) out of range for s={self.layout.s}")
@@ -184,40 +102,14 @@ class BlockMinorTable:
             raise ShapeError(f"level not conformable: {rows.shape} {children.shape} {leaf.shape}")
         return _matmul_reduced(rows, children, self.ring, leaf, out, work)
 
-    def block_minor_sum(self, i: int, j: int) -> Matrix:
-        """Order-j block-minor anchored at block-row i via the signed sum
-        over restricted permutations, or the identity on group i for j = 0.
-        Uncounted, and built on the public Matrix ops; serves as the oracle."""
-        self._check_range(i, j)
-        if j == 0:
-            return identity(self.ring, self.layout.group(i).stop - self.layout.group(i).start)
-        acc = None
-        for sigma in enumerate_restricted(j):
-            term = None
-            for h in j_set(sigma):
-                factor = self.block(i + h - 1, i + sigma(h))
-                term = factor if term is None else mat_mul(term, factor)
-            if sigma.sign() < 0:
-                term = mat_neg(term)
-            acc = term if acc is None else mat_add(acc, term)
-        return acc
-
-    def block_minor_rec(self, i: int, j: int, out=None):
-        """Order-j block-minor O(i, end), end = i + j, via the Laplace-style
-        recursion; identical value to block_minor_sum.
-
-        Without out it evaluates tree (i, end) alone, counts its block ops
-        and returns the minor.  With out, an array of the rows of groups
-        i..end-1 by the width of group end (for i = 1, a column group of
-        H^T), it evaluates the trees (a, end), a = i..end-1, as one forest,
-        counts the block ops of each, and writes (-1)^(end-a) O(a, end) into
-        row group a of out; it returns None."""
+    def block_minor_rec(self, i: int, j: int, out) -> None:
+        """The order-j block-minors O(a, end), end = i + j, a = i..end-1, via
+        the Laplace-style recursion, as one forest.  out is an array of the
+        rows of groups i..end-1 by the width of group end (for i = 1, a
+        column group of H^T); (-1)^(end-a) O(a, end) goes into its row group
+        a, and the block ops of each tree are counted."""
         self._check_range(i, j)
         end, layout = i + j, self.layout
-        if out is None:
-            if j == 0:
-                return self.block_minor_sum(i, j)
-            return Matrix._of_reduced(self.ring, self._minor_rec(i, j))
         top = layout.group(i).start
         if out.shape != (layout.group(end).start - top, self.blocks[(i, end)].shape[1] if j else 0):
             raise ShapeError(f"out {out.shape} does not fit the minors ({i}, {j})")
@@ -225,7 +117,6 @@ class BlockMinorTable:
                  for a in range(i, end)}
         if sinks:
             self._levels(i - 1, end, sinks)
-        return None
 
     def _plan(self, root: int, low: int, end: int) -> tuple:
         """(deep, strip, sizes) of levels end-2..low of tree (root, end), or

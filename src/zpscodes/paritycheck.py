@@ -166,28 +166,6 @@ def parity_check_bruteforce(generators: Matrix) -> Matrix:
     return Matrix(ring, rows)
 
 
-def z4_parity_check(sf: StandardForm) -> Matrix:
-    """The classical quaternary parity-check matrix
-    ( -(S+RT)^T  T^T  Id ; 2R^T  2Id  0 ) for p=2, s=2 standard forms.
-    Generates the same code as the minors construction."""
-    ring = sf.matrix.ring
-    if ring.p != 2 or ring.s != 2:
-        raise DomainError(f"quaternary construction needs p=2, s=2, got {ring.p}^{ring.s}")
-    layout = sf.layout
-    g1, g2, g3 = (layout.group(j) for j in (1, 2, 3))
-    blocks = extract_blocks(sf)
-    r, s_blk, t_blk = blocks[(1, 2)].data, blocks[(1, 3)].data, blocks[(2, 3)].data
-    # Row groups of H: the free group's n - t rows, then t_2 rows.
-    t2, free = t_blk.shape
-    h = np.zeros((free + t2, layout.n), dtype=dtype_for(ring))
-    h[:free, g1] = -(s_blk + r @ t_blk).T
-    h[:free, g2] = t_blk.T
-    np.fill_diagonal(h[:free, g3], 1)
-    h[free:, g1] = 2 * r.T
-    np.fill_diagonal(h[free:, g2], 2)
-    return Matrix(ring, h)
-
-
 def verify_parity(g: Matrix, h: Matrix):
     """Check G H^T = 0.  Returns (True, None) or (False, (row, col)) with the
     1-based coordinates of the first nonzero product entry."""

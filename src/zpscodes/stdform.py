@@ -76,7 +76,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matrix import (BlockLayout, Matrix, Permutation, _headroom, _matmul_reduced,
-                     _reduce_in_place, dtype_for)
+                     _reduce_in_place)
 from .zring import RingSpec, unit_inverse_int
 
 # Columns a panel searches, and so pivots it defers, before it is flushed.
@@ -250,36 +250,3 @@ def extract_blocks(sf: StandardForm) -> dict:
             cols = layout.group(j)
             out[(i, j)] = Matrix._of_reduced(ring, row[:, cols.start - start : cols.stop - start])
     return out
-
-
-def _write_blocks(ring: RingSpec, layout: BlockLayout, blocks: dict, scaled: bool):
-    """Row group i is c (0, Id, A_{i,i+1}, ..., A_{i,s+1}), with the identity
-    at column group i and c = p^(i-1) when scaled, else 1."""
-    out = np.zeros((layout.total, layout.n), dtype=dtype_for(ring))
-    for i in range(1, layout.s + 1):
-        rows = out[layout.group(i)]
-        np.fill_diagonal(rows[:, layout.group(i)], 1)
-        for j in range(i + 1, layout.s + 2):
-            rows[:, layout.group(j)] = blocks[(i, j)].data
-        if scaled:
-            rows *= ring.p ** (i - 1)
-    return out
-
-
-def from_blocks(ring: RingSpec, layout: BlockLayout, blocks: dict) -> Matrix:
-    """The standard-form matrix of the given layout whose stripped blocks,
-    keyed as extract_blocks returns them, are blocks."""
-    return Matrix(ring, _write_blocks(ring, layout, blocks, scaled=True))
-
-
-def reconstruct(sf: StandardForm) -> Matrix:
-    """Reassemble the standard-form matrix from its extracted blocks."""
-    return from_blocks(sf.matrix.ring, sf.layout, extract_blocks(sf))
-
-
-def reduced_associated(sf: StandardForm) -> Matrix:
-    """The reduced associated matrix: first column group dropped, identity
-    blocks on the subdiagonal, p-power scalings stripped."""
-    ring = sf.matrix.ring
-    out = _write_blocks(ring, sf.layout, extract_blocks(sf), scaled=False)
-    return Matrix(ring, out[:, sf.layout.t[0] :])

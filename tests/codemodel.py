@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matrix import BlockLayout, Matrix, ShapeError, apply_col_permutation, dtype_for
-from .stdform import StandardForm, standard_form
-from .zring import DomainError, RingMismatchError
+from zpscodes.matrix import BlockLayout, Matrix, ShapeError, apply_col_permutation, dtype_for
+from zpscodes.stdform import StandardForm, standard_form
+from zpscodes.zring import DomainError, RingMismatchError
 
 ENUMERATION_BUDGET = 2 ** 20
 

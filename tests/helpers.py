@@ -141,6 +141,18 @@ def chunk_spy(chunks: list):
     return ChunkSpy
 
 
+def unimodular_row_mix(g: Matrix, rng) -> Matrix:
+    """U G for a random unimodular U, on python ints: one elementary row
+    addition, row i += c row j with i != j, per row, then a row shuffle."""
+    m, rows = g.ring.modulus, g.data.tolist()
+    for _ in range(len(rows) if len(rows) > 1 else 0):
+        i, j = rng.sample(range(len(rows)), 2)
+        c = rng.randrange(m)
+        rows[i] = [(x + c * y) % m for x, y in zip(rows[i], rows[j])]
+    rng.shuffle(rows)
+    return Matrix(g.ring, np.array(rows, dtype=object).reshape(g.shape))
+
+
 def rows_as_set(matrix: Matrix):
     return {tuple(int(x) for x in row) for row in matrix.data}
 
@@ -209,7 +221,7 @@ def entrywise_parse_matrix(text: str) -> Matrix:
     lineno, header = lines[0]
     p, s, nrows, ncols = (int(f) for f in header.split())
     ring = RingSpec(p, s)
-    if len(lines) - 1 != nrows:
+    if len(lines) - 1 != nrows and (ncols or len(lines) > 1):
         raise ParseError(f"expected {nrows} rows, found {len(lines) - 1}", lineno)
     rows = []
     for lineno, line in lines[1:]:

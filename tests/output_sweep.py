@@ -13,11 +13,12 @@ on a correct and on a corrupted H, are the same.  The inputs come from
 random.Random, never from the library, so an edit to the library cannot
 change them.  tests/test_output_sweep.py pins the digest.
 
-Equal geometry digests mean that random_code (generators, layout, perm),
-extract_blocks, reconstruct, reduced_associated, z4_parity_check on Z_4,
-enumerate_codewords (in order) and is_member on a few vectors give the
-same results on a grid of types with empty groups, n = t and every
-storage.  tests/test_output_sweep.py pins this digest too.
+Equal geometry digests mean that random_code (matrix, layout, perm),
+extract_blocks, and the test oracles reconstruct, reduced_associated,
+z4_parity_check on Z_4 (tests/oracles.py), enumerate_codewords (in order)
+and is_member on a few vectors (tests/codemodel.py) give the same results
+on a grid of types with empty groups, n = t and every storage.
+tests/test_output_sweep.py pins this digest too.
 """
 
 from __future__ import annotations
@@ -29,23 +30,19 @@ import sys
 import numpy as np
 
 from zpscodes import (
-    CodeSpec,
     Matrix,
     RingSpec,
-    cardinality,
-    enumerate_codewords,
-    extract_blocks,
     format_matrix,
-    is_member,
     parity_check_iterative,
     parity_check_minors,
     random_code,
-    reduced_associated,
     standard_form,
     verify_parity,
-    z4_parity_check,
 )
-from zpscodes.stdform import reconstruct
+from zpscodes.stdform import extract_blocks
+
+from codemodel import CodeSpec, cardinality, enumerate_codewords, is_member
+from oracles import reconstruct, reduced_associated, z4_parity_check
 
 # (p, s, nrows, ncols): a few more pivots than one 32-column panel where
 # n allows it, the storage edges (2^26, 3^16, 1447^3, 2^62) and rings stored
@@ -206,8 +203,8 @@ def geometry_digest() -> str:
     for p, s, n, t in GEOMETRY_GRID:
         ring = RingSpec(p, s)
         _feed(h, p, s, n, t)
-        code = random_code(ring, n, t, seed=1000 * p + s + n)
-        sf = code.standard
+        sf = random_code(ring, n, t, seed=1000 * p + s + n)
+        code = CodeSpec(sf.matrix, standard=sf)
         rng = random.Random(f"{p}^{s}:{n}:{t}")
         _feed_code(h, code, rng)
         blocks = extract_blocks(sf)

@@ -12,16 +12,9 @@ from fractions import Fraction
 import numpy as np
 
 from zpscodes import (
-    CodeSpec,
     Matrix,
     RingSpec,
-    cardinality,
-    codes_equal,
-    det_structured_laplace,
-    det_structured_sum,
     dual_type,
-    enumerate_restricted,
-    j_set,
     parity_check_bruteforce,
     parity_check_iterative,
     parity_check_minors,
@@ -30,11 +23,17 @@ from zpscodes import (
     random_code,
     standard_form,
     verify_parity,
+)
+
+from codemodel import CodeSpec, cardinality, codes_equal
+from helpers import cofactor_det, random_matrix, random_type, rows_as_set, row_span_set
+from oracles import (
+    det_structured_laplace,
+    det_structured_sum,
+    enumerate_restricted,
+    j_set,
     z4_parity_check,
 )
-from zpscodes.matrix import Permutation
-
-from helpers import cofactor_det, random_matrix, random_type, rows_as_set, row_span_set
 
 AC1_GRID = [(2, 1), (2, 2), (2, 3), (3, 2), (5, 2)]
 
@@ -56,19 +55,18 @@ def _ac1_trials():
 def test_ac1_oracle_equivalence():
     t0 = time.perf_counter()
     trials = 0
-    for p, s, code in _ac1_trials():
-        ring = code.ring
-        m = ring.modulus
-        gens = code.generators
+    for p, s, sf in _ac1_trials():
+        m = sf.matrix.ring.modulus
+        gens = sf.matrix
         brute = parity_check_bruteforce(gens)
         for construct in (parity_check_minors, parity_check_iterative):
-            h = construct(code.standard).h_unpermuted
+            h = construct(sf).h_unpermuted
             # orthogonality puts span(H) inside the dual ...
             assert not (gens.data.astype(object) @ h.data.astype(object).T % m).any()
             # ... and matching cardinality makes the containment an equality
             span_size = cardinality(standard_form(h).layout, p)
             assert span_size == brute.nrows
-            if m ** code.n <= 2 ** 16:
+            if m ** sf.layout.n <= 2 ** 16:
                 assert row_span_set(h) == rows_as_set(brute)
         trials += 1
     elapsed = time.perf_counter() - t0
@@ -86,9 +84,9 @@ def test_ac2_entrywise_method_agreement():
         s = rng.randint(1, 8)
         ring = RingSpec(p, s)
         n = rng.randint(max(s, 2), 64)
-        code = random_code(ring, n, random_type(n, s, rng), rng.randrange(2 ** 32))
-        a = parity_check_minors(code.standard)
-        b = parity_check_iterative(code.standard)
+        sf = random_code(ring, n, random_type(n, s, rng), rng.randrange(2 ** 32))
+        a = parity_check_minors(sf)
+        b = parity_check_iterative(sf)
         if a.h.data.tobytes() == b.h.data.tobytes() and a.h_unpermuted == b.h_unpermuted:
             agree += 1
     _report("AC2", agree == trials,
@@ -99,11 +97,11 @@ def test_ac3_orthogonality_at_scale():
     ring = RingSpec(3, 10)
     worst = 0.0
     for trial in range(100):
-        code = random_code(ring, 1000, (2,) * 10, 7300 + trial)
+        sf = random_code(ring, 1000, (2,) * 10, 7300 + trial)
         t0 = time.perf_counter()
         for construct in (parity_check_minors, parity_check_iterative):
-            result = construct(code.standard)
-            ok, witness = verify_parity(code.standard.matrix, result.h)
+            result = construct(sf)
+            ok, witness = verify_parity(sf.matrix, result.h)
             assert ok, f"trial {trial}: nonzero product at {witness}"
         elapsed = time.perf_counter() - t0
         worst = max(worst, elapsed)
@@ -115,22 +113,22 @@ def test_ac3_orthogonality_at_scale():
 
 def test_ac4_dual_type():
     checked = 0
-    for p, s, code in _ac1_trials():
-        layout = code.layout
+    for p, s, sf in _ac1_trials():
+        layout = sf.layout
         want = dual_type(layout)
-        h = parity_check_iterative(code.standard)
+        h = parity_check_iterative(sf)
         assert h.h.nrows == want.total
         assert standard_form(h.h_unpermuted).layout.t == want.t
-        assert cardinality(layout, p) * cardinality(want, p) == p ** (s * code.n)
+        assert cardinality(layout, p) * cardinality(want, p) == p ** (s * layout.n)
         checked += 1
     # the large-scale family from AC3: row count and scaling structure only
     ring = RingSpec(3, 10)
     for trial in range(3):
-        code = random_code(ring, 1000, (2,) * 10, 7300 + trial)
-        want = dual_type(code.layout)
-        h = parity_check_iterative(code.standard).h
+        sf = random_code(ring, 1000, (2,) * 10, 7300 + trial)
+        want = dual_type(sf.layout)
+        h = parity_check_iterative(sf).h
         assert h.nrows == want.total
-        assert cardinality(code.layout, 3) * cardinality(want, 3) == 3 ** (10 * 1000)
+        assert cardinality(sf.layout, 3) * cardinality(want, 3) == 3 ** (10 * 1000)
         checked += 1
     _report("AC4", True,
             f"{checked} trials: H has type (n; n-t, t_s..t_2) and "
@@ -143,12 +141,12 @@ def test_ac5_exact_operation_counts():
         for ell in (1, 2, 3):
             n = s * ell + 3
             ring = RingSpec(2, s) if s != 4 else RingSpec(3, s)
-            code = random_code(ring, n, (ell,) * s, 7500 + s + ell)
+            sf = random_code(ring, n, (ell,) * s, 7500 + s + ell)
             for construct, predict, name in [
                 (parity_check_minors, predicted_counts_minors, "minors"),
                 (parity_check_iterative, predicted_counts_iterative, "iterative"),
             ]:
-                c = construct(code.standard).counters
+                c = construct(sf).counters
                 big, small = predict(s)
                 got = (c.big_mults, c.big_adds, c.small_mults, c.small_adds)
                 if got != (big, big, small, small):
@@ -245,9 +243,9 @@ def test_ac9_scaling_trend():
     ring8, ring16 = RingSpec(3, 8), RingSpec(3, 16)
 
     def ratio(ring, s):
-        code = random_code(ring, n, (ell,) * s, 7900 + s)
-        c_min = parity_check_minors(code.standard).counters
-        c_it = parity_check_iterative(code.standard).counters
+        sf = random_code(ring, n, (ell,) * s, 7900 + s)
+        c_min = parity_check_minors(sf).counters
+        c_it = parity_check_iterative(sf).counters
         return Fraction(c_min.total_scalar_ops(), c_it.total_scalar_ops())
 
     r8, r16 = ratio(ring8, 8), ratio(ring16, 16)
@@ -257,12 +255,12 @@ def test_ac9_scaling_trend():
 
     wins = 0
     for trial in range(10):
-        code = random_code(ring16, n, (ell,) * 16, 7950 + trial)
+        sf = random_code(ring16, n, (ell,) * 16, 7950 + trial)
         t0 = time.perf_counter_ns()
-        parity_check_minors(code.standard)
+        parity_check_minors(sf)
         t_min = time.perf_counter_ns() - t0
         t0 = time.perf_counter_ns()
-        parity_check_iterative(code.standard)
+        parity_check_iterative(sf)
         t_it = time.perf_counter_ns() - t0
         if t_it < t_min:
             wins += 1

@@ -34,12 +34,12 @@ def test_predicted_counts_small_cases():
 def test_predictions_match_instrumented_runs():
     for p, s in [(2, 2), (2, 5), (3, 4), (2, 7)]:
         ring = RingSpec(p, s)
-        code = random_code(ring, 3 * s + 2, (2,) * s, 99)
+        sf = random_code(ring, 3 * s + 2, (2,) * s, 99)
         for construct, predict in [
             (parity_check_minors, predicted_counts_minors),
             (parity_check_iterative, predicted_counts_iterative),
         ]:
-            c = construct(code.standard).counters
+            c = construct(sf).counters
             big, small = predict(s)
             assert (c.big_mults, c.big_adds) == (big, big)
             assert (c.small_mults, c.small_adds) == (small, small)
@@ -49,12 +49,11 @@ def test_random_code_is_standard_and_deterministic():
     ring = RingSpec(3, 3)
     a = random_code(ring, 10, (2, 1, 2), 7)
     b = random_code(ring, 10, (2, 1, 2), 7)
-    assert a.generators == b.generators
+    assert a == b
     assert a.layout.t == (2, 1, 2)
+    assert a.perm.images == tuple(range(1, 11))
     # already in standard form: reduction is the identity
-    sf = standard_form(a.generators)
-    assert sf.matrix == a.generators
-    assert sf.perm.images == tuple(range(1, 11))
+    assert standard_form(a.matrix) == a
 
 
 def test_random_code_seed_sensitivity():
@@ -67,7 +66,7 @@ def test_random_code_seed_sensitivity():
             continue
         a = random_code(ring, 8, (1, 1, 1), s1)
         b = random_code(ring, 8, (1, 1, 1), s2)
-        if a.generators != b.generators:
+        if a.matrix != b.matrix:
             distinct += 1
     assert distinct >= 95
 

@@ -86,6 +86,16 @@ def test_verify_exit_codes(example_file, tmp_path, capsys):
     assert "row 1" in capsys.readouterr().out
 
 
+def test_bruteforce_without_columns_verifies(tmp_path, capsys):
+    # No generators of length 0: the dual is the one empty vector, 1 x 0.
+    g, h = tmp_path / "g.txt", tmp_path / "h.txt"
+    g.write_text("2 2 0 0\n")
+    assert main(["parity-check", str(g), "--method", "bruteforce", "--out", str(h)]) == 0
+    assert h.read_text() == "2 2 1 0\n\n"
+    assert main(["verify", str(g), str(h)]) == 0
+    assert "ok" in capsys.readouterr().out
+
+
 def test_parse_error_exit_code(tmp_path, capsys):
     path = tmp_path / "broken.txt"
     path.write_text("2 2 1 2\n1 x\n")

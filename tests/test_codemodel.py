@@ -4,22 +4,18 @@ import random
 import numpy as np
 import pytest
 
-from zpscodes import (
-    CodeSpec,
-    Matrix,
-    RingSpec,
-    cardinality,
-    codes_equal,
-    dual_type,
-    enumerate_codewords,
-    identity,
-    is_member,
-    zeros,
-)
-from zpscodes.codemodel import ENUMERATION_BUDGET
-from zpscodes.matrix import BlockLayout, ShapeError
+from zpscodes import Matrix, RingSpec, dual_type
+from zpscodes.matrix import BlockLayout, ShapeError, identity, zeros
 from zpscodes.zring import DomainError, RingMismatchError
 
+from codemodel import (
+    ENUMERATION_BUDGET,
+    CodeSpec,
+    cardinality,
+    codes_equal,
+    enumerate_codewords,
+    is_member,
+)
 from helpers import random_matrix, random_type, row_span_set
 
 Z4 = RingSpec(2, 2)

@@ -2,33 +2,37 @@ import itertools
 import random
 import tracemalloc
 from collections import Counter
+from functools import partial
 
 import numpy as np
 
 import pytest
 
 from zpscodes import (
-    BlockMinorTable,
     Matrix,
     OpCounters,
     Permutation,
     RingSpec,
-    det_structured_laplace,
-    det_structured_sum,
-    enumerate_restricted,
-    j_set,
-    mat_mul,
     parity_check_iterative,
     parity_check_minors,
+    random_code,
 )
 from zpscodes import minors
-from zpscodes.bench import random_code
-from zpscodes.matrix import BlockLayout, ShapeError, dtype_for, identity
+from zpscodes.matrix import BlockLayout, ShapeError, dtype_for, identity, mat_mul
+from zpscodes.minors import BlockMinorTable
 from zpscodes.stdform import extract_blocks
-from zpscodes.minors import is_restricted
 from zpscodes.zring import DomainError
 
 from helpers import chunk_spy, cofactor_det, node_by_node_minor, random_matrix, structured_matrix
+from oracles import (
+    block,
+    block_minor_sum,
+    det_structured_laplace,
+    det_structured_sum,
+    enumerate_restricted,
+    is_restricted,
+    j_set,
+)
 
 
 def brute_restricted(n):
@@ -162,18 +166,19 @@ def test_block_minor_conventions():
     ring = RingSpec(2, 2)
     table = random_block_table(ring, 2, 6, rng)
     t1 = table.layout.t[0]
-    o0 = table.block_minor_rec(1, 0)
+    o0 = block_minor_sum(table, 1, 0)
     assert o0.shape == (t1, t1)
     assert o0.tolist() == [[1 if r == c else 0 for c in range(t1)] for r in range(t1)]
-    assert table.block_minor_rec(1, 1) == table.block(1, 2)
-    assert table.block_minor_sum(1, 1) == table.block(1, 2)
+    assert np.array_equal(table._minor_rec(1, 1), table.blocks[(1, 2)])
+    assert block_minor_sum(table, 1, 1) == block(table, 1, 2)
 
 
-# 3^21 and 1451^3 store entries as python ints, so the oracle's Matrix ops
-# and the recursion's raw-array kernel meet both storage rules.  1447^3 is
-# the largest odd cube stored as int64: a product with inner dimension >= 2
-# must switch to python ints.  The sum over restricted permutations doubles
-# per order: orders stop at 6.
+# 3^21 and 1451^3 store entries as python ints, so the recursion's kernel
+# meets both storage rules.  1447^3 is the largest odd cube stored as int64:
+# a product with inner dimension >= 2 must go in int64 chunks of one.  The
+# sum over restricted permutations doubles per order: orders stop at 6.
+# block_minor_rec(i, j, out) leaves (-1)^(i+j-a) O(a, i + j) in row group a
+# of out, a = i..i+j-1.
 @pytest.mark.parametrize("s,ring,t", [
     *(pytest.param(s, None, None, id=str(s)) for s in range(1, 7)),
     pytest.param(3, RingSpec(1447, 3), None, id="1447^3"),
@@ -187,9 +192,18 @@ def test_block_minor_rec_matches_sum(s, ring, t):
         ring = RingSpec(rng.choice([2, 3]), s) if s <= 4 else RingSpec(2, s)
     for _ in range(8):
         table = random_block_table(ring, s, 3 * s + rng.randint(0, 4), rng, t=t)
+        layout, m = table.layout, ring.modulus
         for i in range(1, s + 1):
             for j in range(0, min(s + 2 - i, 7)):
-                assert table.block_minor_rec(i, j) == table.block_minor_sum(i, j)
+                rows = slice(layout.group(i).start, layout.group(i + j).start)
+                width = table.blocks[(i, i + j)].shape[1] if j else 0
+                out = np.zeros((rows.stop - rows.start, width), dtype_for(ring))
+                table.block_minor_rec(i, j, out)
+                for a in range(i, i + j):
+                    want = block_minor_sum(table, a, i + j - a).data
+                    group = layout.group(a)
+                    got = out[group.start - rows.start : group.stop - rows.start]
+                    assert np.array_equal(got, want if (i + j - a) % 2 == 0 else (-want) % m)
 
 
 def test_two_by_two_block_minor_formula():
@@ -197,8 +211,8 @@ def test_two_by_two_block_minor_formula():
     rng = random.Random(50)
     ring = RingSpec(3, 3)
     table = random_block_table(ring, 3, 9, rng)
-    a, b, c = table.block(2, 3), table.block(3, 4), table.block(2, 4)
-    got = table.block_minor_sum(2, 2)
+    a, b, c = block(table, 2, 3), block(table, 3, 4), block(table, 2, 4)
+    got = block_minor_sum(table, 2, 2)
     assert np.array_equal(got.data, (mat_mul(a, b).data - c.data) % ring.modulus)
 
 
@@ -207,8 +221,7 @@ def test_order_four_block_minor_has_eight_terms():
     rng = random.Random(51)
     ring = RingSpec(2, 4)
     table = random_block_table(ring, 4, 12, rng)
-    blk = table.block
-    m = ring.modulus
+    blk, m = partial(block, table), ring.modulus
     terms = [
         (+1, mat_mul(mat_mul(mat_mul(blk(1, 2), blk(2, 3)), blk(3, 4)), blk(4, 5))),
         (-1, mat_mul(mat_mul(blk(1, 2), blk(2, 3)), blk(3, 5))),
@@ -220,31 +233,29 @@ def test_order_four_block_minor_has_eight_terms():
         (-1, blk(1, 5)),
     ]
     acc = sum(sign * term.data for sign, term in terms) % m
-    assert np.array_equal(table.block_minor_sum(1, 4).data, acc)
-    assert np.array_equal(table.block_minor_rec(1, 4).data, acc)
+    assert np.array_equal(block_minor_sum(table, 1, 4).data, acc)
+    assert np.array_equal(table._minor_rec(1, 4), acc)
 
 
 def test_order_zero_minor_of_the_free_group():
     # O(s + 1) of order 0 is the identity on the free group, of width n - t.
     ring = RingSpec(3, 3)
-    code = random_code(ring, 10, (1, 2, 1), 1)
-    table = BlockMinorTable(extract_blocks(code.standard), code.standard.layout)
-    assert table.block_minor_rec(4, 0) == identity(ring, 6)
-    assert table.block_minor_sum(4, 0) == identity(ring, 6)
+    sf = random_code(ring, 10, (1, 2, 1), 1)
+    table = BlockMinorTable(extract_blocks(sf), sf.layout)
+    assert block_minor_sum(table, 4, 0) == identity(ring, 6)
     # n = t: the free group has width 0.
     table = random_block_table(ring, 3, 6, random.Random(55), t=(1, 2, 3))
-    assert table.block_minor_rec(4, 0).shape == (0, 0)
-    assert table.block_minor_sum(4, 0) == table.block_minor_rec(4, 0)
-    assert table.block_minor_rec(3, 1).shape == (3, 0)
+    assert block_minor_sum(table, 4, 0).shape == (0, 0)
+    assert table._minor_rec(3, 1).shape == (3, 0)
 
 
 def test_block_minor_range_errors():
     rng = random.Random(52)
     table = random_block_table(RingSpec(2, 2), 2, 6, rng)
     with pytest.raises(DomainError):
-        table.block_minor_rec(1, 3)
+        table.block_minor_rec(1, 3, np.zeros((6, 0), np.int64))
     with pytest.raises(DomainError):
-        table.block_minor_sum(0, 1)
+        block_minor_sum(table, 0, 1)
 
 
 def test_counted_kernel_rejects_nonconformable():
@@ -367,7 +378,6 @@ def test_levels_match_node_by_node(ring, n, t, monkeypatch):
             assert got[end][0].dtype == arr.dtype, (tree_bytes, end)
             assert np.array_equal(got[end][0], arr), (tree_bytes, end)
             assert got[end][1] == counters, (tree_bytes, end)
-    assert table.block_minor_rec(1, len(t)) == Matrix(ring, node[(1, len(t))][0])
 
 
 def _strip_widths(table, monkeypatch):
@@ -446,7 +456,7 @@ def test_strips_count_python_int_bytes(monkeypatch):
     pytest.param(RingSpec(11, 10), 80, (2,) * 10, id="11^10"),
 ])
 def test_leaf_level_skipped_and_one_stack_per_table(ring, n, t, monkeypatch):
-    sf = random_code(ring, n, t, 61).standard
+    sf = random_code(ring, n, t, 61)
     calls, groups = [], {}
     level_product = minors.BlockMinorTable._level_product
     block_minor_rec = minors.BlockMinorTable.block_minor_rec
@@ -456,7 +466,7 @@ def test_leaf_level_skipped_and_one_stack_per_table(ring, n, t, monkeypatch):
         calls.append((self, self._work, children, level))
         return level
 
-    def minor_spy(self, i, j, out=None):
+    def minor_spy(self, i, j, out):
         got = block_minor_rec(self, i, j, out)
         groups[(i, j)] = out.copy()  # a view of H^T, scaled once filled
         return got
@@ -488,7 +498,7 @@ def test_one_level_product_per_group_level_and_strip(monkeypatch):
     # children stack; each (level, strip) is one level product, whose
     # children and output live in the table's workspace.
     ring, n, t = RingSpec(3, 13), 200, (2,) * 13
-    sf = random_code(ring, n, t, 62).standard
+    sf = random_code(ring, n, t, 62)
     want = 0
     for end in range(2, len(t) + 2):
         width = n - sum(t) if end == len(t) + 1 else t[end - 1]
@@ -572,6 +582,22 @@ def test_wide_inner_dimension_stays_int64(monkeypatch):
         assert np.array_equal(got, want) and counters == table.counters
     assert {dtype for _, dtype in chunks} == {np.dtype(np.int64)}
     assert max(k for k, _ in chunks) == 6
+
+
+def test_minors_kernel_work_equals_counted_mults(monkeypatch):
+    # The minors construction does the work the paper counts, no less: the
+    # multiply-adds of its kernel calls sum to the counted products' a*b*c.
+    macs, kernel = [], minors._matmul_reduced
+
+    def spy(a, b, *rest):
+        macs.append(a.shape[0] * a.shape[1] * b.shape[1])
+        return kernel(a, b, *rest)
+
+    monkeypatch.setattr(minors, "_matmul_reduced", spy)
+    sf = random_code(RingSpec(3, 13), 200, (2,) * 13, 7)
+    hist = parity_check_minors(sf).counters.hist
+    counted = sum(key[1] * key[2] * key[3] * n for key, n in hist.items() if key[0] == "mul")
+    assert sum(macs) == counted == 5_756_688
 
 
 def test_malformed_blocks_raise_before_counting():

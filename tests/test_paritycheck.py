@@ -5,15 +5,10 @@ import numpy as np
 import pytest
 
 from zpscodes import (
-    CodeSpec,
     Matrix,
     RingSpec,
-    cardinality,
-    codes_equal,
     dual_type,
-    extract_blocks,
     format_matrix,
-    identity,
     parity_check_bruteforce,
     parity_check_iterative,
     parity_check_minors,
@@ -23,14 +18,14 @@ from zpscodes import (
     random_code,
     standard_form,
     verify_parity,
-    z4_parity_check,
-    zeros,
 )
 from zpscodes import matrix, minors, paritycheck, stdform
-from zpscodes.matrix import BlockLayout, apply_col_permutation, dtype_for
+from zpscodes.matrix import BlockLayout, apply_col_permutation, dtype_for, identity, zeros
+from zpscodes.stdform import extract_blocks
 from zpscodes.paritycheck import BudgetExceededError
 from zpscodes.zring import DomainError
 
+from codemodel import CodeSpec, cardinality, codes_equal
 from helpers import (
     chunk_spy,
     gh_transpose_is_zero,
@@ -40,7 +35,9 @@ from helpers import (
     rows_as_set,
     row_span_set,
     sequential_standard_form,
+    unimodular_row_mix,
 )
+from oracles import z4_parity_check
 
 Z4 = RingSpec(2, 2)
 Z4_EXAMPLE = Matrix(Z4, [[1, 1, 2], [0, 2, 2]])
@@ -83,7 +80,7 @@ def test_s3_block_structure_example(construct, p, n, t):
     # Block pattern of the s = 3 transposed parity-check matrix, written out
     # by hand with python-int blocks: where each p^(j-1)-scaled block lands.
     ring = RingSpec(p, 3)
-    sf = random_code(ring, n, t, 123).standard
+    sf = random_code(ring, n, t, 123)
     result = construct(sf)
     blk = {key: b.data.astype(object) for key, b in extract_blocks(sf).items()}
     m = ring.modulus
@@ -121,8 +118,8 @@ def test_methods_entrywise_equal_randomized(trial):
     ring = RingSpec(p, s)
     n = rng.randint(s, 12)
     code = random_code(ring, n, random_type(n, s, rng), rng.randrange(2 ** 30))
-    res_m = parity_check_minors(code.standard)
-    res_i = parity_check_iterative(code.standard)
+    res_m = parity_check_minors(code)
+    res_i = parity_check_iterative(code)
     assert res_m.h == res_i.h
     assert res_m.h_unpermuted == res_i.h_unpermuted
 
@@ -141,10 +138,10 @@ def test_parity_exact_on_large_moduli(p, s, constructions):
     n = s + 2
     for seed in range(5):
         code = random_code(ring, n, (1,) * s, seed)
-        hs = [construct(code.standard).h_unpermuted for construct in constructions]
+        hs = [construct(code).h_unpermuted for construct in constructions]
         for h in hs:
             assert h.nrows == n - 1
-            assert gh_transpose_is_zero(code.generators, h)
+            assert gh_transpose_is_zero(code.matrix, h)
         assert all(h == hs[0] for h in hs)
 
 
@@ -233,7 +230,7 @@ def test_methods_differential(p, s, case, monkeypatch):
     rng = random.Random(p + s + n)
     order = list(range(n))
     rng.shuffle(order)
-    generators = Matrix(ring, code.generators.data[:, order])
+    generators = Matrix(ring, code.matrix.data[:, order])
     sf = standard_form(generators)
     assert sf.layout.t == tuple(t)
     constructions = [(parity_check_iterative, _iterative_pairs)]
@@ -269,8 +266,8 @@ def test_per_group_counts_sum_to_paper_totals():
 def test_minors_budget(monkeypatch):
     # s = 16 (AC9) is well inside the budget.
     code = random_code(RingSpec(2, 16), 18, (1,) * 16, 3)
-    result = parity_check_minors(code.standard)
-    assert result.h == parity_check_iterative(code.standard).h
+    result = parity_check_minors(code)
+    assert result.h == parity_check_iterative(code).h
     # 2^62 - 63 big pairs: refused before any block is extracted.
     def no_work(sf):
         raise AssertionError("blocks extracted over the budget")
@@ -283,9 +280,9 @@ def test_minors_budget(monkeypatch):
 def test_minors_budget_boundary(monkeypatch):
     # 2^s - 1 - s equal to the budget runs; one more s is refused.
     monkeypatch.setattr(paritycheck, "MINORS_BUDGET", 2 ** 4 - 1 - 4)
-    parity_check_minors(random_code(RingSpec(2, 4), 6, (1,) * 4, 0).standard)
+    parity_check_minors(random_code(RingSpec(2, 4), 6, (1,) * 4, 0))
     with pytest.raises(BudgetExceededError):
-        parity_check_minors(random_code(RingSpec(2, 5), 7, (1,) * 5, 0).standard)
+        parity_check_minors(random_code(RingSpec(2, 5), 7, (1,) * 5, 0))
 
 
 def _traced_peak(call, *args):
@@ -304,10 +301,10 @@ def test_minors_memory_within_tree_budget():
     # alone, temporaries included, peaks below twice the budget.
     s = 16
     code = random_code(RingSpec(3, s), 1000, (2,) * s, 7950)
-    peak_minors = _traced_peak(parity_check_minors, code.standard)
-    peak_iterative = _traced_peak(parity_check_iterative, code.standard)
+    peak_minors = _traced_peak(parity_check_minors, code)
+    peak_iterative = _traced_peak(parity_check_iterative, code)
     assert peak_minors - peak_iterative <= minors._TREE_BYTES
-    table = minors.BlockMinorTable(extract_blocks(code.standard), code.standard.layout)
+    table = minors.BlockMinorTable(extract_blocks(code), code.layout)
     assert _traced_peak(table._minor_rec, 1, s) < 2 * minors._TREE_BYTES
 
 
@@ -335,7 +332,7 @@ def test_dual_type_examples():
     assert dual_type(layout).t == (3, 3, 2)
     # row count of H equals the dual type total
     code = random_code(RingSpec(2, 3), 9, (1, 2, 3), 7)
-    h = parity_check_iterative(code.standard).h
+    h = parity_check_iterative(code).h
     assert h.nrows == dual_type(layout).total
 
 
@@ -439,8 +436,8 @@ def test_double_dual_recovers_code():
 
 def test_counters_deterministic():
     code = random_code(RingSpec(3, 5), 20, (2,) * 5, 42)
-    first = parity_check_minors(code.standard).counters
-    second = parity_check_minors(code.standard).counters
+    first = parity_check_minors(code).counters
+    second = parity_check_minors(code).counters
     assert (first.big_mults, first.big_adds, first.small_mults, first.small_adds) == (
         second.big_mults, second.big_adds, second.small_mults, second.small_adds
     )
@@ -471,19 +468,20 @@ def test_degenerate_types_both_constructions(p, s, case):
     dual = dual_type(code.layout)
     assert dual == BlockLayout(n, (n - sum(t),) + tuple(reversed(t[1:])))
     assert cardinality(code.layout, p) * cardinality(dual, p) == p ** (s * n)
-    h = parity_check_minors(code.standard).h
-    assert h == parity_check_iterative(code.standard).h
+    h = parity_check_minors(code).h
+    assert h == parity_check_iterative(code).h
     assert h.shape == (dual.total, n)
-    assert gh_transpose_is_zero(code.standard.matrix, h)
+    assert gh_transpose_is_zero(code.matrix, h)
     # H generates a code of the dual type.
     assert standard_form(h).layout == dual
     # The same code with shuffled columns, in both coordinate systems: the
     # standard form's, and the caller's generators.
     order = list(range(n))
     random.Random(17).shuffle(order)
-    g = Matrix(ring, code.generators.data[:, order])
+    g = Matrix(ring, code.matrix.data[:, order])
     sf = standard_form(g)
     assert sf.layout == code.layout
+    assert standard_form(unimodular_row_mix(g, random.Random(17))) == sf
     results = [parity_check_minors(sf), parity_check_iterative(sf)]
     for result in results:
         assert gh_transpose_is_zero(sf.matrix, result.h)
@@ -501,7 +499,7 @@ def test_h_is_built_from_h_unpermuted(p, s, case):
     code = random_code(ring, n, t, 23)
     order = list(range(n))
     random.Random(23).shuffle(order)
-    g = Matrix(ring, code.generators.data[:, order])
+    g = Matrix(ring, code.matrix.data[:, order])
     sf = standard_form(g)
     constructions = [parity_check_iterative]
     if predicted_counts_minors(s)[0] <= paritycheck.MINORS_BUDGET:
@@ -526,7 +524,7 @@ def test_iterative_stores_only_the_computed_rows_of_ht():
     # them and h_unpermuted, written once, and frees the rows when it returns.
     # Holding all n rows of H^T, or a second copy of H, costs n x (n - t_1).
     code = random_code(RingSpec(3, 10), 1000, (2,) * 10, 8101)
-    layout = code.standard.layout
+    layout = code.layout
     rows_bytes = layout.total * (layout.n - layout.t[0]) * 8
     held = []
 
@@ -534,7 +532,7 @@ def test_iterative_stores_only_the_computed_rows_of_ht():
         held.append(parity_check_iterative(sf))
         held.append(tracemalloc.get_traced_memory()[0])
 
-    peak = _traced_peak(construct, code.standard)
+    peak = _traced_peak(construct, code)
     result, current = held
     h = result.h_unpermuted.data
     assert h.flags.c_contiguous
@@ -556,7 +554,7 @@ def test_iterative_is_one_kernel_call_per_row_group(monkeypatch):
         monkeypatch.setattr(module, "_matmul_reduced", spy)
     s = 10
     code = random_code(RingSpec(3, s), 1000, (2,) * s, 7)
-    c = parity_check_iterative(code.standard).counters
+    c = parity_check_iterative(code).counters
     assert 0 < len(calls) <= s
     big, small = predicted_counts_iterative(s)
     assert (c.big_mults, c.big_adds, c.small_mults, c.small_adds) == (big, big, small, small)
@@ -570,7 +568,7 @@ def test_generic_gen_products_run_in_float32(monkeypatch):
     # product of verify_parity run exactly in float32.
     ring = RingSpec(2, 4)
     m, rng = ring.modulus, np.random.default_rng(17)
-    base = random_code(ring, 240, (20,) * 4, 17).standard.matrix.data
+    base = random_code(ring, 240, (20,) * 4, 17).matrix.data
     rows = np.vstack([base, rng.integers(0, m, (20, len(base))) @ base % m])
     square = (len(rows), len(rows))
     for strict in (np.tril(rng.integers(0, m, square), -1), np.triu(rng.integers(0, m, square), 1)):

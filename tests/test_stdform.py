@@ -3,24 +3,13 @@ import random
 import numpy as np
 import pytest
 
-from zpscodes import (
-    BlockLayout,
-    CodeSpec,
-    Matrix,
-    Permutation,
-    RingSpec,
-    apply_col_permutation,
-    cardinality,
-    extract_blocks,
-    is_member,
-    reduced_associated,
-    standard_form,
-    zeros,
-)
-from zpscodes.matrix import ShapeError, dtype_for
-from zpscodes.stdform import PANEL_WIDTH, _flush, reconstruct
+from zpscodes import BlockLayout, Matrix, Permutation, RingSpec, standard_form
+from zpscodes.matrix import ShapeError, apply_col_permutation, dtype_for, zeros
+from zpscodes.stdform import PANEL_WIDTH, _flush, extract_blocks
 
-from helpers import random_matrix, random_type, row_span_set, sequential_standard_form
+from codemodel import CodeSpec, cardinality, is_member
+from helpers import random_matrix, row_span_set, sequential_standard_form, unimodular_row_mix
+from oracles import reconstruct, reduced_associated
 
 Z4 = RingSpec(2, 2)
 
@@ -334,6 +323,8 @@ def test_blocked_matches_sequential(ring_id, kind):
     assert got.matrix.data.dtype == want.matrix.data.dtype
     assert got.layout == want.layout
     assert got.perm == want.perm
+    # The standard form depends on the code and its column order only.
+    assert standard_form(unimodular_row_mix(g, rng)) == got
     if kind == "mixed":
         assert sum(got.layout.t) > 4 * PANEL_WIDTH
 

@@ -4,8 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from zpscodes import Matrix, RingSpec, mat_add, mat_mul
-from zpscodes.matrix import mat_neg
+from zpscodes import Matrix, RingSpec
+from zpscodes.matrix import mat_add, mat_mul, mat_neg
 from zpscodes.zring import DomainError, _is_prime, unit_inverse_int
 
 
