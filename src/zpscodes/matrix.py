@@ -356,9 +356,6 @@ class Permutation:
     def degree(self) -> int:
         return len(self.images)
 
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Permutation) and self.images == other.images
 
@@ -367,9 +364,6 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({list(self.images)})"
-
-    def inverse(self) -> "Permutation":
-        return Permutation(np.argsort(self.index) + 1)
 
 
 def apply_col_permutation(a: Matrix, perm: Permutation) -> Matrix:

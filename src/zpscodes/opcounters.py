@@ -46,9 +46,6 @@ class OpCounters:
             self.record_mul(rows, b, width, wide, count)
         self.record_add(rows, width, wide, len(inner) * count)
 
-    def total_block_ops(self) -> int:
-        return self.big_mults + self.big_adds + self.small_mults + self.small_adds
-
     def total_scalar_ops(self) -> int:
         """P/S-weighted total: sum of a*b*c over products plus a*b over sums."""
         total = 0

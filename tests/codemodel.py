@@ -13,6 +13,8 @@ from zpscodes.matrix import BlockLayout, Matrix, ShapeError, apply_col_permutati
 from zpscodes.stdform import StandardForm, standard_form
 from zpscodes.zring import DomainError, RingMismatchError
 
+from helpers import inverse
+
 ENUMERATION_BUDGET = 2 ** 20
 
 
@@ -51,7 +53,7 @@ def enumerate_codewords(code: CodeSpec) -> np.ndarray:
     if size > ENUMERATION_BUDGET:
         raise DomainError(f"|C| = {size} exceeds enumeration budget {ENUMERATION_BUDGET}")
 
-    rows = apply_col_permutation(code.standard.matrix, code.standard.perm.inverse())
+    rows = apply_col_permutation(code.standard.matrix, inverse(code.standard.perm))
     dtype = dtype_for(ring)
     words = np.zeros((1, code.n), dtype=dtype)
     # A row of group i, scaled by p^(i-1), takes p^(s-i+1) distinct multiples.

@@ -34,6 +34,11 @@ def structured_matrix(ring, n, rng):
     return Matrix(ring, rows)
 
 
+def inverse(perm: Permutation) -> Permutation:
+    """The inverse permutation, by argsort of its index."""
+    return Permutation(np.argsort(perm.index) + 1)
+
+
 def random_matrix(ring, nrows, ncols, rng):
     data = np.array(
         [[rng.randrange(ring.modulus) for _ in range(ncols)] for _ in range(nrows)],
@@ -121,6 +126,16 @@ def node_by_node_minor(table, i, j):
         return acc % m
 
     return node(i).astype(table.blocks[(i, end)].dtype)
+
+
+def tree_minor(table, i, j):
+    """O(i, i + j), j >= 1, from tree (i, i + j) of a BlockMinorTable alone,
+    with its counters: BlockMinorTable._tree, or the forest of the one
+    order-1 tree, which leave it signed (-1)^j."""
+    out = np.empty((table.layout.t[i - 1], table.blocks[(i, i + j)].shape[1]),
+                   table.blocks[(i, i + j)].dtype)
+    (table._tree if j > 1 else table._forest)(i, i + j, out)
+    return out if j % 2 == 0 else (-out) % table.ring.modulus
 
 
 def chunk_spy(chunks: list):

@@ -22,7 +22,7 @@ def sign(perm: Permutation) -> int:
 
 def is_restricted(perm: Permutation) -> bool:
     """Membership test for the sigma(h) >= h - 1 family."""
-    return all(perm(h) >= h - 1 for h in range(1, perm.degree + 1))
+    return all(perm.images[h - 1] >= h - 1 for h in range(1, perm.degree + 1))
 
 
 def enumerate_restricted(n: int):
@@ -38,7 +38,8 @@ def enumerate_restricted(n: int):
         if h > n:
             out.append(Permutation(images))
             return
-        for img in range(max(1, h - 1), n + 1):
+        # A value v fits only positions h <= v + 1: h - 1, while free, goes here.
+        for img in [h - 1] if h > 1 and not used[h - 1] else range(max(1, h - 1), n + 1):
             if not used[img]:
                 used[img] = True
                 images[h - 1] = img
@@ -53,7 +54,7 @@ def j_set(perm: Permutation) -> tuple:
     """Indices h with sigma(h) >= h, in increasing order: the factors of a
     restricted permutation's term.  Only these survive on a matrix whose
     first subdiagonal is all ones with zeros below it."""
-    return tuple(h for h in range(1, perm.degree + 1) if perm(h) >= h)
+    return tuple(h for h in range(1, perm.degree + 1) if perm.images[h - 1] >= h)
 
 
 def _check_structured(a: Matrix) -> int:
@@ -77,7 +78,7 @@ def det_structured_sum(a: Matrix) -> int:
     for sigma in enumerate_restricted(n):
         term = 1
         for h in j_set(sigma):
-            term = term * int(a.data[h - 1, sigma(h) - 1]) % m
+            term = term * int(a.data[h - 1, sigma.images[h - 1] - 1]) % m
         total = (total + sign(sigma) * term) % m
     return total
 
@@ -117,7 +118,7 @@ def block_minor_sum(table, i: int, j: int) -> Matrix:
     for sigma in enumerate_restricted(j):
         term = None
         for h in j_set(sigma):
-            factor = table.blocks[(i + h - 1, i + sigma(h))].astype(object)
+            factor = table.blocks[(i + h - 1, i + sigma.images[h - 1])].astype(object)
             term = factor if term is None else term.dot(factor)
         acc = acc + sign(sigma) * term
     return Matrix(table.ring, acc % table.ring.modulus)

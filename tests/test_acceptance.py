@@ -171,7 +171,7 @@ def test_ac6_restricted_permutation_combinatorics():
         for sigma in enumerate_restricted(j):
             js = j_set(sigma)
             for a, b in zip(js, js[1:]):
-                assert b == sigma(a) + 1
+                assert b == sigma.images[a - 1] + 1
     _report("AC6", True,
             "|restricted group| = 2^(n-1) for n <= 12, matches filtered "
             "enumeration for n <= 8; consecutive-index law holds for j <= 8")

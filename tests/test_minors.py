@@ -23,7 +23,9 @@ from zpscodes.minors import BlockMinorTable
 from zpscodes.stdform import extract_blocks
 from zpscodes.zring import DomainError
 
-from helpers import chunk_spy, cofactor_det, node_by_node_minor, random_matrix, structured_matrix
+from helpers import (
+    chunk_spy, cofactor_det, node_by_node_minor, random_matrix, structured_matrix, tree_minor
+)
 from oracles import (
     block,
     block_minor_sum,
@@ -83,7 +85,7 @@ def test_consecutive_index_lemma(j):
     for sigma in enumerate_restricted(j):
         js = j_set(sigma)
         for a, b in zip(js, js[1:]):
-            assert b == sigma(a) + 1
+            assert b == sigma.images[a - 1] + 1
 
 
 def test_membership_predicate():
@@ -169,7 +171,7 @@ def test_block_minor_conventions():
     o0 = block_minor_sum(table, 1, 0)
     assert o0.shape == (t1, t1)
     assert o0.tolist() == [[1 if r == c else 0 for c in range(t1)] for r in range(t1)]
-    assert np.array_equal(table._minor_rec(1, 1), table.blocks[(1, 2)])
+    assert np.array_equal(tree_minor(table, 1, 1), table.blocks[(1, 2)])
     assert block_minor_sum(table, 1, 1) == block(table, 1, 2)
 
 
@@ -234,7 +236,7 @@ def test_order_four_block_minor_has_eight_terms():
     ]
     acc = sum(sign * term.data for sign, term in terms) % m
     assert np.array_equal(block_minor_sum(table, 1, 4).data, acc)
-    assert np.array_equal(table._minor_rec(1, 4), acc)
+    assert np.array_equal(tree_minor(table, 1, 4), acc)
 
 
 def test_order_zero_minor_of_the_free_group():
@@ -246,7 +248,7 @@ def test_order_zero_minor_of_the_free_group():
     # n = t: the free group has width 0.
     table = random_block_table(ring, 3, 6, random.Random(55), t=(1, 2, 3))
     assert block_minor_sum(table, 4, 0).shape == (0, 0)
-    assert table._minor_rec(3, 1).shape == (3, 0)
+    assert tree_minor(table, 3, 1).shape == (3, 0)
 
 
 def test_block_minor_range_errors():
@@ -298,15 +300,13 @@ def test_record_count_equals_repeated_records():
     assert once.hist == {("mul", 2, 3, 5): 14, ("add", 2, 5): 14}
 
 
-def _minors_at_budget(table, monkeypatch, tree_bytes):
-    """Every _minor_rec(i, j), j >= 1, with its own counters, at the given
-    per-strip budget."""
-    monkeypatch.setattr(minors, "_TREE_BYTES", tree_bytes)
+def _trees(table):
+    """Every tree (i, i + j), j >= 1, alone, with its own counters."""
     s, out = table.layout.s, {}
     for i in range(1, s + 1):
         for j in range(1, s + 2 - i):
             table.counters = OpCounters()
-            out[(i, j)] = (table._minor_rec(i, j), table.counters)
+            out[(i, j)] = (tree_minor(table, i, j), table.counters)
     return out
 
 
@@ -320,36 +320,37 @@ def _node_by_node(table):
     return out
 
 
-def _groups_at_budget(table, monkeypatch, tree_bytes):
-    """For every end, the column-group pass block_minor_rec(1, end - 1, out)
-    with its own counters, at the given per-strip budget.  out is a column
-    slice of a wider array, strided as a column group of H^T is."""
-    monkeypatch.setattr(minors, "_TREE_BYTES", tree_bytes)
-    layout, out = table.layout, {}
-    for end in range(2, layout.s + 2):
-        width = table.blocks[(1, end)].shape[1]
-        wider = np.zeros((layout.group(end).start, width + 2), dtype_for(table.ring))
-        table.counters = OpCounters()
-        assert table.block_minor_rec(1, end - 1, wider[:, 1 : width + 1]) is None
-        assert not wider[:, 0].any() and not wider[:, -1].any()
-        out[end] = (wider[:, 1 : width + 1], table.counters)
-    return out
-
-
-def _summed(counters):
+def _node_group(node, end, m):
+    """Column group end from _node_by_node's minors: the signed minors
+    (-1)^(end-a) O(a, end) of the trees a = 1..end-1, stacked, and their
+    counters summed."""
+    trees = [node[(a, end - a)] for a in range(1, end)]
+    signed = [arr if (end - a) % 2 == 0 else (-arr) % m for a, (arr, _) in enumerate(trees, 1)]
     fields = ("big_mults", "big_adds", "small_mults", "small_adds")
-    return OpCounters(*(sum(getattr(c, f) for c in counters) for f in fields),
-                      sum((c.hist for c in counters), Counter()))
+    counters = [c for _, c in trees]
+    return np.vstack(signed), OpCounters(*(sum(getattr(c, f) for c in counters) for f in fields),
+                                         sum((c.hist for c in counters), Counter()))
 
 
-# Budget 0 takes the node-by-node top at every node with entries, 2^62
-# evaluates every tree in one strip, and 600 bytes (2^16 on 3^13, where the
-# order-13 trees get strips of one column) mixes strips of several widths
-# with node-by-node tops.  A column group whose one column passes the budget
-# runs its trees alone.  1447^3 stores int64 and multiplies in int64 chunks
-# of one; 3^21 and 1451^3 store python ints.  Types put t_i = 0 first, in
-# the middle and last, and n = t; (0, 2, 1, 3, 2) has a column group of
-# width 1.
+def _group(table, end):
+    """The column-group pass block_minor_rec(1, end - 1, out) with its own
+    counters.  out is a column slice of a wider array, strided as a column
+    group of H^T is."""
+    width = table.blocks[(1, end)].shape[1]
+    wider = np.zeros((table.layout.group(end).start, width + 2), dtype_for(table.ring))
+    table.counters = OpCounters()
+    assert table.block_minor_rec(1, end - 1, wider[:, 1 : width + 1]) is None
+    assert not wider[:, 0].any() and not wider[:, -1].any()
+    return wider[:, 1 : width + 1], table.counters
+
+
+# Budget 0 splits every forest with entries down to its order-1 forests,
+# 2^62 evaluates every forest in one strip, and 600 bytes (2^16 on 3^13,
+# where the order-13 forests get strips of one column) mixes strips of
+# several widths with splits.  1447^3 stores int64 and multiplies in int64
+# chunks of one; 3^21 and 1451^3 store python ints.  Types put t_i = 0
+# first, in the middle and last, and n = t; (0, 2, 1, 3, 2) has a column
+# group of width 1.
 @pytest.mark.parametrize("ring,n,t", [
     *(pytest.param(ring, n, t, id=f"{ring.p}^{ring.s}-{n}-{t}")
       for ring in (RingSpec(2, 4), RingSpec(1447, 3), RingSpec(3, 21), RingSpec(1451, 3))
@@ -360,24 +361,19 @@ def _summed(counters):
 def test_levels_match_node_by_node(ring, n, t, monkeypatch):
     table = random_block_table(ring, len(t), n, random.Random(54 + n), t=t)
     node = _node_by_node(table)
-    # Column group end: the signed minors (-1)^(end-a) O(a, end) of the
-    # trees a = 1..end-1, stacked, and their counters summed.
-    m, groups = ring.modulus, {}
-    for end in range(2, len(t) + 2):
-        trees = [node[(a, end - a)] for a in range(1, end)]
-        signed = [arr if (end - a) % 2 == 0 else (-arr) % m for a, (arr, _) in enumerate(trees, 1)]
-        groups[end] = (np.vstack(signed), _summed([c for _, c in trees]))
+    groups = {end: _node_group(node, end, ring.modulus) for end in range(2, len(t) + 2)}
     for tree_bytes in (0, 600, 1 << 16, 2 ** 62):
-        got = _minors_at_budget(table, monkeypatch, tree_bytes)
+        monkeypatch.setattr(minors, "_TREE_BYTES", tree_bytes)
+        got = _trees(table)
         for key, (arr, counters) in node.items():
             assert got[key][0].dtype == arr.dtype, key
             assert np.array_equal(got[key][0], arr), key
             assert got[key][1] == counters, key
-        got = _groups_at_budget(table, monkeypatch, tree_bytes)
         for end, (arr, counters) in groups.items():
-            assert got[end][0].dtype == arr.dtype, (tree_bytes, end)
-            assert np.array_equal(got[end][0], arr), (tree_bytes, end)
-            assert got[end][1] == counters, (tree_bytes, end)
+            got = _group(table, end)
+            assert got[0].dtype == arr.dtype, (tree_bytes, end)
+            assert np.array_equal(got[0], arr), (tree_bytes, end)
+            assert got[1] == counters, (tree_bytes, end)
 
 
 def _strip_widths(table, monkeypatch):
@@ -392,40 +388,46 @@ def _strip_widths(table, monkeypatch):
     return widths
 
 
-# Tree (1, 4) over t = (2, 1, 2, 1) computes three levels of 2 + 1 + 2*2 = 7
-# nodes (its leaf level of 1*4 is never computed), and its largest children
-# stack, the root's, has 1 + 2 + 1 = 4 rows: 11 entries, 88 bytes a column.
-# Its leaf is 7 columns wide, or 0 when n = t, which still runs (and counts)
-# one empty strip.
+def _check_group(table, end):
+    """Column group end of table against the node-by-node oracle: equal
+    minors and counters."""
+    want = _node_group(_node_by_node(table), end, table.ring.modulus)
+    got = _group(table, end)
+    assert got[0].dtype == want[0].dtype and np.array_equal(got[0], want[0])
+    assert got[1] == want[1]
+
+
+# Forest (1, 5) over t = (2, 1, 2, 1) computes three levels of 2*4 + 1*2 +
+# 2*1 = 12 nodes (its leaf level of 1*8 is never computed), and its largest
+# children stack or level, level 3's, has 2*4 = 8 rows: 20 entries, 160
+# bytes a column.  Its leaf is 7 columns wide, or 0 when n = t, which still
+# runs (and counts) one empty strip.
 @pytest.mark.parametrize("n,tree_bytes,strips", [
-    pytest.param(13, 88 * 3, [3, 3, 1], id="3-does-not-divide-7"),
-    pytest.param(13, 88 * 7 - 1, [6, 1], id="6-of-7"),
-    pytest.param(13, 88 * 7, [7], id="leaf-width"),
+    pytest.param(13, 160 * 3, [3, 3, 1], id="3-does-not-divide-7"),
+    pytest.param(13, 160 * 7 - 1, [6, 1], id="6-of-7"),
+    pytest.param(13, 160 * 7, [7], id="leaf-width"),
     pytest.param(13, 2 ** 62, [7], id="unbounded"),
-    pytest.param(13, 88, [1] * 7, id="one-column"),
+    pytest.param(13, 160, [1] * 7, id="one-column"),
     pytest.param(6, 2 ** 62, [0], id="width-0"),
 ])
 def test_strip_edges(n, tree_bytes, strips, monkeypatch):
-    ring = RingSpec(3, 4)
-    table = random_block_table(ring, 4, n, random.Random(56), t=(2, 1, 2, 1))
-    want = node_by_node_minor(table, 1, 4)
-    counters, table.counters = table.counters, OpCounters()
+    table = random_block_table(RingSpec(3, 4), 4, n, random.Random(56), t=(2, 1, 2, 1))
     monkeypatch.setattr(minors, "_TREE_BYTES", tree_bytes)
     widths = _strip_widths(table, monkeypatch)
-    got = table._minor_rec(1, 4)
+    _check_group(table, 5)
     assert widths == [w for w in strips for _ in range(3)]
-    assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert table.counters == counters
 
 
 def test_strips_count_python_int_bytes(monkeypatch):
     # Over 11^10, stored as python ints, an entry holds an 8-byte pointer
     # and an int object of up to 32 bytes (CPython 3.11, 64-bit).  A column
-    # of tree (1, 10) at t_i = 2 holds 512 nodes of its nine computed levels
-    # and a children stack of at most 256 rows (level 8's or 9's), 768
-    # entries, 30 KiB, so 1 MiB gives strips of 34 of its leaf's 60 columns;
-    # at 8 bytes an entry it was one strip of 60.  So its level arrays and
-    # stack, temporaries included, stay below twice the budget.
+    # of forest (2, 11) at t_i = 2 holds 510 nodes of its eight computed
+    # levels and a children stack or level of at most 256 rows (level 9's),
+    # 766 entries, 30 KiB, so 1 MiB gives strips of 34 of its leaf's 60
+    # columns; at 8 bytes an entry it was one strip of 60.  So tree (1, 11),
+    # one root product over that forest, keeps its level arrays and stack,
+    # temporaries included, below twice the budget.  Forest (1, 11), 1534
+    # entries a column, gets strips of 17.
     table = random_block_table(RingSpec(11, 10), 10, 80, random.Random(60), t=(2,) * 10)
     want = node_by_node_minor(table, 1, 10)
     counters, table.counters = table.counters, OpCounters()
@@ -433,14 +435,17 @@ def test_strips_count_python_int_bytes(monkeypatch):
     widths = _strip_widths(table, monkeypatch)
     tracemalloc.start()
     try:
-        got = table._minor_rec(1, 10)
+        got = tree_minor(table, 1, 10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert widths == [w for w in (34, 26) for _ in range(9)]
+    assert widths == [w for w in (34, 26) for _ in range(8)] + [60]
     assert got.dtype == want.dtype == object and np.array_equal(got, want)
     assert table.counters == counters
     assert peak < 2 * minors._TREE_BYTES
+    widths.clear()
+    _check_group(table, 11)
+    assert widths == [w for w in (17, 17, 17, 9) for _ in range(9)]
 
 
 # The leaf level's nodes skip the product by the identity, so none reaches
@@ -521,43 +526,44 @@ def test_one_level_product_per_group_level_and_strip(monkeypatch):
 
 
 def test_deep_tree_evaluates_its_root_over_recursed_children(monkeypatch):
-    # At 87 bytes one column of tree (1, 4) (88 bytes) passes the budget:
-    # its root alone is one level product over whole children, each child
-    # tree evaluated by its own call in strips of its own.
+    # At 159 bytes one column of forest (1, 5) (160 bytes, see
+    # test_strip_edges) passes the budget, and at 71 one of forest (2, 5)
+    # (72 bytes) does: each splits into the forest of its other trees and its
+    # first tree, one full-width root product over a forest of its own.
+    # Forest (3, 5) (32 bytes) runs in strips of 2.
     table = random_block_table(RingSpec(3, 4), 4, 13, random.Random(56), t=(2, 1, 2, 1))
-    want = node_by_node_minor(table, 1, 4)
-    counters, table.counters = table.counters, OpCounters()
-    monkeypatch.setattr(minors, "_TREE_BYTES", 87)
-    calls, minor_rec = [], minors.BlockMinorTable._minor_rec
+    monkeypatch.setattr(minors, "_TREE_BYTES", 71)
+    calls, forest = [], minors.BlockMinorTable._forest
 
-    def spy(self, i, j):
-        calls.append((i, j))
-        return minor_rec(self, i, j)
+    def spy(self, low, end, out):
+        calls.append(low)
+        return forest(self, low, end, out)
 
-    monkeypatch.setattr(minors.BlockMinorTable, "_minor_rec", spy)
+    monkeypatch.setattr(minors.BlockMinorTable, "_forest", spy)
     widths = _strip_widths(table, monkeypatch)
-    got = table._minor_rec(1, 4)
-    assert calls == [(1, 4), (2, 3), (3, 2), (4, 1)]
-    assert widths[-1] == 7 and widths.count(7) == 1  # the root; tree (4, 1) copies its leaf
-    assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert table.counters == counters
+    _check_group(table, 5)
+    assert calls == [1, 2, 3, 3, 2, 3, 3]
+    forest_3 = [2, 2, 2, 1]
+    tree_2 = forest_3 + [7]
+    assert widths == forest_3 + tree_2 + forest_3 + tree_2 + [7]
 
 
 def test_deep_tree_memory_within_budget(monkeypatch):
-    # One column of an order-18 tree at t_i = 2 takes 2^18 nodes * 8 bytes,
-    # twice the budget, so it recurses at its top; its level arrays stay
+    # One column of forest (2, 19), the children of an order-18 tree at
+    # t_i = 2, takes 2^17 nodes and a 2^16-row stack at 8 bytes, 1.5 times
+    # the budget, so it splits off its first tree; the level arrays stay
     # within the budget, temporaries included, below twice it.
     s = 18
     table = random_block_table(RingSpec(3, s), s, 2 * s + 8, random.Random(59), t=(2,) * s)
     tracemalloc.start()
     try:
-        got = table._minor_rec(1, s)
+        got = tree_minor(table, 1, s)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2 * minors._TREE_BYTES
     monkeypatch.setattr(minors, "_TREE_BYTES", 2 ** 62)
-    assert np.array_equal(got, table._minor_rec(1, s))
+    assert np.array_equal(got, tree_minor(table, 1, s))
 
 
 def test_wide_inner_dimension_stays_int64(monkeypatch):
@@ -575,7 +581,7 @@ def test_wide_inner_dimension_stays_int64(monkeypatch):
     monkeypatch.setattr(minors, "_matmul_reduced", spy)
     for i in range(1, 6):
         table.counters = OpCounters()
-        got = table._minor_rec(i, 6 - i)
+        got = tree_minor(table, i, 6 - i)
         counters, table.counters = table.counters, OpCounters()
         want = node_by_node_minor(table, i, 6 - i)
         assert got.dtype == want.dtype == np.int64
@@ -604,5 +610,5 @@ def test_malformed_blocks_raise_before_counting():
     table = random_block_table(RingSpec(2, 3), 3, 9, random.Random(58), t=(1, 2, 1))
     table.blocks[(1, 3)] = table.blocks[(1, 3)][:, :0]
     with pytest.raises(ShapeError):
-        table._minor_rec(1, 3)
+        tree_minor(table, 1, 3)
     assert table.counters == OpCounters()

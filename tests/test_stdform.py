@@ -8,7 +8,7 @@ from zpscodes.matrix import ShapeError, apply_col_permutation, dtype_for, zeros
 from zpscodes.stdform import PANEL_WIDTH, _flush, extract_blocks
 
 from codemodel import CodeSpec, cardinality, is_member
-from helpers import random_matrix, row_span_set, sequential_standard_form, unimodular_row_mix
+from helpers import inverse, random_matrix, row_span_set, sequential_standard_form, unimodular_row_mix
 from oracles import reconstruct, reduced_associated
 
 Z4 = RingSpec(2, 2)
@@ -189,7 +189,7 @@ def test_membership_both_directions_after_reduction():
         gens = random_matrix(ring, rng.randint(1, n), n, rng)
         sf = standard_form(gens)
         code = CodeSpec(gens, standard=sf)
-        unperm = apply_col_permutation(sf.matrix, sf.perm.inverse())
+        unperm = apply_col_permutation(sf.matrix, inverse(sf.perm))
         for row in unperm.data:
             assert is_member(code, row)
         roundtrip = CodeSpec(unperm)
