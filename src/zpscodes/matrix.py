@@ -230,11 +230,11 @@ def _matmul_reduced(a: np.ndarray, b: np.ndarray, ring: RingSpec, c=None, out=No
 
     The result is a new array unless out, a C-contiguous array of its shape
     in the storage, is given to take it.  A product in one chunk then
-    allocates nothing that grows with it: unless it runs in float32, it is
-    written into out's own bytes and converted there, and the quotient of
-    its last reduction goes to work, a flat buffer in the storage of as
-    many entries or more.  work is written only once b has been read, so
-    it may hold b.
+    allocates nothing that grows with it unless it runs in float32 or in
+    Python ints: it is written into out's own bytes and converted there,
+    and the quotient of its last reduction goes to work, a flat buffer in
+    the storage of as many entries or more.  work is written only once b
+    has been read, so it may hold b.
     """
     m, (rows, k), cols, storage = ring.modulus, a.shape, b.shape[1], dtype_for(ring)
     dtype = _matmul_dtype(ring, rows, k, cols)
@@ -251,12 +251,14 @@ def _matmul_reduced(a: np.ndarray, b: np.ndarray, ring: RingSpec, c=None, out=No
     if out is None:
         total = chunk(0).astype(storage, copy=False)
     else:
-        prod = chunk(0, out.view(dtype) if np.dtype(dtype).itemsize == out.itemsize else None)
-        if prod.dtype != storage:
+        # Python ints take a new prod, released once copied: object matmul leaks out's entries.
+        shared = dtype is not object and np.dtype(dtype).itemsize == out.itemsize
+        prod = chunk(0, out.view(dtype) if shared else None)
+        if prod.dtype != storage or not shared:
             # Where prod is out's own bytes, each entry is converted where it
             # lies: in one dimension numpy copies nothing.
             np.copyto(out.reshape(-1), prod.reshape(-1), casting="unsafe")
-        total = out
+        total, prod = out, None
     total = total.reshape(blocks)
     if c is not None:
         total += c[:, None, :]
@@ -511,13 +513,15 @@ def _parse_digits(body, nrows: int, ncols: int, modulus: int):
     below modulus.  On such lines numpy reads what int() reads, except that
     a token above 2^63 - 1 saturates to 2^63 - 1 >= modulus, which fails
     the range test."""
-    data = np.empty((nrows, ncols), dtype=np.int64)
+    data = np.empty((0, ncols), dtype=np.int64)  # until a line holds ncols entries
     for row, (_, line) in enumerate(body):
         if line.translate(_DIGITS_AND_BLANKS):
             return None
         entries = np.fromstring(line, dtype=np.int64, sep=" ")
         if entries.size != ncols:
             return None
+        if not row:
+            data = np.empty((nrows, ncols), dtype=np.int64)
         data[row] = entries
     if data.size and data.max() >= modulus:
         return None

@@ -8,10 +8,10 @@ of blocks; the minors construction takes every block of H from one such
 minor.  Here they are evaluated only by the first-column Laplace recursion,
 O(a, end) = sum over a < b <= end of (-1)^(b-1-a) A(a, b) O(b, end), with
 O(end, end) the identity: all the trees of one column group of H^T at once,
-as one forest of levels of nodes (see BlockMinorTable._forest).  A forest
-too big for one column splits off its first tree, one root product over a
-forest of its own.  The signed sum itself serves only as an oracle, in the
-tests.
+as one forest of levels of nodes, each level one call of the product kernel
+(see BlockMinorTable._forest).  A forest too big for one column splits off
+its first tree, one root product over a forest of its own.  The signed sum
+itself serves only as an oracle, in the tests.
 """
 
 from __future__ import annotations
@@ -88,15 +88,6 @@ class BlockMinorTable:
         self.counters.record_add(a.shape[0], a.shape[1], wide)
         return _reduce(a + b, self.ring.modulus)
 
-    def _level_product(self, rows, children, leaf, count: int, out=None, work=None) -> np.ndarray:
-        """count nodes side by side: rows times children, plus leaf on each
-        of the count equal-width column blocks, in one kernel call, into out
-        with work as its scratch when given (see _matmul_reduced).  Uncounted."""
-        t, w = leaf.shape
-        if rows.shape != (t, children.shape[0]) or children.shape[1] != count * w:
-            raise ShapeError(f"level not conformable: {rows.shape} {children.shape} {leaf.shape}")
-        return _matmul_reduced(rows, children, self.ring, leaf, out, work)
-
     def block_minor_rec(self, i: int, j: int, out) -> None:
         """The order-j block-minors O(a, end), end = i + j, a = i..end-1, via
         the Laplace-style recursion, as one forest.  out is an array of the
@@ -119,18 +110,19 @@ class BlockMinorTable:
         stack or level, whose quotient the stack takes once the level's
         product is done.  Level a holds 2^(a-low) nodes of t_a rows, and
         stacks sum(t[a:end-1]) rows of children for each."""
-        t, width, storage = self.layout.t, self.blocks[(low, end)].shape[1], dtype_for(self.ring)
-        # 8 bytes an entry, plus an int object no larger than m - 1's.
-        entry = 8 + (sys.getsizeof(self.ring.modulus - 1) if storage is object else 0)
+        t, width, m = self.layout.t, self.blocks[(low, end)].shape[1], self.ring.modulus
         levels = stack = kids = 0
         for a in range(end - 2, low - 1, -1):
             count = 1 << (a - low)
             kids += t[a]  # sum(t[a:end-1])
             levels += t[a - 1] * count
             stack = max(stack, kids * count, t[a - 1] * count)
-        if entry * (levels + stack) > _TREE_BYTES:
-            return 0, (0, 0)
-        strip = max(1, _TREE_BYTES // (entry * max(levels + stack, 1)))
+        # 8 bytes an entry; over Python ints, a level entry's int below m, and a stack
+        # entry's share of the product under way: a pointer, a sum below kids * m^2.
+        column = 8 * (levels + stack)
+        if dtype_for(self.ring) is object:
+            column += levels * sys.getsizeof(m - 1) + stack * (8 + sys.getsizeof(kids * m * m))
+        strip = max(1, _TREE_BYTES // max(column, 8)) if column <= _TREE_BYTES else 0
         cols = min(strip, width)
         return strip, (levels * cols, stack * cols)
 
@@ -155,7 +147,7 @@ class BlockMinorTable:
         kids = np.empty((sum(t[low : end - 1]), out.shape[1]), out.dtype)
         self._forest(low + 1, end, kids)
         row, k = np.hstack([blocks[(low, b)] for b in range(low + 1, end + 1)]), kids.shape[0]
-        _negate(out, self._level_product(row[:, :k], kids, row[:, k:], 1), self.ring.modulus)
+        _negate(out, _matmul_reduced(row[:, :k], kids, self.ring, row[:, k:]), self.ring.modulus)
         self.counters.record_node(t[low - 1], t[low : end - 1], out.shape[1], wide)
 
     def _forest(self, low: int, end: int, out: np.ndarray) -> None:
@@ -166,16 +158,16 @@ class BlockMinorTable:
         (-1)^(b-1-a) A(a, b) O(b), skipping the product by O(end) = Id.
         Level a holds the 2^(a-low) nodes that the trees have at anchor a,
         node 0 the root of tree a; its nodes' children at anchor b are nodes
-        [2^(a-low), 2^(a-low+1)) of level b.  So a level is one fused
-        product of the signed row [A(a, a+1) | ... | ±A(a, end-1)] by its
-        children, stacked in the workspace, plus ±A(a, end), into its own
-        array there, counted once at full width.  The leaf level end - 1 is
-        never computed: each node is A(end-1, end), so a forest of one
-        order-1 tree is -A(low, end), written whole.  A forest whose single
-        column passes the budget (order above 17 at t = 2 for int64) splits
-        off its first tree: forest (low + 1, end), then tree (low, end),
-        which runs forest (low + 1, end) again, as the unmemoized count
-        requires.
+        [2^(a-low), 2^(a-low+1)) of level b.  So a level is one call of
+        _matmul_reduced: the signed row [A(a, a+1) | ... | ±A(a, end-1)]
+        times its children, stacked in the workspace, plus ±A(a, end), into
+        its own array there, counted once at full width.  The leaf level
+        end - 1 is never computed: each node is A(end-1, end), so a forest
+        of one order-1 tree is -A(low, end), written whole.  A forest whose
+        single column passes the budget (order above 17 at t = 2 for int64)
+        splits off its first tree: forest (low + 1, end), then tree (low,
+        end), which runs forest (low + 1, end) again, as the unmemoized
+        count requires.
         """
         t, m, signed, width = self.layout.t, self.ring.modulus, self._signed_rows, out.shape[1]
         leaf = signed[end - 1][:, :width]
@@ -207,9 +199,9 @@ class BlockMinorTable:
                     r += t[b - 1]
                 out_a = work[used : used + size].reshape(t[a - 1], count * cols)
                 used += size
-                level[a] = self._level_product(
-                    row[:, :k], children.reshape(k, count * cols),
-                    row[:, k + c0 : k + c0 + cols], count, out_a, stack,
+                level[a] = _matmul_reduced(
+                    row[:, :k], children.reshape(k, count * cols), self.ring,
+                    row[:, k + c0 : k + c0 + cols], out_a, stack,
                 ).reshape(t[a - 1], count, cols)
                 if c0 == 0:  # at full width, once
                     self.counters.record_node(t[a - 1], t[a : end - 1], width, wide, count)

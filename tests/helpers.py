@@ -34,6 +34,24 @@ def structured_matrix(ring, n, rng):
     return Matrix(ring, rows)
 
 
+DEGENERATE_CASES = ["n=t", "no-rows", "no-cols", "some-zero"]
+
+
+def degenerate_type(case, s):
+    """(n, t) of a degenerate type over a ring of length s."""
+    if case == "n=t":
+        t = (2,) + (1,) * (s - 1)
+        return sum(t), t
+    if case == "no-rows":
+        return 5, (0,) * s
+    if case == "no-cols":
+        return 0, (0,) * s
+    if case == "some-zero":
+        t = tuple(2 * (i % 2) for i in range(s))
+        return sum(t) + 3, t
+    raise ValueError(case)
+
+
 def inverse(perm: Permutation) -> Permutation:
     """The inverse permutation, by argsort of its index."""
     return Permutation(np.argsort(perm.index) + 1)

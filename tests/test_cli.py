@@ -103,6 +103,15 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_huge_column_count_exit_code(tmp_path, capsys):
+    # The header's 10^13 columns are refused at the first line, which holds
+    # 2, as a parse error, not a failed allocation.
+    path = tmp_path / "wide.txt"
+    path.write_text("2 1 1 10000000000000\n1 0\n")
+    assert main(["std-form", str(path)]) == 2
+    assert "line 2, column 0: expected 10000000000000 entries, found 2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "header,column",
     [("x 2 1 1", 1), ("4 2 1 1", 1), ("2 0 1 1", 2), ("2 63 1 1", 2), ("2 2 z 1", 3), ("2 2 1 -1", 4)],

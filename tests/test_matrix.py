@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -424,6 +425,11 @@ def test_digit_reader_entry_count_errors():
     # A header that claims far more than the text holds is refused by count.
     with pytest.raises(ParseError, match="expected 10000000000 rows"):
         parse_matrix("2 2 10000000000 10000000000\n1\n")
+    # A header whose column count the first line does not hold is refused
+    # by that line, before anything of the header's size is allocated.
+    with pytest.raises(ParseError, match="expected 10000000000000 entries, found 2") as exc:
+        parse_matrix("2 1 1 10000000000000\n1 0\n")
+    assert exc.value.line == 2
 
 
 def test_digit_reader_falls_back_late():
@@ -734,8 +740,8 @@ def test_kernel_matches_python_ints(p, s, headroom):
     for k in ks:
         a = np.full((3, k), m - 1, dtype=storage)
         # (columns of the product, width of c): none, the product's shape,
-        # two blocks, zero width.
-        for cols, width in [(4, None), (4, 4), (4, 2), (0, 0)]:
+        # two blocks of 2 and of 3, zero width.
+        for cols, width in [(4, None), (4, 4), (4, 2), (6, 3), (0, 0)]:
             b = np.full((k, cols), m - 1, dtype=storage)
             c = None
             if width is not None:
@@ -750,6 +756,19 @@ def test_kernel_matches_python_ints(p, s, headroom):
             size = max(k, 1) if unbounded else headroom
             widths = [min(size, k - k0) for k0 in range(0, max(k, 1), size)]
             assert chunks == [(w, np.dtype(storage)) for w in widths]
+
+
+def test_kernel_into_out_releases_python_ints():
+    # numpy's object matmul overwrites the entries of its out without
+    # releasing them: written into a reused out, a Python-int product must
+    # let go of what out held.
+    ring = RingSpec(3, 39)
+    old = ring.modulus - 1
+    out = np.full((2, 3), old, dtype=object)
+    before = sys.getrefcount(old)
+    a, b = np.ones((2, 4), object), np.ones((4, 3), object)
+    assert _matmul_reduced(a, b, ring, None, out).tolist() == [[4] * 3] * 2
+    assert sys.getrefcount(old) == before - 6
 
 
 # The kernel writing into out, with b held in work in the dtype it

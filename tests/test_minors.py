@@ -271,17 +271,10 @@ def test_counted_kernel_rejects_nonconformable():
         lambda: table._counted_mul(z(2, 2), z(3, 6), True),
         lambda: table._counted_add(z(2, 6), z(2, 3), True),
         lambda: table._counted_add(z(2, 6), z(3, 6), True),
-        # The fused level product: inner dimension, leaf rows, leaf width.
-        lambda: table._level_product(z(2, 3), z(2, 6), z(2, 3), 2),
-        lambda: table._level_product(z(3, 2), z(2, 6), z(2, 3), 2),
-        lambda: table._level_product(z(2, 2), z(2, 6), z(2, 4), 2),
-        lambda: table._level_product(z(2, 2), z(2, 6), z(2, 3), 3),
     ]
     for call in bad:
         with pytest.raises(ShapeError):
             call()
-    assert table.counters == OpCounters()
-    assert table._level_product(z(2, 0), z(0, 6), z(2, 3), 2).shape == (2, 6)
     assert table.counters == OpCounters()
     assert table._counted_add(z(2, 6), z(2, 6), True).shape == (2, 6)
     assert table._counted_mul(z(2, 2), z(2, 6), True).shape == (2, 6)
@@ -377,14 +370,14 @@ def test_levels_match_node_by_node(ring, n, t, monkeypatch):
 
 
 def _strip_widths(table, monkeypatch):
-    """Leaf widths that _level_product is called with."""
-    widths, level_product = [], minors.BlockMinorTable._level_product
+    """Leaf widths of the level and root products, minors' kernel calls."""
+    widths, kernel = [], minors._matmul_reduced
 
-    def spy(self, rows, children, leaf, count, *work):
+    def spy(rows, children, ring, leaf, *work):
         widths.append(leaf.shape[1])
-        return level_product(self, rows, children, leaf, count, *work)
+        return kernel(rows, children, ring, leaf, *work)
 
-    monkeypatch.setattr(minors.BlockMinorTable, "_level_product", spy)
+    monkeypatch.setattr(minors, "_matmul_reduced", spy)
     return widths
 
 
@@ -419,15 +412,18 @@ def test_strip_edges(n, tree_bytes, strips, monkeypatch):
 
 
 def test_strips_count_python_int_bytes(monkeypatch):
-    # Over 11^10, stored as python ints, an entry holds an 8-byte pointer
-    # and an int object of up to 32 bytes (CPython 3.11, 64-bit).  A column
-    # of forest (2, 11) at t_i = 2 holds 510 nodes of its eight computed
-    # levels and a children stack or level of at most 256 rows (level 9's),
-    # 766 entries, 30 KiB, so 1 MiB gives strips of 34 of its leaf's 60
-    # columns; at 8 bytes an entry it was one strip of 60.  So tree (1, 11),
-    # one root product over that forest, keeps its level arrays and stack,
-    # temporaries included, below twice the budget.  Forest (1, 11), 1534
-    # entries a column, gets strips of 17.
+    # Over 11^10, stored as python ints, a level entry holds an 8-byte
+    # pointer and an int object of up to 32 bytes (CPython 3.11, 64-bit),
+    # and a stack entry a pointer and its share of the product under way: a
+    # pointer and an unreduced sum of up to 36 bytes.  A column of forest
+    # (2, 11) at t_i = 2 holds 510 nodes of its eight computed levels and a
+    # children stack or level of at most 256 rows (level 9's), 510 * 40 +
+    # 256 * 52 bytes, so 1 MiB gives strips of 31 of its leaf's 60 columns;
+    # at 8 bytes an entry it was one strip of 60.  Forest (1, 11), 1022 and
+    # 512 entries a column, gets strips of 15.  So tree (1, 11), one root
+    # product over forest (2, 11), and forest (1, 11) keep the workspace and
+    # its ints, temporaries included, below twice the budget, and the forest
+    # leaves no more allocated than its output, 1200 entries of 40 bytes.
     table = random_block_table(RingSpec(11, 10), 10, 80, random.Random(60), t=(2,) * 10)
     want = node_by_node_minor(table, 1, 10)
     counters, table.counters = table.counters, OpCounters()
@@ -436,16 +432,20 @@ def test_strips_count_python_int_bytes(monkeypatch):
     tracemalloc.start()
     try:
         got = tree_minor(table, 1, 10)
-        peak = tracemalloc.get_traced_memory()[1]
+        before, peak = tracemalloc.get_traced_memory()
+        assert table.counters == counters
+        tracemalloc.reset_peak()
+        group = _group(table, 11)[0]
+        after, forest_peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert widths == [w for w in (34, 26) for _ in range(8)] + [60]
+    assert widths == [w for w in (31, 29) for _ in range(8)] + [60] + [15] * 36
     assert got.dtype == want.dtype == object and np.array_equal(got, want)
-    assert table.counters == counters
-    assert peak < 2 * minors._TREE_BYTES
+    assert peak < 2 * minors._TREE_BYTES and forest_peak < 2 * minors._TREE_BYTES
+    assert after - before < 40 * group.size
     widths.clear()
     _check_group(table, 11)
-    assert widths == [w for w in (17, 17, 17, 9) for _ in range(9)]
+    assert widths == [15] * 36
 
 
 # The leaf level's nodes skip the product by the identity, so none reaches
@@ -463,12 +463,11 @@ def test_strips_count_python_int_bytes(monkeypatch):
 def test_leaf_level_skipped_and_one_stack_per_table(ring, n, t, monkeypatch):
     sf = random_code(ring, n, t, 61)
     calls, groups = [], {}
-    level_product = minors.BlockMinorTable._level_product
-    block_minor_rec = minors.BlockMinorTable.block_minor_rec
+    kernel, block_minor_rec = minors._matmul_reduced, minors.BlockMinorTable.block_minor_rec
 
-    def product_spy(self, rows, children, leaf, count, *work):
-        level = level_product(self, rows, children, leaf, count, *work)
-        calls.append((self, self._work, children, level))
+    def product_spy(rows, children, ring, leaf, out, work):
+        level = kernel(rows, children, ring, leaf, out, work)
+        calls.append((work.base, children, level))  # work: a slice of the workspace
         return level
 
     def minor_spy(self, i, j, out):
@@ -476,13 +475,13 @@ def test_leaf_level_skipped_and_one_stack_per_table(ring, n, t, monkeypatch):
         groups[(i, j)] = out.copy()  # a view of H^T, scaled once filled
         return got
 
-    monkeypatch.setattr(minors.BlockMinorTable, "_level_product", product_spy)
+    monkeypatch.setattr(minors, "_matmul_reduced", product_spy)
     monkeypatch.setattr(minors.BlockMinorTable, "block_minor_rec", minor_spy)
     res = parity_check_minors(sf)
-    table, work = calls[0][:2]
-    assert all(call[0] is table and call[1] is work for call in calls)
+    work = calls[0][0]
+    assert all(call[0] is work for call in calls)
     assert all(children.shape[0] > 0 and np.shares_memory(children, work)
-               and np.shares_memory(level, work) for _, _, children, level in calls)
+               and np.shares_memory(level, work) for _, children, level in calls)
     ref, layout = BlockMinorTable(extract_blocks(sf), sf.layout), sf.layout
     assert len(groups) == sum(1 for w in (n - sum(t), *t[1:]) if w)
     for (i, j), got in groups.items():
@@ -512,14 +511,15 @@ def test_one_level_product_per_group_level_and_strip(monkeypatch):
         strip = max(1, minors._TREE_BYTES // (8 * max(levels + stack, 1)))
         want += -(-width // strip) * (end - 2)
     assert want == 282  # 18 strips of the wide group's 12 levels, and 66
-    calls, level_product = [], minors.BlockMinorTable._level_product
+    calls, kernel = [], minors._matmul_reduced
 
-    def spy(self, rows, children, leaf, count, *work):
-        level = level_product(self, rows, children, leaf, count, *work)
-        calls.append(np.shares_memory(children, self._work) and np.shares_memory(level, self._work))
+    def spy(rows, children, ring, leaf, out, work):
+        level = kernel(rows, children, ring, leaf, out, work)
+        # work is a slice of the table's workspace, out another.
+        calls.append(np.shares_memory(children, work.base) and np.shares_memory(level, work.base))
         return level
 
-    monkeypatch.setattr(minors.BlockMinorTable, "_level_product", spy)
+    monkeypatch.setattr(minors, "_matmul_reduced", spy)
     res = parity_check_minors(sf)
     assert len(calls) == want and all(calls)
     assert res.h == parity_check_iterative(sf).h

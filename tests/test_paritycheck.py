@@ -28,7 +28,9 @@ from zpscodes.zring import DomainError
 
 from codemodel import CodeSpec, cardinality, codes_equal
 from helpers import (
+    DEGENERATE_CASES,
     chunk_spy,
+    degenerate_type,
     gh_transpose_is_zero,
     inverse,
     miscount_big_mults,
@@ -447,26 +449,11 @@ def test_counters_deterministic():
     assert first.hist == second.hist
 
 
-def _degenerate_type(case, s):
-    """(n, t) of a degenerate type over a ring of length s."""
-    if case == "n=t":
-        t = (2,) + (1,) * (s - 1)
-        return sum(t), t
-    if case == "no-rows":
-        return 5, (0,) * s
-    if case == "no-cols":
-        return 0, (0,) * s
-    if case == "some-zero":
-        t = tuple(2 * (i % 2) for i in range(s))
-        return sum(t) + 3, t
-    raise ValueError(case)
-
-
-@pytest.mark.parametrize("case", ["n=t", "no-rows", "no-cols", "some-zero"])
+@pytest.mark.parametrize("case", DEGENERATE_CASES)
 @pytest.mark.parametrize("p,s", [(2, 2), (2, 4), (3, 5), (55109, 2)])
 def test_degenerate_types_both_constructions(p, s, case):
     ring = RingSpec(p, s)
-    n, t = _degenerate_type(case, s)
+    n, t = degenerate_type(case, s)
     code = random_code(ring, n, t, 17)
     dual = dual_type(code.layout)
     assert dual == BlockLayout(n, (n - sum(t),) + tuple(reversed(t[1:])))
@@ -494,11 +481,11 @@ def test_degenerate_types_both_constructions(p, s, case):
 
 # The degenerate grid, plus two rings stored as Python ints, where minors
 # runs only within its budget.
-@pytest.mark.parametrize("case", ["n=t", "no-rows", "no-cols", "some-zero"])
+@pytest.mark.parametrize("case", DEGENERATE_CASES)
 @pytest.mark.parametrize("p,s", [(2, 2), (2, 4), (3, 5), (55109, 2), (3, 21), (1451, 3)])
 def test_h_is_built_from_h_unpermuted(p, s, case):
     ring = RingSpec(p, s)
-    n, t = _degenerate_type(case, s)
+    n, t = degenerate_type(case, s)
     code = random_code(ring, n, t, 23)
     order = list(range(n))
     random.Random(23).shuffle(order)

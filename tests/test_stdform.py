@@ -3,12 +3,20 @@ import random
 import numpy as np
 import pytest
 
-from zpscodes import BlockLayout, Matrix, Permutation, RingSpec, standard_form
-from zpscodes.matrix import ShapeError, apply_col_permutation, dtype_for, zeros
+from zpscodes import BlockLayout, Matrix, Permutation, RingSpec, random_code, standard_form
+from zpscodes.matrix import ShapeError, _matmul_reduced, apply_col_permutation, dtype_for, zeros
 from zpscodes.stdform import PANEL_WIDTH, _flush, extract_blocks
 
 from codemodel import CodeSpec, cardinality, is_member
-from helpers import inverse, random_matrix, row_span_set, sequential_standard_form, unimodular_row_mix
+from helpers import (
+    DEGENERATE_CASES,
+    degenerate_type,
+    inverse,
+    random_matrix,
+    row_span_set,
+    sequential_standard_form,
+    unimodular_row_mix,
+)
 from oracles import reconstruct, reduced_associated
 
 Z4 = RingSpec(2, 2)
@@ -327,6 +335,48 @@ def test_blocked_matches_sequential(ring_id, kind):
     assert standard_form(unimodular_row_mix(g, rng)) == got
     if kind == "mixed":
         assert sum(got.layout.t) > 4 * PANEL_WIDTH
+
+
+def _check_canonical(ring, rows, rng):
+    """standard_form(U G) == standard_form(G) in matrix, layout and perm, for
+    G the rows with four redundant rows appended and its columns shuffled,
+    and U a random unit lower times unit upper triangular matrix mod p^s,
+    then a row shuffle.  U G is taken by the product kernel."""
+    m, storage = ring.modulus, dtype_for(ring)
+    base = np.array(rows, dtype=object)
+    coeffs = np.array([[rng.randrange(m) for _ in base] for _ in range(4)], dtype=object)
+    g = np.vstack([base, coeffs @ base % m])
+    g = g[:, rng.sample(range(g.shape[1]), g.shape[1])].astype(storage)
+    r = len(g)
+    draws = np.array([rng.randrange(m) for _ in range(2 * r * r)], dtype=object).reshape(2, r, r)
+    one = np.eye(r, dtype=np.int64).astype(object)
+    lower = (np.tril(draws[0], -1) + one).astype(storage)
+    upper = (np.triu(draws[1], 1) + one).astype(storage)
+    mixed = _matmul_reduced(lower, _matmul_reduced(upper, g, ring), ring)[rng.sample(range(r), r)]
+    want, got = standard_form(Matrix(ring, g)), standard_form(Matrix(ring, mixed))
+    assert got.matrix == want.matrix and got.matrix.data.dtype == want.matrix.data.dtype
+    assert got.layout == want.layout
+    assert got.perm == want.perm
+
+
+# The standard form depends on the code and its column order only, as a
+# Howell form does: on the rings and generators of
+# test_blocked_matches_sequential, and on the degenerate types.
+@pytest.mark.parametrize("kind", DIFF_KINDS)
+@pytest.mark.parametrize("ring_id", list(DIFF_RINGS))
+def test_standard_form_is_canonical(ring_id, kind):
+    ring = DIFF_RINGS[ring_id]
+    rng = random.Random(f"canonical:{ring_id}:{kind}")
+    _check_canonical(ring, _differential_case(kind, ring, rng), rng)
+
+
+@pytest.mark.parametrize("case", DEGENERATE_CASES)
+@pytest.mark.parametrize("p,s", [(2, 2), (2, 4), (3, 5), (55109, 2)])
+def test_standard_form_is_canonical_on_degenerate_types(p, s, case):
+    ring = RingSpec(p, s)
+    n, t = degenerate_type(case, s)
+    rng = random.Random(f"canonical:{p}^{s}:{case}")
+    _check_canonical(ring, random_code(ring, n, t, 29).matrix.data, rng)
 
 
 @pytest.mark.parametrize("p,s", [(3, 13), (1447, 3), (55109, 2), (3, 39)])
