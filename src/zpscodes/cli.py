@@ -19,7 +19,7 @@ from .paritycheck import (
     parity_check_minors,
     verify_parity,
 )
-from .stdform import standard_form
+from .stdform import PANEL_WIDTH, standard_form
 from .zring import DomainError, RingMismatchError
 
 EXIT_OK = 0
@@ -27,10 +27,24 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
+# Entries that a command may hold: an input with the column order and the
+# panel buffer of its standard form; H, n x n at most, for parity-check;
+# G H^T for verify.  A header alone can ask for any of them.
+ENTRY_BUDGET = 2 ** 26
+
+
+def _check_entries(what: str, entries: int) -> None:
+    if entries > ENTRY_BUDGET:
+        raise BudgetExceededError(
+            f"{what} needs {entries} entries, over the budget of {ENTRY_BUDGET}"
+        )
+
 
 def _read_matrix(path: str):
     with open(path) as fh:
-        return parse_matrix(fh.read())
+        matrix = parse_matrix(fh.read())
+    _check_entries(path, (matrix.nrows + 1) * (matrix.ncols + 2 * PANEL_WIDTH))
+    return matrix
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -53,6 +67,7 @@ def _cmd_std_form(args) -> int:
 
 def _cmd_parity_check(args) -> int:
     generators = _read_matrix(args.input)
+    _check_entries("H", generators.ncols ** 2)
     if args.method == "bruteforce":
         h = parity_check_bruteforce(generators)
     else:
@@ -67,6 +82,7 @@ def _cmd_parity_check(args) -> int:
 def _cmd_verify(args) -> int:
     g = _read_matrix(args.generator)
     h = _read_matrix(args.parity)
+    _check_entries("G H^T", g.nrows * h.nrows)
     ok, witness = verify_parity(g, h)
     if ok:
         print("ok: G H^T = 0")

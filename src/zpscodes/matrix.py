@@ -60,7 +60,8 @@ def _carve(buf, shape, dtype):
 # on small arrays numpy's per-call overhead dominates.  On int64 by 16 the
 # two break even near 512 entries; % takes 0.9 us on 4 entries against
 # 2.1 us, and 70 us on 16384 against 25 us.  Without the gate, minors-deep
-# (5248 of its 6405 reductions a code are below it) runs 6 % slower.
+# (183 of its 198 reductions a code are below it; its levels reduce in
+# float64) runs 2-3 % slower, and iter-wide (99 of 130) about 1 %.
 _REDUCE_FLOOR_MIN = 1024
 
 
@@ -217,6 +218,23 @@ def _matmul_dtype(ring: RingSpec, rows: int, k: int, cols: int):
     return storage if storage is object else _product_dtype(ring.modulus, k, rows * k * cols)
 
 
+def _level_dtype(ring: RingSpec, k: int):
+    """The dtype of the levels of a chain of products, each fed the ones
+    before, of inner dimension k or less: float64 when m * (m * k + 1) <
+    2^53, m = p^s, for a ring stored in int64, and the storage otherwise.
+
+    A float64 level holds signed residues, integers in (-m, m).  A product
+    of such entries plus c, another, has every partial sum an integer of
+    magnitude at most (m - 1) * ((m - 1) * k + 1) < 2^53, exact in any
+    order, and the reduction of _matmul_reduced takes it back into (-m, m):
+    its quotient x * (1/m), off from x / m by less than 1/2 under the bound,
+    rounds to within 1 of x / m.
+    """
+    m = ring.modulus
+    floats = m <= _INT64_MAX_MODULUS and m * (m * k + 1) < 2 ** 53
+    return np.float64 if floats else dtype_for(ring)
+
+
 def _matmul_reduced(a: np.ndarray, b: np.ndarray, ring: RingSpec, c=None, out=None,
                     work=None) -> np.ndarray:
     """(a @ b, plus c on each block of c.shape[1] columns) mod p^s in the
@@ -235,9 +253,37 @@ def _matmul_reduced(a: np.ndarray, b: np.ndarray, ring: RingSpec, c=None, out=No
     and the quotient of its last reduction goes to work, a flat buffer in
     the storage of as many entries or more.  work is written only once b
     has been read, so it may hold b.
+
+    A float64 out takes a product of float64 levels instead (see
+    _level_dtype): a, b and c signed residues in (-m, m), and k within the
+    bound, else DomainError.  BLAS writes the product into out, c is added
+    in float64, and out is left in (-m, m), not [0, m): x -= rint(x * (1/m))
+    * m in four flat passes, the quotient in work, a flat float64 buffer of
+    as many entries or more.  Nothing is converted or allocated.
     """
-    m, (rows, k), cols, storage = ring.modulus, a.shape, b.shape[1], dtype_for(ring)
-    dtype = _matmul_dtype(ring, rows, k, cols)
+    m, (rows, k), cols = ring.modulus, a.shape, b.shape[1]
+    if out is not None and out.dtype == np.float64:
+        if _level_dtype(ring, k) is not np.float64:
+            raise DomainError(f"float64 levels of inner dimension {k} are inexact mod {m}")
+        work = np.empty(out.size) if work is None else work
+        np.matmul(a, b, out=out)
+        if c is not None:
+            # c goes on tiled rep times, from work: numpy broadcasts a row
+            # of rep blocks over the product far faster than one of a block.
+            width = c.shape[1]
+            blocks = cols // max(width, 1)
+            rep = min(blocks & -blocks, 64) or 1
+            tile = work[: rows * rep * width].reshape(rows, 1, rep * width)
+            tile.reshape(rows, rep, width)[...] = c[:, None, :]
+            total = out.reshape(rows, blocks // rep, rep * width)
+            total += tile
+        x = out.reshape(-1)
+        q = np.multiply(x, 1 / m, out=work[: x.size])
+        np.rint(q, out=q)
+        q *= m
+        x -= q
+        return out
+    storage, dtype = dtype_for(ring), _matmul_dtype(ring, rows, k, cols)
     step = _headroom(m) if dtype is np.int64 else max(k, 1)
     # The product, as blocks of c's width, takes c on each.
     width = cols if c is None else c.shape[1]

@@ -10,8 +10,11 @@ O(a, end) = sum over a < b <= end of (-1)^(b-1-a) A(a, b) O(b, end), with
 O(end, end) the identity: all the trees of one column group of H^T at once,
 as one forest of levels of nodes, each level one call of the product kernel
 (see BlockMinorTable._forest).  A forest too big for one column splits off
-its first tree, one root product over a forest of its own.  The signed sum
-itself serves only as an oracle, in the tests.
+its first tree, one root product over a forest of its own.  Where the ring
+and the type allow (see matrix._level_dtype), a table keeps its levels in
+float64 as signed residues, exact integers that no level converts, and
+canonicalizes only the minors it writes.  The signed sum itself serves only
+as an oracle, in the tests.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from itertools import accumulate
 import numpy as np
 
 from .matrix import (
-    ShapeError, _carve, _matmul_dtype, _matmul_reduced, _reduce, _reduce_in_place, dtype_for
+    ShapeError, _carve, _level_dtype, _matmul_dtype, _matmul_reduced, _reduce, _reduce_in_place,
+    dtype_for,
 )
 from .opcounters import OpCounters
 from .zring import DomainError
@@ -34,12 +38,16 @@ from .zring import DomainError
 # whose single column passes it splits off its first tree (see _forest).
 _TREE_BYTES = 1 << 20
 
+# Copies of the leaf level's node that a forest broadcasts over its leaf
+# stacks at a time (see _strip).
+_LEAF_COPIES = 64
+
 
 def _negate(dst: np.ndarray, src: np.ndarray, m: int) -> None:
-    """dst = -src mod m; src may be dst."""
+    """dst = -src mod m, src integers in any dtype; src may be dst."""
     # Not np.negative(out=): numpy 2.4 writes wrong int64 values into some
     # (rows, 1) views, a column group of width 1 for one.
-    np.subtract(0, src, out=dst)
+    np.subtract(0, src, out=dst, casting="unsafe")
     _reduce_in_place(dst, m)
 
 
@@ -62,17 +70,25 @@ class BlockMinorTable:
         self.layout = layout
         self.ring = blocks[(1, 2)].ring
         self.counters = counters if counters is not None else OpCounters()
-        self._work = np.empty(0, dtype_for(self.ring))
+        self._work = None
+
+    @cached_property
+    def _dtype(self):
+        """The dtype of the signed rows and of every level of every forest
+        (see _level_dtype): no level product has an inner dimension above
+        total - t_1."""
+        return _level_dtype(self.ring, self.layout.total - self.layout.t[0])
 
     @cached_property
     def _signed_rows(self) -> dict:
-        """Row group a as [A(a, a+1) | -A(a, a+2) | ... | ±A(a, s+1)], signed as in _forest."""
+        """Row group a as [A(a, a+1) | -A(a, a+2) | ... | ±A(a, s+1)], signed as
+        in _forest, reduced, in the dtype of the levels."""
         layout, blocks, m = self.layout, self.blocks, self.ring.modulus
         widths = (*layout.t, layout.n - layout.total)
         if any(blk.shape != (widths[a - 1], widths[b - 1]) for (a, b), blk in blocks.items()):
             raise ShapeError(f"blocks do not fit the type {layout.t}")
         return {a: np.hstack([blocks[(a, b)] if (b - a) % 2 else _reduce(-blocks[(a, b)], m)
-                              for b in range(a + 1, layout.s + 2)])
+                              for b in range(a + 1, layout.s + 2)], dtype=self._dtype)
                 for a in range(1, layout.s + 1)}
 
     # A counted block product and sum, kept only as perfbench/tracer.py's targets.
@@ -127,15 +143,41 @@ class BlockMinorTable:
         return strip, (levels * cols, stack * cols)
 
     def _workspace(self, size: int) -> np.ndarray:
-        """The flat buffer, in the ring's storage, that every level product
+        """The flat buffer, in the dtype of the levels, that every level product
         works in, of at least size entries.  It is allocated at the largest
         column group of the table, so once for a table unless a larger
         _TREE_BYTES asks for more; the old buffer goes first."""
-        if self._work.size < size:
+        if self._work is None or self._work.size < size:
             groups = (sum(self._plan(1, end)[1]) for end in range(2, self.layout.s + 2))
-            dtype, self._work = self._work.dtype, None
-            self._work = np.empty(max(size, *groups), dtype)
+            self._work = None
+            self._work = np.empty(max(size, *groups), self._dtype)
         return self._work
+
+    def _strip(self, low: int, end: int, cols: int, levels: np.ndarray, stack: np.ndarray):
+        """(steps, sinks): the views in which each strip of cols columns of
+        forest (low, end) runs, levels in the flat buffer levels (see _plan).
+        Step a, a = end-2..low, is (the signed row's first k columns, the
+        rest, the nodes of levels a+1..end-2 that are its children, where
+        they stack, where the leaf level's stack, the whole stack, level a),
+        with k = sum(t[a:end-1]); sink a is node 0 of level a.  The leaf
+        level's stack is seen as rows of _LEAF_COPIES nodes, or of all of
+        them if fewer: numpy broadcasts one node over many at a fraction of
+        the speed at which it copies such a row."""
+        t, floats, steps, level, used, k = self.layout.t, levels.dtype == np.float64, [], {}, 0, 0
+        leaves = t[end - 2]
+        for a in range(end - 2, low - 1, -1):
+            count, row, k = 1 << (a - low), self._signed_rows[a], k + t[a]
+            copies = min(count, _LEAF_COPIES)
+            dtype = np.float64 if floats else _matmul_dtype(self.ring, t[a - 1], k, count * cols)
+            children = _carve(stack, (k, count, cols), dtype)
+            level[a] = levels[used : used + t[a - 1] * count * cols].reshape(t[a - 1], count, cols)
+            used += level[a].size
+            sources = [level[b][:, count : 2 * count] for b in range(a + 1, end - 1)]
+            steps.append((row[:, :k], row[:, k:], sources, children[: k - leaves],
+                          children[k - leaves :].reshape(leaves, count // copies, copies * cols),
+                          children.reshape(k, count * cols),
+                          level[a].reshape(t[a - 1], count * cols)))
+        return steps, [level[a][:, 0] for a in range(low, end - 1)]
 
     def _tree(self, low: int, end: int, out: np.ndarray) -> None:
         """(-1)^(end-low) O(low, end) into out, for low < end - 1: one root
@@ -163,7 +205,11 @@ class BlockMinorTable:
         times its children, stacked in the workspace, plus ±A(a, end), into
         its own array there, counted once at full width.  The leaf level
         end - 1 is never computed: each node is A(end-1, end), so a forest
-        of one order-1 tree is -A(low, end), written whole.  A forest whose
+        of one order-1 tree is -A(low, end), written whole.  In float64 the
+        levels and their children stack hold signed residues, which no
+        level converts; each strip copies its sinks, node 0 of each level,
+        into out as they are, and the forest reduces each row group of out
+        once, as it negates those of odd order.  A forest whose
         single column passes the budget (order above 17 at t = 2 for int64)
         splits off its first tree: forest (low + 1, end), then tree (low,
         end), which runs forest (low + 1, end) again, as the unmemoized
@@ -180,32 +226,27 @@ class BlockMinorTable:
             self._tree(low, end, out[: t[low - 1]])
             return
         work = self._workspace(nlevels + nstack)
-        stack = work[nlevels:]
-        wide = (end == self.layout.s + 1)
+        stack, wide = work[nlevels:], end == self.layout.s + 1
+        for a in range(end - 2, low - 1, -1):  # at full width, once
+            self.counters.record_node(t[a - 1], t[a : end - 1], width, wide, 1 << (a - low))
         edges = [0, *accumulate(t[low - 1 : end - 1])]  # of the row groups of out
+        out[edges[-2] :] = leaf
+        cols = None
         for c0 in range(0, max(width, 1), strip):
-            # Level b holds its 2^(b-low) nodes as (t_b, nodes, cols), the
-            # leaf level its one distinct node.
-            cols, used = min(strip, width - c0), 0
-            level = {end - 1: leaf[:, None, c0 : c0 + cols]}
-            for a in range(end - 2, low - 1, -1):
-                count, row, k = 1 << (a - low), signed[a], sum(t[a : end - 1])
-                r, size = 0, t[a - 1] * count * cols
-                dtype = _matmul_dtype(self.ring, t[a - 1], k, count * cols)
-                children = _carve(stack, (k, count, cols), dtype)
-                for b in range(a + 1, end):
-                    kid = level[b] if b == end - 1 else level[b][:, count : 2 * count]
-                    children[r : r + t[b - 1]] = kid
-                    r += t[b - 1]
-                out_a = work[used : used + size].reshape(t[a - 1], count * cols)
-                used += size
-                level[a] = _matmul_reduced(
-                    row[:, :k], children.reshape(k, count * cols), self.ring,
-                    row[:, k + c0 : k + c0 + cols], out_a, stack,
-                ).reshape(t[a - 1], count, cols)
-                if c0 == 0:  # at full width, once
-                    self.counters.record_node(t[a - 1], t[a : end - 1], width, wide, count)
-            for a, r0, r1 in zip(range(low, end), edges, edges[1:]):
-                out[r0:r1, c0 : c0 + cols] = level[a][:, 0]
-        for r0, r1 in zip(edges[-2::-2], edges[:0:-2]):  # row groups a with end - a odd
-            _negate(out[r0:r1], out[r0:r1], m)
+            if cols != min(strip, width - c0):  # the first strip, or a narrower last one
+                cols = min(strip, width - c0)
+                steps, sinks = self._strip(low, end, cols, work[:nlevels], stack)
+            # The leaf level's node, as copies side by side that fill a row of
+            # a leaf stack at a time (see _strip).
+            tile = np.tile(leaf[:, c0 : c0 + cols], min(1 << (end - 2 - low), _LEAF_COPIES))
+            for rows, terms, sources, kids, leaves, children, level in steps:
+                if sources:
+                    np.concatenate(sources, out=kids)
+                leaves[...] = tile[:, None, : leaves.shape[2]]
+                _matmul_reduced(rows, children, self.ring, terms[:, c0 : c0 + cols], level, stack)
+            np.concatenate(sinks, out=out[: edges[-2], c0 : c0 + cols], casting="unsafe")
+        for a, r0, r1 in zip(range(low, end), edges, edges[1:]):
+            if (end - a) % 2:
+                _negate(out[r0:r1], out[r0:r1], m)
+            elif work.dtype != out.dtype:  # signed residues
+                _reduce_in_place(out[r0:r1], m)

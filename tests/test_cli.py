@@ -1,7 +1,9 @@
 import csv
+import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -10,11 +12,13 @@ import pytest
 from zpscodes import (
     Matrix,
     RingSpec,
+    format_matrix,
     parity_check_minors,
     parse_matrix,
+    random_code,
     standard_form,
 )
-from zpscodes import bench
+from zpscodes import bench, cli
 from zpscodes.cli import main
 
 from helpers import miscount_big_mults
@@ -143,6 +147,46 @@ def test_budget_exit_code(tmp_path, capsys):
     # Minors at s = 62 would need about 2^62 block products.
     path.write_text("2 62 1 2\n1 1\n")
     assert main(["parity-check", str(path), "--method", "minors"]) == 3
+    capsys.readouterr()
+
+
+# A header alone asks for 10^13 columns, or rows: every command refuses it
+# before standard_form allocates from it, and refuses a parity-check or
+# G H^T past the budget.
+@pytest.mark.parametrize("command", [
+    ["std-form", "{wide}"], ["std-form", "{deep}"], ["parity-check", "{wide}"],
+    ["parity-check", "{deep}", "--method", "minors"], ["verify", "{wide}", "{wide}"],
+    ["verify", "{small}", "{deep}"], ["parity-check", "{square}"], ["verify", "{tall}", "{tall}"],
+], ids=lambda command: "-".join(arg.strip("-{}") for arg in command))
+def test_entry_budget_exit_code(command, tmp_path, capsys):
+    edge = math.isqrt(cli.ENTRY_BUDGET)  # an (edge + 1)-row input fits on its own
+    texts = {"wide": "2 1 0 10000000000000\n", "deep": "2 1 10000000000000 0\n",
+             "small": EXAMPLE_TEXT,
+             "square": f"2 1 1 {edge + 1}\n" + "1 " * (edge + 1) + "\n",
+             "tall": f"2 1 {edge + 1} 1\n" + "1\n" * (edge + 1)}
+    paths = {}
+    for name, text in texts.items():
+        paths[name] = tmp_path / f"{name}.txt"
+        paths[name].write_text(text)
+    argv = [arg.format(**paths) for arg in command]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 3
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert "over the budget of" in capsys.readouterr().err
+    if "{wide}" in command or "{deep}" in command:
+        assert peak < 1 << 20
+
+
+def test_entry_budget_admits_iter_wide(tmp_path, capsys):
+    # perfbench's iter-wide: p = 3, s = 10, n = 1000, t_i = 2.
+    sf = random_code(RingSpec(3, 10), 1000, (2,) * 10, 5)
+    gens, h = tmp_path / "gens.txt", tmp_path / "h.txt"
+    gens.write_text(format_matrix(sf.matrix))
+    assert main(["parity-check", str(gens), "--out", str(h)]) == 0
+    assert main(["verify", str(gens), str(h)]) == 0
     capsys.readouterr()
 
 

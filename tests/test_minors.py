@@ -566,6 +566,42 @@ def test_deep_tree_memory_within_budget(monkeypatch):
     assert np.array_equal(got, tree_minor(table, 1, s))
 
 
+# Float64 levels need m * (m * k + 1) < 2^53 at k = total - t_1: 401^3 passes
+# at k = 2 and 409^3 fails, 3^15 passes at k = 14 and 3^16 fails at k = 15.
+@pytest.mark.parametrize("p,s,t,floats", [
+    (401, 3, (1, 1, 1), True), (409, 3, (1, 1, 1), False),
+    (3, 15, (1,) * 15, True), (3, 16, (1,) * 16, False),
+    (2, 3, (2, 1, 2), True), (3, 3, (2, 1, 2), True),
+])
+def test_levels_switch_to_float64(p, s, t, floats, monkeypatch):
+    ring, n = RingSpec(p, s), 20
+    m, levels, kernel = ring.modulus, [], minors._matmul_reduced
+
+    def spy(rows, children, ring, leaf, out, work):
+        level = kernel(rows, children, ring, leaf, out, work)
+        levels.append((out.dtype, level.min(initial=0), level.max(initial=0)))
+        return level
+
+    monkeypatch.setattr(minors, "_matmul_reduced", spy)
+    sf = random_code(ring, n, t, 63)
+    assert parity_check_minors(sf).h == parity_check_iterative(sf).h
+    assert {dtype for dtype, _, _ in levels} == {np.dtype(np.float64 if floats else np.int64)}
+    if floats:  # signed residues, never reduced into [0, m)
+        assert all(-m < low and high < m for _, low, high in levels)
+        assert min(low for _, low, _ in levels) < 0
+    # Entries drawn from all of [0, m), against the node-by-node oracle.
+    table = random_block_table(ring, s, n, random.Random(64), t=t)
+    node = _node_by_node(table)
+    levels.clear()
+    for end in range(2, s + 2):
+        got = _group(table, end)
+        want = _node_group(node, end, m)
+        assert got[0].dtype == want[0].dtype and np.array_equal(got[0], want[0]), end
+        assert got[1] == want[1], end
+    if floats:
+        assert all(-m < low and high < m for _, low, high in levels)
+
+
 def test_wide_inner_dimension_stays_int64(monkeypatch):
     # (m - 1)^2 * 6 < 2^63 - m < (m - 1)^2 * 7 at m = 3^19: a level product
     # whose inner dimension is 7 or more goes in int64 chunks of at most 6,
