@@ -5,16 +5,19 @@ stripped blocks A_{i,j} above its block diagonal and identities on the
 block subdiagonal.  Its diagonal block-minor O(i, end) of order end - i is
 the signed sum, over the permutations with sigma(h) >= h - 1, of products
 of blocks; the minors construction takes every block of H from one such
-minor.  Here they are evaluated only by the first-column Laplace recursion,
-O(a, end) = sum over a < b <= end of (-1)^(b-1-a) A(a, b) O(b, end), with
-O(end, end) the identity: all the trees of one column group of H^T at once,
-as one forest of levels of nodes, each level one call of the product kernel
-(see BlockMinorTable._forest).  A forest too big for one column splits off
-its first tree, one root product over a forest of its own.  Where the ring
-and the type allow (see matrix._level_dtype), a table keeps its levels in
-float64 as signed residues, exact integers that no level converts, and
-canonicalizes only the minors it writes.  The signed sum itself serves only
-as an oracle, in the tests.
+minor, signed as H^T holds it: M(a) = (-1)^(end-a) O(a, end).  Here they
+are evaluated only by the first-column Laplace recursion, O(a, end) = sum
+over a < b <= end of (-1)^(b-1-a) A(a, b) O(b, end), O(end, end) = Id.  As
+(end - a) + (b - 1 - a) + (end - b) is odd, it reads M(a) = -sum over
+a < b <= end of A(a, b) M(b), M(end) = Id: each block carries its sign, as
+in the iterative construction.  All the trees of one column group of H^T
+run at once, as one forest of levels of nodes, each level one call of the
+product kernel (see BlockMinorTable._forest).  A forest too big for one
+column splits off its first tree, one root product over a forest of its
+own.  Where the ring and the type allow (see matrix._level_dtype), a table
+keeps its levels in float64 as signed residues, exact integers that no
+level converts, and canonicalizes only the minors it writes.  The signed
+sum itself serves only as an oracle, in the tests.
 """
 
 from __future__ import annotations
@@ -43,23 +46,16 @@ _TREE_BYTES = 1 << 20
 _LEAF_COPIES = 64
 
 
-def _negate(dst: np.ndarray, src: np.ndarray, m: int) -> None:
-    """dst = -src mod m, src integers in any dtype; src may be dst."""
-    # Not np.negative(out=): numpy 2.4 writes wrong int64 values into some
-    # (rows, 1) views, a column group of width 1 for one.
-    np.subtract(0, src, out=dst, casting="unsafe")
-    _reduce_in_place(dst, m)
-
-
 class BlockMinorTable:
     """Block-minors of the block diagonal of a reduced associated matrix.
 
     Holds the stripped blocks A_{i,j}, keyed by (i, j), 1 <= i <= s,
-    i + 1 <= j <= s + 1, as raw ndarrays.  The recursion counts through OpCounters.record_node, as the
-    iterative construction does: one multiplication and one addition per
-    non-identity term, never the product by the order-0 identity minor.
-    Nothing is memoized: every node of a recursion tree performs its own
-    block products, so operation counts reproduce independent
+    i + 1 <= j <= s + 1, as raw ndarrays, and recurses on their negations
+    (see the module docstring), counting through OpCounters.record_node as
+    the iterative construction does: one multiplication and one addition
+    per non-identity term, never the product by the order-0 identity
+    minor.  Nothing is memoized: every node of a recursion tree performs
+    its own block products, so operation counts reproduce independent
     recomputation.  Only the dispatch is batched, one product per level of
     nodes (see _forest), and the memory reused: every level product works
     in the table's one workspace, which goes with the table.
@@ -74,22 +70,21 @@ class BlockMinorTable:
 
     @cached_property
     def _dtype(self):
-        """The dtype of the signed rows and of every level of every forest
+        """The dtype of the rows and of every level of every forest
         (see _level_dtype): no level product has an inner dimension above
         total - t_1."""
         return _level_dtype(self.ring, self.layout.total - self.layout.t[0])
 
     @cached_property
-    def _signed_rows(self) -> dict:
-        """Row group a as [A(a, a+1) | -A(a, a+2) | ... | ±A(a, s+1)], signed as
-        in _forest, reduced, in the dtype of the levels."""
+    def _rows(self) -> dict:
+        """Row group a as -[A(a, a+1) | ... | A(a, s+1)] mod p^s, in the dtype
+        of the levels: the factor and the terms of every node at anchor a."""
         layout, blocks, m = self.layout, self.blocks, self.ring.modulus
         widths = (*layout.t, layout.n - layout.total)
         if any(blk.shape != (widths[a - 1], widths[b - 1]) for (a, b), blk in blocks.items()):
             raise ShapeError(f"blocks do not fit the type {layout.t}")
-        return {a: np.hstack([blocks[(a, b)] if (b - a) % 2 else _reduce(-blocks[(a, b)], m)
-                              for b in range(a + 1, layout.s + 2)], dtype=self._dtype)
-                for a in range(1, layout.s + 1)}
+        return {a: _reduce(-np.hstack([blocks[(a, b)] for b in range(a + 1, layout.s + 2)]), m)
+                .astype(self._dtype, copy=False) for a in range(1, layout.s + 1)}
 
     # A counted block product and sum, kept only as perfbench/tracer.py's targets.
     def _counted_mul(self, a: np.ndarray, b: np.ndarray, wide: bool) -> np.ndarray:
@@ -108,8 +103,8 @@ class BlockMinorTable:
         """The order-j block-minors O(a, end), end = i + j, a = i..end-1, via
         the Laplace-style recursion, as one forest.  out is an array of the
         rows of groups i..end-1 by the width of group end (for i = 1, a
-        column group of H^T); (-1)^(end-a) O(a, end) goes into its row group
-        a, and the block ops of each tree are counted."""
+        column group of H^T); M(a) = (-1)^(end-a) O(a, end) goes into its row
+        group a, and the block ops of each tree are counted."""
         end, layout = i + j, self.layout
         if not (1 <= i and 0 <= j and end <= layout.s + 1):
             raise DomainError(f"block-minor ({i}, {j}) out of range for s={layout.s}")
@@ -156,17 +151,17 @@ class BlockMinorTable:
     def _strip(self, low: int, end: int, cols: int, levels: np.ndarray, stack: np.ndarray):
         """(steps, sinks): the views in which each strip of cols columns of
         forest (low, end) runs, levels in the flat buffer levels (see _plan).
-        Step a, a = end-2..low, is (the signed row's first k columns, the
-        rest, the nodes of levels a+1..end-2 that are its children, where
-        they stack, where the leaf level's stack, the whole stack, level a),
-        with k = sum(t[a:end-1]); sink a is node 0 of level a.  The leaf
+        Step a, a = end-2..low, is (row a's first k columns, the rest, the
+        nodes of levels a+1..end-2 that are its children, where they stack,
+        where the leaf level's stack, the whole stack, level a), with
+        k = sum(t[a:end-1]); sink a is node 0 of level a.  The leaf
         level's stack is seen as rows of _LEAF_COPIES nodes, or of all of
         them if fewer: numpy broadcasts one node over many at a fraction of
         the speed at which it copies such a row."""
         t, floats, steps, level, used, k = self.layout.t, levels.dtype == np.float64, [], {}, 0, 0
         leaves = t[end - 2]
         for a in range(end - 2, low - 1, -1):
-            count, row, k = 1 << (a - low), self._signed_rows[a], k + t[a]
+            count, row, k = 1 << (a - low), self._rows[a], k + t[a]
             copies = min(count, _LEAF_COPIES)
             dtype = np.float64 if floats else _matmul_dtype(self.ring, t[a - 1], k, count * cols)
             children = _carve(stack, (k, count, cols), dtype)
@@ -180,45 +175,42 @@ class BlockMinorTable:
         return steps, [level[a][:, 0] for a in range(low, end - 1)]
 
     def _tree(self, low: int, end: int, out: np.ndarray) -> None:
-        """(-1)^(end-low) O(low, end) into out, for low < end - 1: one root
-        product over forest (low + 1, end), which its children trees form.
-        That forest leaves its minors signed, so the root multiplies them by
-        the unsigned blocks: -([A(low, low+1) | ... | A(low, end-1)] times
-        them, plus A(low, end))."""
-        t, blocks, wide = self.layout.t, self.blocks, end == self.layout.s + 1
-        kids = np.empty((sum(t[low : end - 1]), out.shape[1]), out.dtype)
+        """M(low) into out, for low < end - 1: one root product, row low in the
+        storage, -[A(low, low+1) | ... | A(low, end-1)] times the minors that
+        forest (low + 1, end), its children trees, leaves, plus -A(low, end)."""
+        t, width, wide = self.layout.t, out.shape[1], end == self.layout.s + 1
+        kids = np.empty((sum(t[low : end - 1]), width), out.dtype)
         self._forest(low + 1, end, kids)
-        row, k = np.hstack([blocks[(low, b)] for b in range(low + 1, end + 1)]), kids.shape[0]
-        _negate(out, _matmul_reduced(row[:, :k], kids, self.ring, row[:, k:]), self.ring.modulus)
-        self.counters.record_node(t[low - 1], t[low : end - 1], out.shape[1], wide)
+        row, k = self._rows[low].astype(out.dtype, copy=False), kids.shape[0]
+        out[...] = _matmul_reduced(row[:, :k], kids, self.ring, row[:, k : k + width])
+        self.counters.record_node(t[low - 1], t[low : end - 1], width, wide)
 
     def _forest(self, low: int, end: int, out: np.ndarray) -> None:
         """The trees (a, end), a = low..end-1, into out as block_minor_rec
         says, bottom-up on column strips of its leaf (see _plan).
 
-        A node at anchor a computes O(a) = sum over a < b <= end of
-        (-1)^(b-1-a) A(a, b) O(b), skipping the product by O(end) = Id.
-        Level a holds the 2^(a-low) nodes that the trees have at anchor a,
-        node 0 the root of tree a; its nodes' children at anchor b are nodes
-        [2^(a-low), 2^(a-low+1)) of level b.  So a level is one call of
-        _matmul_reduced: the signed row [A(a, a+1) | ... | ±A(a, end-1)]
-        times its children, stacked in the workspace, plus ±A(a, end), into
-        its own array there, counted once at full width.  The leaf level
-        end - 1 is never computed: each node is A(end-1, end), so a forest
-        of one order-1 tree is -A(low, end), written whole.  In float64 the
-        levels and their children stack hold signed residues, which no
-        level converts; each strip copies its sinks, node 0 of each level,
-        into out as they are, and the forest reduces each row group of out
-        once, as it negates those of odd order.  A forest whose
+        A node at anchor a computes M(a) = -sum over a < b <= end of
+        A(a, b) M(b), skipping the product by M(end) = Id.  Level a holds the
+        2^(a-low) nodes that the trees have at anchor a, node 0 the root of
+        tree a; its nodes' children at anchor b are nodes [2^(a-low),
+        2^(a-low+1)) of level b.  So a level is one call of _matmul_reduced:
+        -[A(a, a+1) | ... | A(a, end-1)] times its children, stacked in the
+        workspace, plus -A(a, end), both from row a, into its own array
+        there, counted once at full width.  The leaf level end - 1 is never
+        computed: each node is -A(end-1, end), which a forest of one order-1
+        tree copies whole.  In float64 the levels and their children stack
+        hold signed residues, which no level converts; each strip copies its
+        sinks, node 0 of each level, into out as they are, and the forest
+        reduces each row group of out that it computed once.  A forest whose
         single column passes the budget (order above 17 at t = 2 for int64)
         splits off its first tree: forest (low + 1, end), then tree (low,
         end), which runs forest (low + 1, end) again, as the unmemoized
         count requires.
         """
-        t, m, signed, width = self.layout.t, self.ring.modulus, self._signed_rows, out.shape[1]
-        leaf = signed[end - 1][:, :width]
+        t, width = self.layout.t, out.shape[1]
+        leaf = self._rows[end - 1][:, :width]
         if low == end - 1:
-            _negate(out, leaf, m)
+            out[...] = leaf
             return
         strip, (nlevels, nstack) = self._plan(low, end)
         if not strip:
@@ -239,14 +231,12 @@ class BlockMinorTable:
             # The leaf level's node, as copies side by side that fill a row of
             # a leaf stack at a time (see _strip).
             tile = np.tile(leaf[:, c0 : c0 + cols], min(1 << (end - 2 - low), _LEAF_COPIES))
-            for rows, terms, sources, kids, leaves, children, level in steps:
+            for factor, terms, sources, kids, leaves, children, level in steps:
                 if sources:
                     np.concatenate(sources, out=kids)
                 leaves[...] = tile[:, None, : leaves.shape[2]]
-                _matmul_reduced(rows, children, self.ring, terms[:, c0 : c0 + cols], level, stack)
+                _matmul_reduced(factor, children, self.ring, terms[:, c0 : c0 + cols], level, stack)
             np.concatenate(sinks, out=out[: edges[-2], c0 : c0 + cols], casting="unsafe")
-        for a, r0, r1 in zip(range(low, end), edges, edges[1:]):
-            if (end - a) % 2:
-                _negate(out[r0:r1], out[r0:r1], m)
-            elif work.dtype != out.dtype:  # signed residues
-                _reduce_in_place(out[r0:r1], m)
+        if work.dtype != out.dtype:  # signed residues; the leaf's group is canonical
+            for r0, r1 in zip(edges, edges[1:-1]):
+                _reduce_in_place(out[r0:r1], self.ring.modulus)

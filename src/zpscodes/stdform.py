@@ -27,11 +27,12 @@ the window holds no pivot of the current valuation; only then is the rest
 of the matrix searched, now up to date.
 
 The window and X sit side by side in one column-major panel buffer, rows x
-2 PANEL_WIDTH: the window is copied in when the panel opens and written
-back, reduced, when it is flushed.  So a pivot normalizes one row and makes
-one rank-1 update, over [window from the pivot column | X], applied through
-the buffer's transpose so that the update and the outer product it
-subtracts are both row-major.
+2 min(PANEL_WIDTH, n), since no window has more columns than the matrix:
+the window is copied in when the panel opens and written back, reduced,
+when it is flushed.  So a pivot normalizes one row and makes one rank-1
+update, over [window from the pivot column | X], applied through the
+buffer's transpose so that the update and the outer product it subtracts
+are both row-major.
 
 The buffer is reduced lazily (delayed reduction, as in FFLAS-FFPACK: Dumas,
 Giorgi and Pernet, 2008).  An update subtracts products of two reduced
@@ -75,7 +76,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import (BlockLayout, Matrix, Permutation, _headroom, _matmul_reduced,
+from .matrix import (BlockLayout, Matrix, Permutation, ShapeError, _headroom, _matmul_reduced,
                      _reduce_in_place)
 from .zring import RingSpec, unit_inverse_int
 
@@ -94,6 +95,12 @@ class StandardForm:
     matrix: Matrix
     layout: BlockLayout
     perm: Permutation
+
+    def __post_init__(self):
+        n = self.layout.n
+        if self.matrix.shape != (self.layout.total, n) or self.perm.degree != n:
+            raise ShapeError(f"a {self.matrix.shape} matrix and a permutation of degree "
+                             f"{self.perm.degree} do not fit the type {self.layout.t}, n = {n}")
 
 
 def _first_pivot(region: np.ndarray, pv1: int):
@@ -145,11 +152,12 @@ def standard_form(rows: Matrix) -> StandardForm:
     work = rows.data.copy(order="F")
     cols = list(range(n))  # cols[j] = original column now at position j
     # The panel buffer: the open window [wstart, wend) of work in columns
-    # [0, wend - wstart), zeros up to PANEL_WIDTH, then X.  Column k of X:
-    # the open panel's operations applied to the unit column of its k-th
+    # [0, wend - wstart), zeros up to the panel's width, then X.  Column k of
+    # X: the open panel's operations applied to the unit column of its k-th
     # pivot row; zero until that pivot is chosen.
-    buf = np.zeros((work.shape[0], 2 * PANEL_WIDTH), dtype=work.dtype, order="F")
-    x = buf[:, PANEL_WIDTH:]
+    panel = min(PANEL_WIDTH, n)
+    buf = np.zeros((work.shape[0], 2 * panel), dtype=work.dtype, order="F")
+    x = buf[:, panel:]
     # Updates the buffer takes before it is reduced.
     step = 1 if work.dtype == object else _headroom(m)
 
@@ -180,7 +188,7 @@ def standard_form(rows: Matrix) -> StandardForm:
                     cols[col_ptr], cols[c] = cols[c], cols[col_ptr]
                 k, pending, wstart, wend = 0, 0, col_ptr, min(col_ptr + PANEL_WIDTH, n)
                 buf[:, : wend - wstart] = work[:, wstart:wend]
-                buf[:, wend - wstart : PANEL_WIDTH] = 0
+                buf[:, wend - wstart : panel] = 0
             else:
                 c = col_ptr + hit[1]
                 if c != col_ptr:
@@ -201,7 +209,7 @@ def standard_form(rows: Matrix) -> StandardForm:
             x[row_ptr, k] = 1
             # The window from the pivot column on and the panel's columns of
             # X, updated in place.
-            act = buf[:, col_ptr - wstart : PANEL_WIDTH + k + 1]
+            act = buf[:, col_ptr - wstart : panel + k + 1]
             prow = act[row_ptr]
             _reduce_in_place(prow, m)
             prow *= unit_inverse_int(pivot // pv, ring)

@@ -21,8 +21,10 @@ from zpscodes import (
     verify_parity,
 )
 from zpscodes import matrix, minors, paritycheck, stdform
-from zpscodes.matrix import BlockLayout, apply_col_permutation, dtype_for, identity, zeros
-from zpscodes.stdform import extract_blocks
+from zpscodes.matrix import (
+    BlockLayout, Permutation, ShapeError, apply_col_permutation, dtype_for, identity, zeros,
+)
+from zpscodes.stdform import StandardForm, extract_blocks
 from zpscodes.paritycheck import BudgetExceededError
 from zpscodes.zring import DomainError
 
@@ -507,6 +509,24 @@ def test_h_is_built_from_h_unpermuted(p, s, case):
             assert m.data.flags.c_contiguous
         assert gh_transpose_is_zero(sf.matrix, h)
         assert gh_transpose_is_zero(g, hu)
+
+
+# A StandardForm whose matrix or permutation does not fit its layout: one
+# row too many (without the check, both constructions return an H with
+# G H^T != 0), one too few, and a permutation of the wrong degree.
+@pytest.mark.parametrize("case", ["extra row", "short matrix", "perm degree"])
+@pytest.mark.parametrize("construct", [parity_check_minors, parity_check_iterative])
+def test_standard_form_must_fit_its_layout(construct, case):
+    code = random_code(Z4, 6, (2, 1), 5)
+    data, perm = code.matrix.data, code.perm
+    if case == "extra row":
+        data = np.vstack([data, np.ones((1, 6), np.int64)])
+    elif case == "short matrix":
+        data = data[:-1]
+    else:
+        perm = Permutation.identity(5)
+    with pytest.raises(ShapeError, match="do not fit the type"):
+        construct(StandardForm(Matrix(Z4, data), code.layout, perm))
 
 
 def test_iterative_stores_only_the_computed_rows_of_ht():

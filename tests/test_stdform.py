@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,6 +145,20 @@ def test_block_layout_groups():
     for j in (0, 5):
         with pytest.raises(ShapeError):
             layout.group(j)
+
+
+def test_panel_buffer_fits_the_columns():
+    # 10^13 rows and no column: the panel buffer has as many columns as the
+    # matrix, none, not nrows x 2 PANEL_WIDTH entries.
+    rows = Matrix(Z4, np.zeros((10 ** 13, 0), np.int64))
+    tracemalloc.start()
+    try:
+        sf = standard_form(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sf.matrix.shape == (0, 0) and sf.layout == BlockLayout(0, (0, 0))
+    assert peak < 1 << 20
 
 
 def test_zero_row_group_gives_empty_blocks():
