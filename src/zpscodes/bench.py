@@ -36,14 +36,21 @@ class CounterMismatchError(AssertionError):
     a correctness failure, not a benchmark artifact."""
 
 
-def _hash_uniform(seed: int, i: int, j: int, index: int, bound: int) -> int:
-    """Deterministic uniform draw from [0, bound) keyed by position."""
+def _hash_draws(seed: int, i: int, j: int, count: int, bound: int) -> list:
+    """Deterministic uniform draws from [0, bound), draw k keyed by
+    (seed, i, j, k): a 16-byte blake2b of the four packed as little-endian
+    int64, mod bound.  The (seed, i, j) prefix is hashed once and its state
+    copied for each k.  Nothing is hashed when bound <= 1."""
     if bound <= 1:
-        return 0
-    digest = blake2b(
-        struct.pack("<qqqq", seed, i, j, index), digest_size=16
-    ).digest()
-    return int.from_bytes(digest, "little") % bound
+        return [0] * count
+    prefix = blake2b(struct.pack("<qqq", seed, i, j), digest_size=16)
+    copy, pack, from_bytes = prefix.copy, struct.Struct("<q").pack, int.from_bytes
+    draws = []
+    for k in range(count):
+        h = copy()
+        h.update(pack(k))
+        draws.append(from_bytes(h.digest(), "little") % bound)
+    return draws
 
 
 def derive_seed(master_seed: int, trial: int) -> int:
@@ -69,7 +76,7 @@ def random_code(ring: RingSpec, n: int, type_vector, seed: int) -> StandardForm:
             shape = (layout.t[i - 1], cols.stop - cols.start)
             bound = p ** (j - i) if j <= s else p ** (s - i + 1)
             # Entry (r, c) is draw r * width + c of the block.
-            draws = [_hash_uniform(seed, i, j, k, bound) for k in range(shape[0] * shape[1])]
+            draws = _hash_draws(seed, i, j, shape[0] * shape[1], bound)
             rows[:, cols] = np.array(draws, dtype=object).reshape(shape)
         rows *= p ** (i - 1)
     return StandardForm(Matrix._of_reduced(ring, g), layout, Permutation.identity(n))

@@ -28,8 +28,10 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 # Entries that a command may hold: an input with the column order and the
-# panel buffer of its standard form; H, n x n at most, for parity-check;
-# G H^T for verify.  A header alone can ask for any of them.
+# panel buffer of its standard form, rows x 2 min(PANEL_WIDTH, ncols), where
+# a row without columns counts as one entry, its line of text; H, n x n at
+# most, for parity-check; G H^T for verify.  A header alone can ask for any
+# of them.
 ENTRY_BUDGET = 2 ** 26
 
 
@@ -43,7 +45,8 @@ def _check_entries(what: str, entries: int) -> None:
 def _read_matrix(path: str):
     with open(path) as fh:
         matrix = parse_matrix(fh.read())
-    _check_entries(path, (matrix.nrows + 1) * (matrix.ncols + 2 * PANEL_WIDTH))
+    rows, cols = matrix.shape
+    _check_entries(path, (rows + 1) * max(cols + 2 * min(PANEL_WIDTH, cols), 1))
     return matrix
 
 

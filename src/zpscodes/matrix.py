@@ -189,6 +189,14 @@ def mat_scalar(c: int, a: Matrix) -> Matrix:
 # int64 near 2048 and is faster on every shape tried from 4096.
 FLOAT_MIN_MACS = 4096
 
+# Bytes above which _matmul_reduced makes the float copy of a product's
+# right operand in column panels of this size, in one reused buffer.
+# Measured on verify_parity, BLAS on one thread, 2 CPUs: iter-wide's 8 MB
+# float64 H^T in 2 MiB panels took its benchmark p50 from 18.4 to 15.8 ms
+# and peak RSS from 55.5 to 53.0 MiB against one whole copy (10 pairs);
+# generic-gen's 1.3 MB float32 H^T took 4.6 ms whole, 4.9 ms in 1 MiB panels.
+_PANEL_BYTES = 1 << 21
+
 
 def _headroom(m: int) -> int:
     """Products of two entries reduced mod m that an int64 may gain or lose
@@ -244,7 +252,9 @@ def _matmul_reduced(a: np.ndarray, b: np.ndarray, ring: RingSpec, c=None, out=No
     of _headroom(m), each added to the sum so far and reduced once, so
     Python ints serve only a ring stored in them.  c is added in the
     storage, after the product.  A b already in _matmul_dtype is used as
-    it is.
+    it is.  Without out, a float copy of b of more than _PANEL_BYTES is
+    made one column panel at a time, in one reused buffer of that size,
+    each panel multiplied into the result: a is converted once.
 
     The result is a new array unless out, a C-contiguous array of its shape
     in the storage, is given to take it.  A product in one chunk then
@@ -294,7 +304,18 @@ def _matmul_reduced(a: np.ndarray, b: np.ndarray, ring: RingSpec, c=None, out=No
         x, y = a[:, k0 : k0 + step], b[k0 : k0 + step]
         return np.matmul(x.astype(dtype, copy=False), y.astype(dtype, copy=False), out=into)
 
-    if out is None:
+    itemsize = np.dtype(dtype).itemsize
+    if out is None and b.dtype != dtype and k * cols * itemsize > _PANEL_BYTES:
+        # A float tier with a large b: b goes through one reused buffer,
+        # a column panel at a time, each multiplied into the result.
+        x, w = a.astype(dtype, copy=False), max(1, _PANEL_BYTES // (k * itemsize))
+        prod, panel = np.empty((rows, cols), dtype), np.empty_like(b[:, :w], dtype=dtype)
+        for c0 in range(0, cols, w):
+            y = panel[:, : min(w, cols - c0)]
+            y[...] = b[:, c0 : c0 + w]
+            np.matmul(x, y, out=prod[:, c0 : c0 + w])
+        total = prod.astype(storage)
+    elif out is None:
         total = chunk(0).astype(storage, copy=False)
     else:
         # Python ints take a new prod, released once copied: object matmul leaks out's entries.
@@ -430,8 +451,9 @@ def apply_col_permutation(a: Matrix, perm: Permutation) -> Matrix:
 # and blank lines are skipped.
 
 
-# Entries per chunk of format_matrix: the chunk's temporaries (values,
-# offsets, its text) stay below 2 MiB.
+# Entries per chunk of format_matrix's place writer: the chunk's temporaries
+# (values, offsets, its text) stay below 2 MiB.  The template writer takes
+# four such chunks at once (see _format_rows).
 _FORMAT_CHUNK = 1 << 15
 
 
@@ -442,10 +464,15 @@ def format_matrix(m: Matrix) -> str:
 
 def _format_rows(data: np.ndarray, modulus: int):
     """The text of the rows of a reduced matrix, one str per chunk of whole
-    rows.  A chunk costs a few passes over its entries plus one pass per
-    place above the units over its entries of two or more digits, so a
-    sparse or block-structured matrix, mostly single digits, costs little
-    more than its size."""
+    rows.  A chunk of 4 _FORMAT_CHUNK entries of which at most a sixteenth
+    have two or more digits is written through a template: one '<u2' cell
+    an entry, its digit (0x01 for a wider one) and its separator, and
+    CPython's %d for the wider entries.  Any other is written by place,
+    _FORMAT_CHUNK entries at a time.  A sixteenth is the measured crossover
+    (wide entries at random places, widths 2 to 7): the template takes
+    0.36-0.45 of the place writer's time at a 64th, 0.92-1.00 at a 16th and
+    1.19-1.25 at a 10th.  With template chunks of 2^15 entries, iter-wide's
+    peak RSS read 52.2 and 67.1 MiB in two runs."""
     nrows, ncols = data.shape
     if ncols == 0:
         yield "\n" * nrows
@@ -456,53 +483,75 @@ def _format_rows(data: np.ndarray, modulus: int):
     # An entry has one digit more than the powers 10, 100, ... it reaches.
     powers = [dt(10 ** k) for k in range(1, width)]
     step = max(1, _FORMAT_CHUNK // ncols)
-    for r in range(0, nrows, step):
-        x = data[r : r + step].astype(dt, order="C").ravel()
-        # The entries of two or more digits, as a slice or as an index.  A
-        # slice costs width - 1 place passes over the whole chunk; an index
-        # costs those passes over its entries plus about four passes of
-        # gathers and scatters.  So take the slice when they are more than
-        # (width - 1) / (width + 3) of the chunk: a fifth at width 2, one
-        # half at width 5, three fifths at width 7.
+    for r in range(0, nrows, 4 * step):
+        x = data[r : r + 4 * step].astype(dt, order="C").ravel()
         big = x >= 10
         wide = np.count_nonzero(big)
-        sel = slice(None) if (width + 3) * wide > (width - 1) * x.size else np.flatnonzero(big)
-        # Each temporary goes once used, which keeps the chunk's peak within
-        # the bound of test_format_memory_peak.
-        del big
-        xs = x[sel]
-        # last[i]: where entry i's last digit goes in the chunk's text, which
-        # starts with width spare bytes; its separator follows it.
-        last = np.full(x.size, 2, dtype=np.int64)
-        last[0] += width - 2
-        last[sel] += sum((xs >= power).view(np.uint8) for power in powers)
-        # Not np.cumsum(out=), which keeps a few KiB of small buffers.
-        np.add.accumulate(last, out=last)
-        text = np.empty(int(last[-1]) + 2, dtype=np.uint8)
-        # Places width - 1 ... 1 of the entries in sel, most significant
-        # first, leading zeros included: a short entry's zeros land on bytes
-        # of the entries before it or on the spare bytes, and are overwritten
-        # by a later, less significant pass, the last digits or the
-        # separators.  xs keeps what is left below the place written; pos
-        # is last itself when sel is a slice, and ends equal to it either way.
-        pos = last[sel]
-        pos -= width - 1
-        digit = np.empty(xs.shape, dtype=np.uint8)
-        for power in reversed(powers):
-            q = xs // power
-            np.add(q, ord("0"), out=digit, casting="unsafe")
-            text[pos] = digit
-            q *= power
-            xs -= q
-            pos += 1
-        x[sel] = xs
-        del xs, pos, digit
-        text[last] = np.add(x, ord("0"), dtype=np.uint8, casting="unsafe")
-        last += 1
-        text[last] = ord(" ")
-        text[last[ncols - 1 :: ncols]] = ord("\n")
-        del x, last
-        yield str(text[width:], "ascii")
+        if 16 * wide <= x.size:
+            # One '<u2' cell an entry: '0' + x, then ' '.  A wide entry's
+            # cell gets \x01 for its digit, where %d writes the entry.
+            cells = np.add(x, 0x2030, dtype="<u2", casting="unsafe")
+            at = np.flatnonzero(big)
+            cells[at] = 0x2001
+            cells[ncols - 1 :: ncols] -= 0x1600  # ' ' becomes '\n'
+            tmpl = cells.tobytes()
+            if wide:
+                tmpl = tmpl.replace(b"\x01", b"%d") % tuple(x[at].tolist())
+            yield str(tmpl, "ascii")
+            continue
+        size = step * ncols
+        for k in range(0, x.size, size):
+            yield _format_places(x[k : k + size], big[k : k + size], ncols, width, powers)
+
+
+def _format_places(x: np.ndarray, big: np.ndarray, ncols: int, width: int, powers) -> str:
+    """The text of whole rows whose entries are x, flat, big = x >= 10, one
+    place at a time: a few passes over its entries plus one pass per place
+    above the units over its entries of two or more digits.  x is
+    overwritten."""
+    wide = np.count_nonzero(big)
+    # The entries of two or more digits, as a slice or as an index.  A
+    # slice costs width - 1 place passes over the whole chunk; an index
+    # costs those passes over its entries plus about four passes of
+    # gathers and scatters.  So take the slice when they are more than
+    # (width - 1) / (width + 3) of the chunk: a fifth at width 2, one
+    # half at width 5, three fifths at width 7.
+    sel = slice(None) if (width + 3) * wide > (width - 1) * x.size else np.flatnonzero(big)
+    xs = x[sel]
+    # last[i]: where entry i's last digit goes in the chunk's text, which
+    # starts with width spare bytes; its separator follows it.
+    last = np.full(x.size, 2, dtype=np.int64)
+    last[0] += width - 2
+    last[sel] += sum((xs >= power).view(np.uint8) for power in powers)
+    # Not np.cumsum(out=), which keeps a few KiB of small buffers.
+    np.add.accumulate(last, out=last)
+    text = np.empty(int(last[-1]) + 2, dtype=np.uint8)
+    # Places width - 1 ... 1 of the entries in sel, most significant
+    # first, leading zeros included: a short entry's zeros land on bytes
+    # of the entries before it or on the spare bytes, and are overwritten
+    # by a later, less significant pass, the last digits or the
+    # separators.  xs keeps what is left below the place written; pos
+    # is last itself when sel is a slice, and ends equal to it either way.
+    pos = last[sel]
+    pos -= width - 1
+    digit = np.empty(xs.shape, dtype=np.uint8)
+    for power in reversed(powers):
+        q = xs // power
+        np.add(q, ord("0"), out=digit, casting="unsafe")
+        text[pos] = digit
+        q *= power
+        xs -= q
+        pos += 1
+    x[sel] = xs
+    # Each temporary goes once used, which keeps the chunk's peak within
+    # the bound of test_format_memory_peak.
+    del xs, pos, digit
+    text[last] = np.add(x, ord("0"), dtype=np.uint8, casting="unsafe")
+    last += 1
+    text[last] = ord(" ")
+    text[last[ncols - 1 :: ncols]] = ord("\n")
+    del last
+    return str(text[width:], "ascii")
 
 
 def parse_matrix(text: str) -> Matrix:

@@ -119,8 +119,9 @@ def parity_check_iterative(sf: StandardForm) -> ParityCheckResult:
     """Iterative construction: H_{i,j} = -(A_{i,s-j+2} + sum_{i<k<=s+1-j}
     A_{i,k} H_{k,j}) as one block back-substitution into H^T, i = s, ..., 1.
     Once row groups i+1..s are done, row group i of column groups 1..s+1-i
-    is one kernel call, -([A_{i,i+1} | ... | A_{i,s}] H^T[groups i+1..s] +
-    [A_{i,s+1} | 0]): the free group's wide identity is never multiplied.
+    is one kernel call, -[A_{i,i+1} | ... | A_{i,s}] H^T[groups i+1..s] +
+    [-A_{i,s+1} | 0], on the row negated once: the free group's wide
+    identity is never multiplied, and no sign pass runs over H^T.
     Each block of a column group of nonzero width is counted as the
     recurrence computes it, one product and one sum per term k."""
     layout, ring = sf.layout, sf.matrix.ring
@@ -128,13 +129,13 @@ def parity_check_iterative(sf: StandardForm) -> ParityCheckResult:
 
     def fill(ht, dual, counters):
         for i in range(s, 0, -1):
-            # Its first total - lo columns take row groups i+1..s of H^T; the
-            # rest, A_{i,s+1}, is the added term under column group 1.
-            row, lo = stripped_row(sf, i), layout.group(i + 1).start
+            # The row, negated once: its first total - lo columns take row
+            # groups i+1..s of H^T; the rest, -A_{i,s+1}, is the added term
+            # under column group 1.
+            row, lo = _reduce(-stripped_row(sf, i), ring.modulus), layout.group(i + 1).start
             out = ht[layout.group(i), : row.shape[1]]
             out[:, : layout.n - total] = row[:, total - lo :]
-            prod = _matmul_reduced(row[:, : total - lo], ht[lo:total, : row.shape[1]], ring, out)
-            out[...] = _reduce(-prod, ring.modulus)
+            out[...] = _matmul_reduced(row[:, : total - lo], ht[lo:total, : row.shape[1]], ring, out)
             for j in range(1, s + 1 - i):
                 if dual.t[j - 1]:
                     counters.record_node(t[i - 1], t[i : s + 1 - j], dual.t[j - 1], j == 1)

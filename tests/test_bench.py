@@ -1,6 +1,8 @@
 import csv
 import io
 import random
+import struct
+from hashlib import blake2b
 
 import pytest
 
@@ -13,7 +15,8 @@ from zpscodes import (
     random_code,
     run_suite,
 )
-from zpscodes.bench import CSV_COLUMNS, CounterMismatchError, derive_seed
+from zpscodes import bench
+from zpscodes.bench import CSV_COLUMNS, CounterMismatchError, _hash_draws, derive_seed
 from zpscodes.stdform import standard_form
 from zpscodes.zring import DomainError
 
@@ -29,6 +32,22 @@ def test_predicted_counts_small_cases():
     assert predicted_counts_iterative(2) == (1, 0)
     assert predicted_counts_iterative(3) == (3, 1)
     assert predicted_counts_iterative(4) == (6, 4)
+
+
+def test_hash_draws_match_one_hash_per_index(monkeypatch):
+    # The draws random_code has always made: one blake2b of the packed
+    # (seed, i, j, index) for each index.
+    def keyed(seed, i, j, index, bound):
+        digest = blake2b(struct.pack("<qqqq", seed, i, j, index), digest_size=16).digest()
+        return int.from_bytes(digest, "little") % bound
+
+    for seed, i, j, count, bound in [(0, 1, 2, 7, 2), (-5, 3, 11, 40, 3 ** 9),
+                                     (2 ** 62, 1, 4, 3, 2 ** 62), (9, 2, 3, 0, 5)]:
+        want = [keyed(seed, i, j, k, bound) for k in range(count)]
+        assert _hash_draws(seed, i, j, count, bound) == want
+    # A bound of 1 or less draws nothing.
+    monkeypatch.setattr(bench, "blake2b", None)
+    assert _hash_draws(3, 1, 2, 4, 1) == [0] * 4
 
 
 def test_predictions_match_instrumented_runs():

@@ -180,6 +180,15 @@ def test_entry_budget_exit_code(command, tmp_path, capsys):
         assert peak < 1 << 20
 
 
+def test_entry_budget_charges_the_panel_buffer_it_allocates(tmp_path, capsys):
+    # 1.1 M rows of no columns: standard_form's panel buffer has no columns
+    # either, so only a line a row is charged, far below the budget.
+    path = tmp_path / "deep.txt"
+    path.write_text("2 1 1100000 0\n")
+    assert main(["std-form", str(path)]) == 0
+    assert capsys.readouterr().out == "type: 0 0\nperm: \n2 1 0 0\n"
+
+
 def test_entry_budget_admits_iter_wide(tmp_path, capsys):
     # perfbench's iter-wide: p = 3, s = 10, n = 1000, t_i = 2.
     sf = random_code(RingSpec(3, 10), 1000, (2,) * 10, 5)

@@ -17,6 +17,7 @@ from zpscodes import (
     standard_form,
     verify_parity,
 )
+from zpscodes import matrix
 from zpscodes.matrix import (
     _FORMAT_CHUNK,
     _REDUCE_FLOOR_MIN,
@@ -315,6 +316,38 @@ def test_format_at_switch_point(p, s):
         chunks.append(chunk)
     mat = Matrix(ring, np.concatenate(chunks).reshape(-1, _CHUNK_COLS))
     assert format_matrix(mat) == row_format_matrix(mat)
+
+
+@pytest.mark.parametrize("p,s", FORMAT_RINGS)
+def test_format_sparse_chunks(p, s, monkeypatch):
+    # Template chunks of 16 rows of 64 entries, four place chunks each.  A
+    # chunk whose entries of two or more digits are at most a sixteenth of
+    # it is written through a template: one wide entry, exactly a
+    # sixteenth, then one more (the place writer), wide entries at every
+    # row end, and none.  Then one column, and views that are not
+    # C-contiguous.
+    monkeypatch.setattr(matrix, "_FORMAT_CHUNK", 256)
+    ring = RingSpec(p, s)
+    m = ring.modulus
+    multi = np.array([v for v in _digit_edges(m) if v >= 10] or [m - 1], dtype=object)
+    rng = random.Random(m)
+
+    def chunk(places):
+        out = np.array([rng.randrange(min(m, 10)) for _ in range(1024)], dtype=object)
+        out[places] = np.resize(multi, len(places))
+        return out
+
+    # Over 2^1 the wide places get m - 1, a single digit.
+    sparse = [[], rng.sample(range(1024), 1), rng.sample(range(1024), 64),
+              rng.sample(range(1024), 65), list(range(63, 1024, 64)), []]
+    data = np.concatenate([chunk(places) for places in sparse]).reshape(-1, 64)
+    mat = Matrix(ring, data)
+    assert format_matrix(mat) == row_format_matrix(mat)
+    column = Matrix(ring, np.concatenate([chunk(sparse[-2]), chunk([])]).reshape(-1, 1))
+    assert format_matrix(column) == row_format_matrix(column)
+    for view in (mat.data.T, mat.data[:, [5, 0, 63, 2]], mat.data[1::2, ::3]):
+        m_view = Matrix._of_reduced(ring, view)
+        assert format_matrix(m_view) == row_format_matrix(m_view)
 
 
 def _corpus_text(tokens, ncols=3):
@@ -721,6 +754,28 @@ def test_float_tier_size_gate():
         a = random_matrix(ring, rows, 16, rng).data
         b = random_matrix(ring, 16, 16, rng).data
         assert _matmul_reduced(a, b, ring).tolist() == _python_product(a, b, m)
+
+
+@pytest.mark.parametrize("p,s,tier", [(2, 4, np.float32), (3, 10, np.float64)])
+def test_kernel_converts_a_large_operand_in_panels(p, s, tier, monkeypatch):
+    # With _PANEL_BYTES at w columns of the float copy of b, b goes through
+    # panels of w columns: 3w - 1, 3w and 3w + 1 columns take 3, 3 and 4
+    # panels, and at w = 1 each column is a panel.  b is column-major, as
+    # H^T in verify_parity, or row-major; a is converted once.
+    ring = RingSpec(p, s)
+    m, rng = ring.modulus, random.Random(p)
+    rows, k = 8, 40
+    for w, widths in [(5, (14, 15, 16)), (1, (13,))]:
+        monkeypatch.setattr(matrix, "_PANEL_BYTES", k * w * np.dtype(tier).itemsize)
+        for cols in widths:
+            assert _matmul_dtype(ring, rows, k, cols) is tier
+            a = random_matrix(ring, rows, k, rng).data
+            bt = random_matrix(ring, cols, k, rng).data
+            for b in (bt.T, bt.T.copy()):
+                chunks = []
+                got = _matmul_reduced(a.view(chunk_spy(chunks)), b, ring)
+                assert got.dtype == np.int64 and got.tolist() == _python_product(a, b, m)
+                assert chunks == [(k, np.dtype(tier))] * -(-cols // w)
 
 
 # Int64 rings at the chunk rule's edges, with their headroom (2^63 for a
