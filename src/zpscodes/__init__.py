@@ -9,6 +9,7 @@ from .paritycheck import (
     parity_check_bruteforce,
     parity_check_iterative,
     parity_check_minors,
+    verify_dual,
     verify_parity,
 )
 from .stdform import StandardForm, standard_form
@@ -19,6 +20,6 @@ __all__ = [
     "StandardForm", "dual_type", "format_matrix", "parity_check_bruteforce",
     "parity_check_iterative", "parity_check_minors", "parse_matrix",
     "predicted_counts_iterative", "predicted_counts_minors", "random_code", "run_suite",
-    "standard_form", "verify_parity",
+    "standard_form", "verify_dual", "verify_parity",
 ]
 __version__ = "0.1.0"

@@ -17,7 +17,7 @@ from .paritycheck import (
     parity_check_bruteforce,
     parity_check_iterative,
     parity_check_minors,
-    verify_parity,
+    verify_dual,
 )
 from .stdform import PANEL_WIDTH, standard_form
 from .zring import DomainError, RingMismatchError
@@ -86,11 +86,16 @@ def _cmd_verify(args) -> int:
     g = _read_matrix(args.generator)
     h = _read_matrix(args.parity)
     _check_entries("G H^T", g.nrows * h.nrows)
-    ok, witness = verify_parity(g, h)
-    if ok:
+    witness, sizes = verify_dual(g, h)
+    if witness:
+        print(f"nonzero product entry at row {witness[0]}, column {witness[1]}")
+    elif sizes:
+        ring = g.ring
+        print(f"H does not generate the dual: |<G>| = {sizes[0]} and |<H>| = {sizes[1]}, "
+              f"whose product is not {ring.p}^{ring.s * g.ncols}")
+    else:
         print("ok: G H^T = 0")
         return EXIT_OK
-    print(f"nonzero product entry at row {witness[0]}, column {witness[1]}")
     return EXIT_FAIL
 
 
@@ -144,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pc.add_argument("--out", help="output file (default: stdout)")
     p_pc.set_defaults(func=_cmd_parity_check)
 
-    p_ver = sub.add_parser("verify", help="check G H^T = 0")
+    p_ver = sub.add_parser("verify", help="check that H generates the dual of G's code")
     p_ver.add_argument("generator", help="generator matrix file")
     p_ver.add_argument("parity", help="parity-check matrix file")
     p_ver.set_defaults(func=_cmd_verify)

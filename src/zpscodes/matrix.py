@@ -243,7 +243,7 @@ def _level_dtype(ring: RingSpec, k: int):
     return np.float64 if floats else dtype_for(ring)
 
 
-def _matmul_reduced(a: np.ndarray, b: np.ndarray, ring: RingSpec, c=None, out=None,
+def _matmul_reduced(a: np.ndarray, b: np.ndarray, ring: RingSpec | None, c=None, out=None,
                     work=None) -> np.ndarray:
     """(a @ b, plus c on each block of c.shape[1] columns) mod p^s in the
     ring's storage, for reduced a, b and c: the one place where the
@@ -264,17 +264,23 @@ def _matmul_reduced(a: np.ndarray, b: np.ndarray, ring: RingSpec, c=None, out=No
     the storage of as many entries or more.  work is written only once b
     has been read, so it may hold b.
 
-    A float64 out takes a product of float64 levels instead (see
-    _level_dtype): a, b and c signed residues in (-m, m), and k within the
-    bound, else DomainError.  BLAS writes the product into out, c is added
-    in float64, and out is left in (-m, m), not [0, m): x -= rint(x * (1/m))
-    * m in four flat passes, the quotient in work, a flat float64 buffer of
-    as many entries or more.  Nothing is converted or allocated.
+    A float32 or float64 out takes a level of the block-minor forest
+    instead: a and b in out's dtype, c in any, and work a flat buffer of as
+    many 8-byte words or more.  BLAS writes the product into out, and c
+    is added in out's dtype.  With ring None the level is exact: a, b and c
+    are integers, and the caller has bounded every partial sum of a row of
+    a by b, and the sum plus c, below 2^24 in float32 or 2^53 in float64,
+    so that each is held exactly in any order; nothing is reduced.  With a
+    ring, out is float64 and a, b and c are signed residues in (-m, m),
+    with k within the bound of _level_dtype, else DomainError; out is left
+    in (-m, m), not [0, m): x -= rint(x * (1/m)) * m in four flat passes,
+    the quotient in work.  Nothing is converted or allocated.
     """
-    m, (rows, k), cols = ring.modulus, a.shape, b.shape[1]
-    if out is not None and out.dtype == np.float64:
-        if _level_dtype(ring, k) is not np.float64:
-            raise DomainError(f"float64 levels of inner dimension {k} are inexact mod {m}")
+    (rows, k), cols = a.shape, b.shape[1]
+    if out is not None and out.dtype.kind == "f":
+        if ring is not None and _level_dtype(ring, k) != out.dtype:
+            raise DomainError(f"{out.dtype} levels of inner dimension {k} are inexact "
+                              f"mod {ring.modulus}")
         work = np.empty(out.size) if work is None else work
         np.matmul(a, b, out=out)
         if c is not None:
@@ -283,17 +289,18 @@ def _matmul_reduced(a: np.ndarray, b: np.ndarray, ring: RingSpec, c=None, out=No
             width = c.shape[1]
             blocks = cols // max(width, 1)
             rep = min(blocks & -blocks, 64) or 1
-            tile = work[: rows * rep * width].reshape(rows, 1, rep * width)
+            tile = _carve(work, (rows, 1, rep * width), out.dtype)
             tile.reshape(rows, rep, width)[...] = c[:, None, :]
             total = out.reshape(rows, blocks // rep, rep * width)
             total += tile
-        x = out.reshape(-1)
-        q = np.multiply(x, 1 / m, out=work[: x.size])
-        np.rint(q, out=q)
-        q *= m
-        x -= q
+        if ring is not None:
+            x, m = out.reshape(-1), ring.modulus
+            q = np.multiply(x, 1 / m, out=work[: x.size])
+            np.rint(q, out=q)
+            q *= m
+            x -= q
         return out
-    storage, dtype = dtype_for(ring), _matmul_dtype(ring, rows, k, cols)
+    m, storage, dtype = ring.modulus, dtype_for(ring), _matmul_dtype(ring, rows, k, cols)
     step = _headroom(m) if dtype is np.int64 else max(k, 1)
     # The product, as blocks of c's width, takes c on each.
     width = cols if c is None else c.shape[1]

@@ -14,17 +14,32 @@ in the iterative construction.  All the trees of one column group of H^T
 run at once, as one forest of levels of nodes, each level one call of the
 product kernel (see BlockMinorTable._forest).  A forest too big for one
 column splits off its first tree, one root product over a forest of its
-own.  Where the ring and the type allow (see matrix._level_dtype), a table
-keeps its levels in float64 as signed residues, exact integers that no
-level converts, and canonicalizes only the minors it writes.  The signed
-sum itself serves only as an oracle, in the tests.
+own.  The signed sum itself serves only as an oracle, in the tests.
+
+The levels hold the minors as plain integers, reduced nowhere, wherever
+they fit.  standard_form leaves every entry above a pivot of valuation v
+in [0, p^v), so A(a, b) has entries below p^(b-a), the free group's
+(b = s + 1) included.  With the factors -A(a, b) taken as they are, the
+entries of M(a) are then integers of magnitude at most U(a) = sum over
+a < b < end of t_b max A(a, b) U(b), plus max A(a, end), where U(end - 1)
+= max A(end - 1, end) and each max is read from the table's own blocks.
+Every partial sum of a level product is bounded by its U too.  So a forest
+whose U stay below 2^53 is exact in float64 in any summation order, and a
+level whose own U and its children's stay below 2^24 is exact in float32,
+which moves half the bytes.  On minors-deep (3^13, t_i = 2) U(1) is below
+2^36.2, and levels 6 to 12, the ones with the most nodes, are float32.  Such
+a forest reduces only the minors it writes into the int64 H^T, once.  This
+is delayed reduction (FFLAS-FFPACK: Dumas, Giorgi and Pernet, 2008) taken
+to its end.  A forest whose bound reaches 2^53, and every forest of a table
+over Python ints or with an entry outside its canonical range, keeps its
+levels in the dtype that matrix._level_dtype gives: float64 signed residues
+in (-p^s, p^s), which each level product reduces, or the ring's storage.
 """
 
 from __future__ import annotations
 
 import sys
 from functools import cached_property
-from itertools import accumulate
 
 import numpy as np
 
@@ -40,6 +55,8 @@ from .zring import DomainError
 # together: the table's workspace (see BlockMinorTable._plan).  A forest
 # whose single column passes it splits off its first tree (see _forest).
 _TREE_BYTES = 1 << 20
+
+_FLOAT32, _FLOAT64 = np.dtype(np.float32), np.dtype(np.float64)
 
 # Copies of the leaf level's node that a forest broadcasts over its leaf
 # stacks at a time (see _strip).
@@ -66,25 +83,83 @@ class BlockMinorTable:
         self.layout = layout
         self.ring = blocks[(1, 2)].ring
         self.counters = counters if counters is not None else OpCounters()
-        self._work = None
+        self._work, self._cast = None, {}
 
     @cached_property
     def _dtype(self):
-        """The dtype of the rows and of every level of every forest
-        (see _level_dtype): no level product has an inner dimension above
-        total - t_1."""
-        return _level_dtype(self.ring, self.layout.total - self.layout.t[0])
+        """The dtype of every level of a forest that is not exact (see
+        _levels and _level_dtype): no level product has an inner dimension
+        above total - t_1."""
+        return np.dtype(_level_dtype(self.ring, self.layout.total - self.layout.t[0]))
 
     @cached_property
     def _rows(self) -> dict:
-        """Row group a as -[A(a, a+1) | ... | A(a, s+1)] mod p^s, in the dtype
-        of the levels: the factor and the terms of every node at anchor a."""
-        layout, blocks, m = self.layout, self.blocks, self.ring.modulus
+        """Row group a as -[A(a, a+1) | ... | A(a, s+1)], signed, in float64,
+        which holds every entry of an int64 ring exactly, or in Python ints:
+        the factor and the terms of every node at anchor a."""
+        layout, blocks = self.layout, self.blocks
         widths = (*layout.t, layout.n - layout.total)
         if any(blk.shape != (widths[a - 1], widths[b - 1]) for (a, b), blk in blocks.items()):
             raise ShapeError(f"blocks do not fit the type {layout.t}")
-        return {a: _reduce(-np.hstack([blocks[(a, b)] for b in range(a + 1, layout.s + 2)]), m)
-                .astype(self._dtype, copy=False) for a in range(1, layout.s + 1)}
+        dtype = object if dtype_for(self.ring) is object else np.float64
+        return {a: -np.hstack([blocks[(a, b)] for b in range(a + 1, layout.s + 2)], dtype=dtype)
+                for a in range(1, layout.s + 1)}
+
+    def _row(self, a: int, dtype: np.dtype) -> np.ndarray:
+        """Row group a in dtype: signed in a float dtype, reduced mod p^s in
+        any other, as int64 levels and _tree's root product take it."""
+        if (a, dtype) not in self._cast:
+            row = self._rows[a]
+            self._cast[(a, dtype)] = (row.astype(dtype, copy=False) if dtype.kind == "f"
+                                      else _reduce(row.astype(dtype), self.ring.modulus))
+        return self._cast[(a, dtype)]
+
+    @cached_property
+    def _bounds(self):
+        """S, where S[end][a], a < end, is the largest U(b) over a <= b < end
+        (see the module docstring): the bound of level a of a forest that
+        ends at end and of its children; None for a table over Python ints,
+        or with an entry of some A(a, b) not below p^(b-a).
+
+        S is computed in float64.  Its terms are all >= 0, so a sum or
+        product whose exact value is below 2^53 is computed exactly, in any
+        order, and one whose exact value is not stays at or above 2^53:
+        rounding is monotone.  No U of a canonical int64 table nears
+        float64's range."""
+        s, t, p, n = self.layout.s, self.layout.t, self.ring.p, self.layout.n
+        if dtype_for(self.ring) is object:
+            return None
+        # top[a, b] = max A(a, b): the column maxima of each row group, where
+        # its columns lie (a trailing 0 past them), then of each column
+        # group; reduceat gives an empty group the next one's first column.
+        starts = np.cumsum((0, *t))
+        cols = np.zeros((s + 2, n + 1))
+        for a, row in self._rows.items():
+            cols[a, n - row.shape[1] : n] = -row.min(axis=0, initial=0)
+        top = np.zeros((s + 2, s + 2))
+        top[:, 1:] = np.maximum.reduceat(cols, starts, axis=1)
+        top[:, 1:][:, np.diff((*starts, n)) == 0] = 0
+        order = np.arange(s + 2)
+        if np.any(top >= float(p) ** np.maximum(order - order[:, None], 0)):
+            return None
+        # U[a, end] = max A(a, end) + sum over a < b < end of t_b max A(a, b)
+        # U[b, end], with U[b, end] = 0 for b >= end.
+        weight = top * (0, *t, 0)
+        bound = np.zeros((s + 2, s + 2))
+        for a in range(s, 0, -1):
+            bound[a] = top[a] + weight[a] @ bound
+        return np.maximum.accumulate(bound[::-1], axis=0)[::-1].T.tolist()
+
+    def _levels(self, low: int, end: int) -> tuple:
+        """(dtypes, exact): the dtype of each level a = low..end-2 of forest
+        (low, end), and whether they hold exact minors.  They do when the
+        forest's bound (see _bounds) is below 2^53: level a is then float32
+        where the bound from a on is below 2^24, float64 where not.  Else
+        every level is in _dtype."""
+        bound = None if self._bounds is None else self._bounds[end]
+        if bound is None or bound[low] >= 2 ** 53:
+            return dict.fromkeys(range(low, end - 1), self._dtype), False
+        return {a: _FLOAT32 if bound[a] < 2 ** 24 else _FLOAT64 for a in range(low, end - 1)}, True
 
     # A counted block product and sum, kept only as perfbench/tracer.py's targets.
     def _counted_mul(self, a: np.ndarray, b: np.ndarray, wide: bool) -> np.ndarray:
@@ -115,42 +190,50 @@ class BlockMinorTable:
             self._forest(i, end, out)
 
     def _plan(self, low: int, end: int) -> tuple:
-        """(strip, sizes) of forest (low, end) (see _forest): the strip
-        width, 0 when one column passes _TREE_BYTES, and the workspace
-        entries a strip takes for its levels and for its largest children
-        stack or level, whose quotient the stack takes once the level's
-        product is done.  Level a holds 2^(a-low) nodes of t_a rows, and
-        stacks sum(t[a:end-1]) rows of children for each."""
+        """(strip, sizes, levels) of forest (low, end) (see _forest): the
+        strip width, 0 when one column passes _TREE_BYTES; the workspace
+        words, 8 bytes each, that a strip takes for its levels, each padded
+        to a whole word, and for its largest children stack or level, whose
+        quotient or c the stack takes once the level's product is done; and
+        _levels.  Level a holds 2^(a-low) nodes of t_a rows, and stacks
+        sum(t[a:end-1]) rows of children for each, in its own dtype."""
         t, width, m = self.layout.t, self.blocks[(low, end)].shape[1], self.ring.modulus
-        levels = stack = kids = 0
+        levels = self._levels(low, end)
+        dtypes, sizes, stack, kids = levels[0], [], 0, 0
         for a in range(end - 2, low - 1, -1):
-            count = 1 << (a - low)
+            count, itemsize = 1 << (a - low), dtypes[a].itemsize
             kids += t[a]  # sum(t[a:end-1])
-            levels += t[a - 1] * count
-            stack = max(stack, kids * count, t[a - 1] * count)
-        # 8 bytes an entry; over Python ints, a level entry's int below m, and a stack
-        # entry's share of the product under way: a pointer, a sum below kids * m^2.
-        column = 8 * (levels + stack)
+            sizes.append(t[a - 1] * count * itemsize)
+            stack = max(stack, max(kids, t[a - 1]) * count * itemsize)
+        # Bytes a column; over Python ints, also a level entry's int below m,
+        # and a stack entry's share of the product under way: a pointer, a
+        # sum below kids * m^2.
+        column = sum(sizes) + stack
         if dtype_for(self.ring) is object:
-            column += levels * sys.getsizeof(m - 1) + stack * (8 + sys.getsizeof(kids * m * m))
+            column += (sum(sizes) * sys.getsizeof(m - 1)
+                       + stack * (8 + sys.getsizeof(kids * m * m))) // 8
         strip = max(1, _TREE_BYTES // max(column, 8)) if column <= _TREE_BYTES else 0
         cols = min(strip, width)
-        return strip, (levels * cols, stack * cols)
+        return strip, (sum(-(-size * cols // 8) for size in sizes), -(-stack * cols // 8)), levels
 
     def _workspace(self, size: int) -> np.ndarray:
-        """The flat buffer, in the dtype of the levels, that every level product
-        works in, of at least size entries.  It is allocated at the largest
-        column group of the table, so once for a table unless a larger
-        _TREE_BYTES asks for more; the old buffer goes first."""
+        """The flat buffer of 8-byte words, float64 or, for a ring stored in
+        them, Python ints, that every level product works in, of at least
+        size words.  It is allocated at the largest column group of the
+        table, so once for a table unless a larger _TREE_BYTES asks for more;
+        the old buffer goes first."""
         if self._work is None or self._work.size < size:
             groups = (sum(self._plan(1, end)[1]) for end in range(2, self.layout.s + 2))
             self._work = None
-            self._work = np.empty(max(size, *groups), self._dtype)
+            self._work = np.empty(max(size, *groups),
+                                  object if dtype_for(self.ring) is object else np.float64)
         return self._work
 
-    def _strip(self, low: int, end: int, cols: int, levels: np.ndarray, stack: np.ndarray):
+    def _strip(self, low: int, end: int, cols: int, levels: np.ndarray, stack: np.ndarray,
+               dtypes: dict):
         """(steps, sinks): the views in which each strip of cols columns of
-        forest (low, end) runs, levels in the flat buffer levels (see _plan).
+        forest (low, end) runs, levels in the flat buffer levels (see _plan)
+        in dtypes, each level and stack as rows of its nodes side by side.
         Step a, a = end-2..low, is (row a's first k columns, the rest, the
         nodes of levels a+1..end-2 that are its children, where they stack,
         where the leaf level's stack, the whole stack, level a), with
@@ -158,30 +241,32 @@ class BlockMinorTable:
         level's stack is seen as rows of _LEAF_COPIES nodes, or of all of
         them if fewer: numpy broadcasts one node over many at a fraction of
         the speed at which it copies such a row."""
-        t, floats, steps, level, used, k = self.layout.t, levels.dtype == np.float64, [], {}, 0, 0
+        t, steps, level, used, k = self.layout.t, [], {}, 0, 0
         leaves = t[end - 2]
         for a in range(end - 2, low - 1, -1):
-            count, row, k = 1 << (a - low), self._rows[a], k + t[a]
-            copies = min(count, _LEAF_COPIES)
-            dtype = np.float64 if floats else _matmul_dtype(self.ring, t[a - 1], k, count * cols)
-            children = _carve(stack, (k, count, cols), dtype)
-            level[a] = levels[used : used + t[a - 1] * count * cols].reshape(t[a - 1], count, cols)
-            used += level[a].size
-            sources = [level[b][:, count : 2 * count] for b in range(a + 1, end - 1)]
-            steps.append((row[:, :k], row[:, k:], sources, children[: k - leaves],
+            count, dtype, k = 1 << (a - low), dtypes[a], k + t[a]
+            row, copies, nodes = self._row(a, dtype), min(count, _LEAF_COPIES), count * cols
+            if dtype.kind != "f":  # the children in the dtype of the product
+                dtype = _matmul_dtype(self.ring, t[a - 1], k, nodes)
+            children = _carve(stack, (k, nodes), dtype)
+            level[a] = _carve(levels[used:], (t[a - 1], nodes), dtypes[a])
+            used += -(-level[a].nbytes // 8)
+            steps.append((row[:, :k], row[:, k:],
+                          [level[b][:, nodes : 2 * nodes] for b in range(a + 1, end - 1)],
+                          children[: k - leaves],
                           children[k - leaves :].reshape(leaves, count // copies, copies * cols),
-                          children.reshape(k, count * cols),
-                          level[a].reshape(t[a - 1], count * cols)))
-        return steps, [level[a][:, 0] for a in range(low, end - 1)]
+                          children, level[a]))
+        return steps, [level[a][:, :cols] for a in range(low, end - 1)]
 
     def _tree(self, low: int, end: int, out: np.ndarray) -> None:
-        """M(low) into out, for low < end - 1: one root product, row low in the
-        storage, -[A(low, low+1) | ... | A(low, end-1)] times the minors that
-        forest (low + 1, end), its children trees, leaves, plus -A(low, end)."""
+        """M(low) into out, for low < end - 1: one root product, row low
+        reduced in the storage, -[A(low, low+1) | ... | A(low, end-1)] times
+        the minors that forest (low + 1, end), its children trees, leaves,
+        plus -A(low, end)."""
         t, width, wide = self.layout.t, out.shape[1], end == self.layout.s + 1
         kids = np.empty((sum(t[low : end - 1]), width), out.dtype)
         self._forest(low + 1, end, kids)
-        row, k = self._rows[low].astype(out.dtype, copy=False), kids.shape[0]
+        row, k = self._row(low, out.dtype), kids.shape[0]
         out[...] = _matmul_reduced(row[:, :k], kids, self.ring, row[:, k : k + width])
         self.counters.record_node(t[low - 1], t[low : end - 1], width, wide)
 
@@ -198,36 +283,38 @@ class BlockMinorTable:
         workspace, plus -A(a, end), both from row a, into its own array
         there, counted once at full width.  The leaf level end - 1 is never
         computed: each node is -A(end-1, end), which a forest of one order-1
-        tree copies whole.  In float64 the levels and their children stack
-        hold signed residues, which no level converts; each strip copies its
-        sinks, node 0 of each level, into out as they are, and the forest
-        reduces each row group of out that it computed once.  A forest whose
-        single column passes the budget (order above 17 at t = 2 for int64)
-        splits off its first tree: forest (low + 1, end), then tree (low,
-        end), which runs forest (low + 1, end) again, as the unmemoized
-        count requires.
+        tree copies whole.  Float levels (see _levels) are signed: exact
+        minors, which the kernel is told not to reduce by ring None, or
+        residues that it reduces into (-m, m).  Each strip copies its sinks,
+        node 0 of each level, into out as they are, and a forest of float
+        levels reduces out, the leaf's row group included, once.  A forest
+        whose single column passes the budget (order above 17 at t = 2 in
+        8-byte levels) splits off its first tree: forest (low + 1, end),
+        then tree (low, end), which runs forest (low + 1, end) again, as the
+        unmemoized count requires.
         """
-        t, width = self.layout.t, out.shape[1]
-        leaf = self._rows[end - 1][:, :width]
+        t, width, m = self.layout.t, out.shape[1], self.ring.modulus
         if low == end - 1:
-            out[...] = leaf
+            out[...] = self._rows[end - 1][:, :width]
+            _reduce_in_place(out, m)
             return
-        strip, (nlevels, nstack) = self._plan(low, end)
+        strip, (nlevels, nstack), (dtypes, exact) = self._plan(low, end)
         if not strip:
             self._forest(low + 1, end, out[t[low - 1] :])
             self._tree(low, end, out[: t[low - 1]])
             return
         work = self._workspace(nlevels + nstack)
-        stack, wide = work[nlevels:], end == self.layout.s + 1
+        stack, wide, ring = work[nlevels:], end == self.layout.s + 1, None if exact else self.ring
         for a in range(end - 2, low - 1, -1):  # at full width, once
             self.counters.record_node(t[a - 1], t[a : end - 1], width, wide, 1 << (a - low))
-        edges = [0, *accumulate(t[low - 1 : end - 1])]  # of the row groups of out
-        out[edges[-2] :] = leaf
+        top = out.shape[0] - t[end - 2]  # the rows above the leaf's group
+        leaf = self._row(end - 1, dtypes[end - 2])[:, :width]
+        out[top:] = leaf
         cols = None
         for c0 in range(0, max(width, 1), strip):
             if cols != min(strip, width - c0):  # the first strip, or a narrower last one
                 cols = min(strip, width - c0)
-                steps, sinks = self._strip(low, end, cols, work[:nlevels], stack)
+                steps, sinks = self._strip(low, end, cols, work[:nlevels], stack, dtypes)
             # The leaf level's node, as copies side by side that fill a row of
             # a leaf stack at a time (see _strip).
             tile = np.tile(leaf[:, c0 : c0 + cols], min(1 << (end - 2 - low), _LEAF_COPIES))
@@ -235,8 +322,7 @@ class BlockMinorTable:
                 if sources:
                     np.concatenate(sources, out=kids)
                 leaves[...] = tile[:, None, : leaves.shape[2]]
-                _matmul_reduced(factor, children, self.ring, terms[:, c0 : c0 + cols], level, stack)
-            np.concatenate(sinks, out=out[: edges[-2], c0 : c0 + cols], casting="unsafe")
-        if work.dtype != out.dtype:  # signed residues; the leaf's group is canonical
-            for r0, r1 in zip(edges, edges[1:-1]):
-                _reduce_in_place(out[r0:r1], self.ring.modulus)
+                _matmul_reduced(factor, children, ring, terms[:, c0 : c0 + cols], level, stack)
+            np.concatenate(sinks, out=out[:top, c0 : c0 + cols], casting="unsafe")
+        if dtypes[low].kind == "f":
+            _reduce_in_place(out, m)

@@ -31,7 +31,7 @@ from .matrix import (
 )
 from .minors import BlockMinorTable
 from .opcounters import OpCounters, predicted_counts_minors
-from .stdform import StandardForm, extract_blocks, stripped_row
+from .stdform import StandardForm, extract_blocks, standard_form, stripped_row
 from .zring import DomainError, RingMismatchError
 
 
@@ -180,3 +180,19 @@ def verify_parity(g: Matrix, h: Matrix):
         r, c = nz[0]
         return False, (int(r) + 1, int(c) + 1)
     return True, None
+
+
+def verify_dual(g: Matrix, h: Matrix):
+    """Check that H generates the dual of G's code.  G H^T = 0 puts <H> in
+    the dual, and the two are equal exactly when |<G>| |<H>| = p^(sn), with
+    each size p^(sum (s - i + 1) t_i) read from the type of its standard
+    form.  Returns (witness, sizes): both None when H generates the dual;
+    verify_parity's witness, the 1-based (row, col) of the first nonzero
+    entry of G H^T, and None; or None and the sizes (|<G>|, |<H>|)."""
+    ok, witness = verify_parity(g, h)
+    if not ok:
+        return witness, None
+    ring = g.ring
+    sizes = tuple(ring.p ** sum((ring.s - i) * ti for i, ti in enumerate(standard_form(x).layout.t))
+                  for x in (g, h))
+    return None, (sizes if sizes[0] * sizes[1] != ring.p ** (ring.s * g.ncols) else None)

@@ -13,6 +13,7 @@ from zpscodes import (
     Matrix,
     RingSpec,
     format_matrix,
+    parity_check_iterative,
     parity_check_minors,
     parse_matrix,
     random_code,
@@ -21,7 +22,7 @@ from zpscodes import (
 from zpscodes import bench, cli
 from zpscodes.cli import main
 
-from helpers import miscount_big_mults
+from helpers import DEGENERATE_CASES, degenerate_type, miscount_big_mults
 
 Z4 = RingSpec(2, 2)
 EXAMPLE_TEXT = "2 2 2 3\n1 1 2\n0 2 2\n"
@@ -88,6 +89,65 @@ def test_verify_exit_codes(example_file, tmp_path, capsys):
     bad.write_text("2 2 1 3\n1 0 0\n")
     assert main(["verify", str(example_file), str(bad)]) == 1
     assert "row 1" in capsys.readouterr().out
+
+
+def _verify(tmp_path, g: Matrix, h: Matrix) -> int:
+    gens, parity = tmp_path / "g.txt", tmp_path / "h.txt"
+    gens.write_text(format_matrix(g))
+    parity.write_text(format_matrix(h))
+    return main(["verify", str(gens), str(parity)])
+
+
+def test_verify_rejects_an_orthogonal_h_that_is_too_small(tmp_path, capsys):
+    # Over Z_4, G = 1 0 1 / 0 1 1 / 1 1 0 generates a code of 32 words, whose
+    # dual is generated by 2 2 2: H = 0 0 0 is orthogonal to G as well, but
+    # generates {0}.
+    g = Matrix(Z4, [[1, 0, 1], [0, 1, 1], [1, 1, 0]])
+    assert _verify(tmp_path, g, Matrix(Z4, [[2, 2, 2]])) == 0
+    assert capsys.readouterr().out == "ok: G H^T = 0\n"
+    assert _verify(tmp_path, g, Matrix(Z4, [[0, 0, 0]])) == 1
+    assert capsys.readouterr().out == (
+        "H does not generate the dual: |<G>| = 32 and |<H>| = 1, whose product is not 2^6\n")
+    # G = 1 0 1 / 0 1 1 has H = 3 3 1: H = 0 0 0 and H = 2 2 2 are
+    # orthogonal to G but generate codes of sizes 1 and 2, not 4.
+    g = Matrix(Z4, [[1, 0, 1], [0, 1, 1]])
+    assert _verify(tmp_path, g, Matrix(Z4, [[3, 3, 1]])) == 0
+    capsys.readouterr()
+    for h, size in (([[0, 0, 0]], 1), ([[2, 2, 2]], 2)):
+        assert _verify(tmp_path, g, Matrix(Z4, h)) == 1
+        assert capsys.readouterr().out == (
+            f"H does not generate the dual: |<G>| = 16 and |<H>| = {size}, "
+            "whose product is not 2^6\n")
+
+
+# Each construction's H passes; a zero H, p H, H without its last row and H
+# with one row scaled by p generate too small a code, and fail with both
+# sizes.  Over Z_4 and 3^2 for every degenerate type and a plain one, and
+# over 3^21 and 1451^3, stored in Python ints; at s = 21 the minors
+# construction is over its budget, so only the iterative one runs.
+@pytest.mark.parametrize("ring,case", [
+    *((ring, case) for ring in (Z4, RingSpec(3, 2)) for case in (*DEGENERATE_CASES, "plain")),
+    (RingSpec(3, 21), "plain"), (RingSpec(1451, 3), "plain"), (RingSpec(1451, 3), "some-zero"),
+], ids=lambda x: f"{x.p}^{x.s}" if isinstance(x, RingSpec) else x)
+def test_verify_accepts_exactly_the_dual(ring, case, tmp_path, capsys):
+    p, s = ring.p, ring.s
+    n, t = (2 * s + 3, (2,) * s) if case == "plain" else degenerate_type(case, s)
+    sf = random_code(ring, n, t, 67)
+    constructions = (parity_check_minors, parity_check_iterative)[s > 20 :]
+    for construct in constructions:
+        h = construct(sf).h
+        assert _verify(tmp_path, sf.matrix, h) == 0
+    assert capsys.readouterr().out == "ok: G H^T = 0\n" * len(constructions)
+    if not h.nrows:
+        return
+    data, m = h.data, ring.modulus
+    scaled = data.copy()
+    scaled[0] = scaled[0] * p % m
+    for bad in (data * 0, data * p % m, data[:-1], scaled):
+        assert _verify(tmp_path, sf.matrix, Matrix(ring, bad)) == 1
+        out = capsys.readouterr().out
+        assert out.startswith(f"H does not generate the dual: |<G>| = ")
+        assert f"whose product is not {p}^{s * n}" in out
 
 
 def test_bruteforce_without_columns_verifies(tmp_path, capsys):

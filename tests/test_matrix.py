@@ -908,6 +908,28 @@ def test_float_levels_at_their_bound(k):
         assert (out.astype(np.int64) % m).tolist() == want
 
 
+# With ring None a float level is exact and left as it is: the integer
+# product plus c on each block, here with partial sums up to 4 * 2^20 + 2^22
+# in float32 and 4 * 2^46 + 2^48 in float64.  With a ring, a float32 out is
+# refused: only float64 levels are reduced.
+@pytest.mark.parametrize("dtype,bits", [(np.float32, 10), (np.float64, 23)])
+def test_exact_float_level_is_not_reduced(dtype, bits):
+    rng = np.random.default_rng(bits)
+    rows, k, width, blocks = 3, 4, 5, 8
+    a = rng.integers(-(2 ** bits), 2 ** bits, (rows, k), endpoint=True)
+    b = rng.integers(-(2 ** bits), 2 ** bits, (k, blocks * width), endpoint=True)
+    c = rng.integers(-(2 ** (2 * bits + 2)), 2 ** (2 * bits + 2), (rows, width))
+    a[0], b[:, 0], c[0, 0] = 2 ** bits, 2 ** bits, 2 ** (2 * bits + 2)
+    out, work = np.empty((rows, blocks * width), dtype), np.empty(rows * blocks * width)
+    got = _matmul_reduced(a.astype(dtype), b.astype(dtype), None, c, out, work)
+    assert got is out
+    assert np.array_equal(out.astype(np.int64), a @ b + np.tile(c, blocks))
+    assert out[0, 0] == 4 * 2 ** (2 * bits) + 2 ** (2 * bits + 2)
+    if dtype is np.float32:
+        with pytest.raises(DomainError):
+            _matmul_reduced(a.astype(dtype), b.astype(dtype), RingSpec(3, 5), c, out, work)
+
+
 def test_float_level_allocates_nothing_that_grows():
     # Adding c takes a buffer of numpy's iterator, at most 8192 entries, a
     # quarter of this product.

@@ -498,19 +498,28 @@ def test_leaf_level_skipped_and_one_stack_per_table(ring, n, t, monkeypatch):
 def test_one_level_product_per_group_level_and_strip(monkeypatch):
     # minors-deep: 3^13, n = 200, t = (2,) * 13.  Column group end runs its
     # levels end - 2..1 as one forest, level a with 2^(a-1) nodes, on strips
-    # of its width from the budget on the forest's levels and largest
-    # children stack; each (level, strip) is one level product, whose
-    # children and output live in the table's workspace.
+    # of its width from the budget on the bytes of the forest's levels and of
+    # its largest children stack, each level in its own dtype: 4 bytes an
+    # entry where the bound from a on is below 2^24, 8 where not.  Each
+    # (level, strip) is one level product, whose children and output live in
+    # the table's workspace.
     ring, n, t = RingSpec(3, 13), 200, (2,) * 13
     sf = random_code(ring, n, t, 62)
-    want = 0
+    blocks, want = {key: blk.data for key, blk in extract_blocks(sf).items()}, 0
     for end in range(2, len(t) + 2):
         width = n - sum(t) if end == len(t) + 1 else t[end - 1]
-        levels = sum(t[a - 1] << (a - 1) for a in range(1, end - 1))
-        stack = max((sum(t[a : end - 1]) << (a - 1) for a in range(1, end - 1)), default=0)
-        strip = max(1, minors._TREE_BYTES // (8 * max(levels + stack, 1)))
+        bound = _bounds_by_hand(blocks, t, end)
+        assert max(bound.values()) < 2 ** 53
+        size = {a: 4 if max(bound[b] for b in range(a, end)) < 2 ** 24 else 8
+                for a in range(1, end - 1)}
+        if end == len(t) + 1:
+            assert [a for a in size if size[a] == 4] == list(range(5, 13))
+        levels = sum((t[a - 1] << (a - 1)) * size[a] for a in range(1, end - 1))
+        stack = max(((max(sum(t[a : end - 1]), t[a - 1]) << (a - 1)) * size[a]
+                     for a in range(1, end - 1)), default=0)
+        strip = max(1, minors._TREE_BYTES // max(levels + stack, 8))
         want += -(-width // strip) * (end - 2)
-    assert want == 282  # 18 strips of the wide group's 12 levels, and 66
+    assert want == 174  # 9 strips of 21 of the wide group's 12 levels, and 66
     calls, kernel = [], minors._matmul_reduced
 
     def spy(rows, children, ring, leaf, out, work):
@@ -566,8 +575,53 @@ def test_deep_tree_memory_within_budget(monkeypatch):
     assert np.array_equal(got, tree_minor(table, 1, s))
 
 
-# Float64 levels need m * (m * k + 1) < 2^53 at k = total - t_1: 401^3 passes
-# at k = 2 and 409^3 fails, 3^15 passes at k = 14 and 3^16 fails at k = 15.
+def _bounds_by_hand(blocks, t, end):
+    """U(a), a < end, as Python ints: the largest magnitude that the signed
+    minor M(a) of order end - a can reach as a plain integer, from the
+    largest entry of each block, U(a) = sum over a < b < end of t_b
+    max A(a, b) U(b), plus max A(a, end)."""
+    top = {key: int(np.max(blk, initial=0)) for key, blk in blocks.items()}
+    bound = {}
+    for a in range(end - 1, 0, -1):
+        bound[a] = top[(a, end)] + sum(t[b - 1] * top[(a, b)] * bound[b] for b in range(a + 1, end))
+    return bound
+
+
+def _expected_levels(table, end):
+    """The dtypes of the levels a = 1..end-2 of forest (1, end) by the rule:
+    exact for an int64 table whose every A(a, b) is below p^(b-a) and whose
+    bound stays below 2^53, float32 where the bound from a on is below 2^24;
+    None when the forest keeps today's dtype."""
+    p, t = table.ring.p, table.layout.t
+    if dtype_for(table.ring) is object or any(
+            np.max(blk, initial=0) >= p ** (b - a) for (a, b), blk in table.blocks.items()):
+        return None
+    bound = _bounds_by_hand(table.blocks, t, end)
+    if max(bound.values()) >= 2 ** 53:
+        return None
+    return {a: np.dtype(np.float32 if max(bound[b] for b in range(a, end)) < 2 ** 24
+                        else np.float64) for a in range(1, end - 1)}
+
+
+def _level_spy(monkeypatch):
+    """(exact, out's dtype, lowest, highest) of each level product."""
+    levels, kernel = [], minors._matmul_reduced
+
+    def spy(rows, children, ring, leaf, out, work):
+        level = kernel(rows, children, ring, leaf, out, work)
+        levels.append((ring is None, out.dtype, level.min(initial=0), level.max(initial=0)))
+        return level
+
+    monkeypatch.setattr(minors, "_matmul_reduced", spy)
+    return levels
+
+
+# Canonical blocks, as random_code's standard form leaves them, get exact
+# float levels: the kernel is told not to reduce them (ring None), and a level
+# is float32 where the bound allows.  Blocks drawn from all of [0, m) get
+# today's rule: float64 signed residues in (-m, m) when m * (m * k + 1) <
+# 2^53 at k = total - t_1 (401^3 passes at k = 2 and 409^3 fails, 3^15 passes
+# at k = 14 and 3^16 fails at k = 15), else int64.
 @pytest.mark.parametrize("p,s,t,floats", [
     (401, 3, (1, 1, 1), True), (409, 3, (1, 1, 1), False),
     (3, 15, (1,) * 15, True), (3, 16, (1,) * 16, False),
@@ -575,31 +629,131 @@ def test_deep_tree_memory_within_budget(monkeypatch):
 ])
 def test_levels_switch_to_float64(p, s, t, floats, monkeypatch):
     ring, n = RingSpec(p, s), 20
-    m, levels, kernel = ring.modulus, [], minors._matmul_reduced
-
-    def spy(rows, children, ring, leaf, out, work):
-        level = kernel(rows, children, ring, leaf, out, work)
-        levels.append((out.dtype, level.min(initial=0), level.max(initial=0)))
-        return level
-
-    monkeypatch.setattr(minors, "_matmul_reduced", spy)
+    m, levels = ring.modulus, _level_spy(monkeypatch)
     sf = random_code(ring, n, t, 63)
+    table = BlockMinorTable(extract_blocks(sf), sf.layout)
+    want = {end: _expected_levels(table, end) for end in range(2, s + 2)}
+    assert None not in want.values()
+    for end, dtypes in want.items():
+        assert table._levels(1, end) == (dtypes, True), end
     assert parity_check_minors(sf).h == parity_check_iterative(sf).h
-    assert {dtype for dtype, _, _ in levels} == {np.dtype(np.float64 if floats else np.int64)}
-    if floats:  # signed residues, never reduced into [0, m)
-        assert all(-m < low and high < m for _, low, high in levels)
-        assert min(low for _, low, _ in levels) < 0
+    assert {exact for exact, *_ in levels} == {True}
+    assert {dtype for _, dtype, _, _ in levels} == {d for ds in want.values() for d in ds.values()}
+    bound = max(max(_bounds_by_hand(table.blocks, t, end).values()) for end in want)
+    assert all(-bound <= low and high <= bound for *_, low, high in levels)
     # Entries drawn from all of [0, m), against the node-by-node oracle.
     table = random_block_table(ring, s, n, random.Random(64), t=t)
     node = _node_by_node(table)
     levels.clear()
     for end in range(2, s + 2):
+        assert _expected_levels(table, end) is None
         got = _group(table, end)
         want = _node_group(node, end, m)
         assert got[0].dtype == want[0].dtype and np.array_equal(got[0], want[0]), end
         assert got[1] == want[1], end
-    if floats:
-        assert all(-m < low and high < m for _, low, high in levels)
+    assert {(exact, dtype) for exact, dtype, _, _ in levels} == {
+        (False, np.dtype(np.float64 if floats else np.int64))}
+    if floats:  # signed residues, never reduced into [0, m)
+        assert all(-m < low and high < m for *_, low, high in levels)
+        assert min(low for _, _, low, _ in levels) < 0
+
+
+def _tuned_table(ring, t, free, fill, target):
+    """A canonical table of type t, with a free group of width free, whose
+    forest (1, s + 1) has U(1) = target exactly: every entry of A(a, b),
+    a >= 2, is min(fill, p^(b-a) - 1), and the entries of A(1, b) are one
+    value a block, chosen greedily, b = 2..s + 1."""
+    p, s = ring.p, len(t)
+    layout = BlockLayout(sum(t) + free, t)
+    widths = (*t, free)
+    blocks = {(a, b): np.full((t[a - 1], widths[b - 1]), min(fill, p ** (b - a) - 1), np.int64)
+              for a in range(1, s + 1) for b in range(a + 1, s + 2)}
+    bound, rest = _bounds_by_hand(blocks, t, s + 1), target
+    for b in range(2, s + 2):
+        weight = t[b - 1] * bound[b] if b <= s else 1
+        x = min(p ** (b - 1) - 1, rest // weight) if weight else 0
+        blocks[(1, b)][...] = x
+        rest -= weight * x
+    assert rest == 0
+    assert _bounds_by_hand(blocks, t, s + 1)[1] == target
+    return BlockMinorTable({key: Matrix(ring, blk) for key, blk in blocks.items()}, layout)
+
+
+def _check_wide_group(table):
+    """Column group s + 1 of table against the node-by-node oracle, its
+    trees only."""
+    s, m = table.layout.s, table.ring.modulus
+    node = {}
+    for a in range(1, s + 1):
+        table.counters = OpCounters()
+        node[(a, s + 1 - a)] = (node_by_node_minor(table, a, s + 1 - a), table.counters)
+    want = _node_group(node, s + 1, m)
+    got = _group(table, s + 1)
+    assert got[0].dtype == want[0].dtype and np.array_equal(got[0], want[0])
+    assert got[1] == want[1]
+
+
+# Level 1 of forest (1, 7) over 37^6, its children's bounds below 2^24: its
+# own bound at 2^24 - 1 makes it float32, at 2^24 float64.  Over 13^8 at
+# t_i = 12 the bound at 2^53 - 1 keeps the forest exact (float64 at the top),
+# and at 2^53 it keeps today's int64 levels.
+@pytest.mark.parametrize("p,s,ell,fill,target,dtypes", [
+    pytest.param(37, 6, 2, 1, 2 ** 24 - 1, (np.float32, True), id="2^24-1"),
+    pytest.param(37, 6, 2, 1, 2 ** 24, (np.float64, True), id="2^24"),
+    pytest.param(13, 8, 12, 13 ** 8, 2 ** 53 - 1, (np.float64, True), id="2^53-1"),
+    pytest.param(13, 8, 12, 13 ** 8, 2 ** 53, (np.int64, False), id="2^53"),
+])
+def test_exact_levels_at_their_bounds(p, s, ell, fill, target, dtypes, monkeypatch):
+    table = _tuned_table(RingSpec(p, s), (ell,) * s, 2, fill, target)
+    levels = _level_spy(monkeypatch)
+    assert table._levels(1, s + 1)[0][1] == np.dtype(dtypes[0])
+    assert table._levels(1, s + 1)[1] is dtypes[1]
+    assert (_expected_levels(table, s + 1) or {1: np.dtype(np.int64)})[1] == np.dtype(dtypes[0])
+    _check_wide_group(table)
+    # Level 1 is the last of each strip.
+    assert (levels[-1][0], levels[-1][1]) == (dtypes[1], np.dtype(dtypes[0]))
+
+
+def test_exact_level_over_a_child_past_float32(monkeypatch):
+    # Level 1 is bounded by 1000, but its child, level 2, above 2^24: level 1
+    # is float64, not float32.
+    table = _tuned_table(RingSpec(37, 6), (2,) * 6, 2, 37 ** 6, 1000)
+    bound = _bounds_by_hand(table.blocks, table.layout.t, 7)
+    assert bound[1] == 1000 and 2 ** 24 < bound[2] < 2 ** 53
+    levels = _level_spy(monkeypatch)
+    dtypes, exact = table._levels(1, 7)
+    assert exact and dtypes[1] == np.dtype(np.float64) == _expected_levels(table, 7)[1]
+    _check_wide_group(table)
+    assert (levels[-1][0], levels[-1][1]) == (True, np.dtype(np.float64))
+
+
+# Canonical tables of random_code: 3^16, past today's float64 levels at
+# k = 15, and 1447^3, the largest odd cube stored in int64, each against the
+# node-by-node oracle.  An entry of A(1, 2) raised to p, just outside its
+# canonical range, sends the table back to today's rule.
+@pytest.mark.parametrize("ring,n,t", [
+    pytest.param(RingSpec(3, 16), 18, (1,) * 16, id="3^16"),
+    pytest.param(RingSpec(1447, 3), 10, (2, 2, 2), id="1447^3"),
+])
+def test_exact_levels_of_canonical_tables(ring, n, t, monkeypatch):
+    sf = random_code(ring, n, t, 65)
+    blocks = extract_blocks(sf)
+    table = BlockMinorTable(blocks, sf.layout)
+    want = _expected_levels(table, len(t) + 1)
+    assert want and table._levels(1, len(t) + 1) == (want, True)
+    levels = _level_spy(monkeypatch)
+    _check_wide_group(table)
+    assert {exact for exact, *_ in levels} == {True}
+    assert {dtype for _, dtype, _, _ in levels} == set(want.values())
+    bumped = blocks[(1, 2)].data.copy()
+    bumped[0, 0] = ring.p
+    blocks[(1, 2)] = Matrix(ring, bumped)
+    table = BlockMinorTable(blocks, sf.layout)
+    assert _expected_levels(table, len(t) + 1) is None
+    assert table._levels(1, len(t) + 1) == (dict.fromkeys(range(1, len(t)), table._dtype), False)
+    levels.clear()
+    _check_wide_group(table)
+    assert {exact for exact, *_ in levels} == {False}
 
 
 def test_wide_inner_dimension_stays_int64(monkeypatch):
