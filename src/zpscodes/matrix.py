@@ -226,23 +226,6 @@ def _matmul_dtype(ring: RingSpec, rows: int, k: int, cols: int):
     return storage if storage is object else _product_dtype(ring.modulus, k, rows * k * cols)
 
 
-def _level_dtype(ring: RingSpec, k: int):
-    """The dtype of the levels of a chain of products, each fed the ones
-    before, of inner dimension k or less: float64 when m * (m * k + 1) <
-    2^53, m = p^s, for a ring stored in int64, and the storage otherwise.
-
-    A float64 level holds signed residues, integers in (-m, m).  A product
-    of such entries plus c, another, has every partial sum an integer of
-    magnitude at most (m - 1) * ((m - 1) * k + 1) < 2^53, exact in any
-    order, and the reduction of _matmul_reduced takes it back into (-m, m):
-    its quotient x * (1/m), off from x / m by less than 1/2 under the bound,
-    rounds to within 1 of x / m.
-    """
-    m = ring.modulus
-    floats = m <= _INT64_MAX_MODULUS and m * (m * k + 1) < 2 ** 53
-    return np.float64 if floats else dtype_for(ring)
-
-
 def _matmul_reduced(a: np.ndarray, b: np.ndarray, ring: RingSpec | None, c=None, out=None,
                     work=None) -> np.ndarray:
     """(a @ b, plus c on each block of c.shape[1] columns) mod p^s in the
@@ -264,23 +247,16 @@ def _matmul_reduced(a: np.ndarray, b: np.ndarray, ring: RingSpec | None, c=None,
     the storage of as many entries or more.  work is written only once b
     has been read, so it may hold b.
 
-    A float32 or float64 out takes a level of the block-minor forest
-    instead: a and b in out's dtype, c in any, and work a flat buffer of as
-    many 8-byte words or more.  BLAS writes the product into out, and c
-    is added in out's dtype.  With ring None the level is exact: a, b and c
-    are integers, and the caller has bounded every partial sum of a row of
-    a by b, and the sum plus c, below 2^24 in float32 or 2^53 in float64,
-    so that each is held exactly in any order; nothing is reduced.  With a
-    ring, out is float64 and a, b and c are signed residues in (-m, m),
-    with k within the bound of _level_dtype, else DomainError; out is left
-    in (-m, m), not [0, m): x -= rint(x * (1/m)) * m in four flat passes,
-    the quotient in work.  Nothing is converted or allocated.
+    A float32 or float64 out takes an exact level of the block-minor
+    forest instead, and ring is None: a and b are integers in out's dtype,
+    c integers in any, and work a flat buffer of as many 8-byte words or
+    more.  The caller has bounded every partial sum of a row of a by b, and
+    the sum plus c, below 2^24 in float32 or 2^53 in float64, so that each
+    is held exactly in any order.  BLAS writes the product into out, c is
+    added in out's dtype, and nothing is reduced, converted or allocated.
     """
     (rows, k), cols = a.shape, b.shape[1]
     if out is not None and out.dtype.kind == "f":
-        if ring is not None and _level_dtype(ring, k) != out.dtype:
-            raise DomainError(f"{out.dtype} levels of inner dimension {k} are inexact "
-                              f"mod {ring.modulus}")
         work = np.empty(out.size) if work is None else work
         np.matmul(a, b, out=out)
         if c is not None:
@@ -293,12 +269,6 @@ def _matmul_reduced(a: np.ndarray, b: np.ndarray, ring: RingSpec | None, c=None,
             tile.reshape(rows, rep, width)[...] = c[:, None, :]
             total = out.reshape(rows, blocks // rep, rep * width)
             total += tile
-        if ring is not None:
-            x, m = out.reshape(-1), ring.modulus
-            q = np.multiply(x, 1 / m, out=work[: x.size])
-            np.rint(q, out=q)
-            q *= m
-            x -= q
         return out
     m, storage, dtype = ring.modulus, dtype_for(ring), _matmul_dtype(ring, rows, k, cols)
     step = _headroom(m) if dtype is np.int64 else max(k, 1)

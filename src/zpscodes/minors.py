@@ -30,10 +30,9 @@ which moves half the bytes.  On minors-deep (3^13, t_i = 2) U(1) is below
 2^36.2, and levels 6 to 12, the ones with the most nodes, are float32.  Such
 a forest reduces only the minors it writes into the int64 H^T, once.  This
 is delayed reduction (FFLAS-FFPACK: Dumas, Giorgi and Pernet, 2008) taken
-to its end.  A forest whose bound reaches 2^53, and every forest of a table
+to its end.  Every other forest, one whose bound reaches 2^53 or of a table
 over Python ints or with an entry outside its canonical range, keeps its
-levels in the dtype that matrix._level_dtype gives: float64 signed residues
-in (-p^s, p^s), which each level product reduces, or the ring's storage.
+levels in the ring's storage, reduced into [0, p^s) by each level product.
 """
 
 from __future__ import annotations
@@ -44,8 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .matrix import (
-    ShapeError, _carve, _level_dtype, _matmul_dtype, _matmul_reduced, _reduce, _reduce_in_place,
-    dtype_for,
+    ShapeError, _carve, _matmul_dtype, _matmul_reduced, _reduce, _reduce_in_place, dtype_for,
 )
 from .opcounters import OpCounters
 from .zring import DomainError
@@ -84,13 +82,6 @@ class BlockMinorTable:
         self.ring = blocks[(1, 2)].ring
         self.counters = counters if counters is not None else OpCounters()
         self._work, self._cast = None, {}
-
-    @cached_property
-    def _dtype(self):
-        """The dtype of every level of a forest that is not exact (see
-        _levels and _level_dtype): no level product has an inner dimension
-        above total - t_1."""
-        return np.dtype(_level_dtype(self.ring, self.layout.total - self.layout.t[0]))
 
     @cached_property
     def _rows(self) -> dict:
@@ -150,16 +141,16 @@ class BlockMinorTable:
             bound[a] = top[a] + weight[a] @ bound
         return np.maximum.accumulate(bound[::-1], axis=0)[::-1].T.tolist()
 
-    def _levels(self, low: int, end: int) -> tuple:
-        """(dtypes, exact): the dtype of each level a = low..end-2 of forest
-        (low, end), and whether they hold exact minors.  They do when the
-        forest's bound (see _bounds) is below 2^53: level a is then float32
-        where the bound from a on is below 2^24, float64 where not.  Else
-        every level is in _dtype."""
+    def _levels(self, low: int, end: int) -> dict:
+        """The dtype of each level a = low..end-2 of forest (low, end).  The
+        levels hold exact minors when the forest's bound (see _bounds) is
+        below 2^53: level a is then float32 where the bound from a on is
+        below 2^24, float64 where not.  Else every level is in the ring's
+        storage."""
         bound = None if self._bounds is None else self._bounds[end]
         if bound is None or bound[low] >= 2 ** 53:
-            return dict.fromkeys(range(low, end - 1), self._dtype), False
-        return {a: _FLOAT32 if bound[a] < 2 ** 24 else _FLOAT64 for a in range(low, end - 1)}, True
+            return dict.fromkeys(range(low, end - 1), np.dtype(dtype_for(self.ring)))
+        return {a: _FLOAT32 if bound[a] < 2 ** 24 else _FLOAT64 for a in range(low, end - 1)}
 
     # A counted block product and sum, kept only as perfbench/tracer.py's targets.
     def _counted_mul(self, a: np.ndarray, b: np.ndarray, wide: bool) -> np.ndarray:
@@ -190,7 +181,7 @@ class BlockMinorTable:
             self._forest(i, end, out)
 
     def _plan(self, low: int, end: int) -> tuple:
-        """(strip, sizes, levels) of forest (low, end) (see _forest): the
+        """(strip, sizes, dtypes) of forest (low, end) (see _forest): the
         strip width, 0 when one column passes _TREE_BYTES; the workspace
         words, 8 bytes each, that a strip takes for its levels, each padded
         to a whole word, and for its largest children stack or level, whose
@@ -198,8 +189,7 @@ class BlockMinorTable:
         _levels.  Level a holds 2^(a-low) nodes of t_a rows, and stacks
         sum(t[a:end-1]) rows of children for each, in its own dtype."""
         t, width, m = self.layout.t, self.blocks[(low, end)].shape[1], self.ring.modulus
-        levels = self._levels(low, end)
-        dtypes, sizes, stack, kids = levels[0], [], 0, 0
+        dtypes, sizes, stack, kids = self._levels(low, end), [], 0, 0
         for a in range(end - 2, low - 1, -1):
             count, itemsize = 1 << (a - low), dtypes[a].itemsize
             kids += t[a]  # sum(t[a:end-1])
@@ -214,7 +204,7 @@ class BlockMinorTable:
                        + stack * (8 + sys.getsizeof(kids * m * m))) // 8
         strip = max(1, _TREE_BYTES // max(column, 8)) if column <= _TREE_BYTES else 0
         cols = min(strip, width)
-        return strip, (sum(-(-size * cols // 8) for size in sizes), -(-stack * cols // 8)), levels
+        return strip, (sum(-(-size * cols // 8) for size in sizes), -(-stack * cols // 8)), dtypes
 
     def _workspace(self, size: int) -> np.ndarray:
         """The flat buffer of 8-byte words, float64 or, for a ring stored in
@@ -283,27 +273,27 @@ class BlockMinorTable:
         workspace, plus -A(a, end), both from row a, into its own array
         there, counted once at full width.  The leaf level end - 1 is never
         computed: each node is -A(end-1, end), which a forest of one order-1
-        tree copies whole.  Float levels (see _levels) are signed: exact
-        minors, which the kernel is told not to reduce by ring None, or
-        residues that it reduces into (-m, m).  Each strip copies its sinks,
-        node 0 of each level, into out as they are, and a forest of float
-        levels reduces out, the leaf's row group included, once.  A forest
-        whose single column passes the budget (order above 17 at t = 2 in
-        8-byte levels) splits off its first tree: forest (low + 1, end),
-        then tree (low, end), which runs forest (low + 1, end) again, as the
-        unmemoized count requires.
+        tree copies whole.  Float levels (see _levels) hold exact signed
+        minors, which the kernel is told not to reduce by ring None.  Each
+        strip copies its sinks, node 0 of each level, into out as they are,
+        and a forest of float levels reduces out, the leaf's row group
+        included, once.  A forest whose single column passes the budget
+        (order above 17 at t = 2 in 8-byte levels) splits off its first
+        tree: forest (low + 1, end), then tree (low, end), which runs forest
+        (low + 1, end) again, as the unmemoized count requires.
         """
         t, width, m = self.layout.t, out.shape[1], self.ring.modulus
         if low == end - 1:
             out[...] = self._rows[end - 1][:, :width]
             _reduce_in_place(out, m)
             return
-        strip, (nlevels, nstack), (dtypes, exact) = self._plan(low, end)
+        strip, (nlevels, nstack), dtypes = self._plan(low, end)
         if not strip:
             self._forest(low + 1, end, out[t[low - 1] :])
             self._tree(low, end, out[: t[low - 1]])
             return
         work = self._workspace(nlevels + nstack)
+        exact = dtypes[low].kind == "f"
         stack, wide, ring = work[nlevels:], end == self.layout.s + 1, None if exact else self.ring
         for a in range(end - 2, low - 1, -1):  # at full width, once
             self.counters.record_node(t[a - 1], t[a : end - 1], width, wide, 1 << (a - low))
@@ -324,5 +314,5 @@ class BlockMinorTable:
                 leaves[...] = tile[:, None, : leaves.shape[2]]
                 _matmul_reduced(factor, children, ring, terms[:, c0 : c0 + cols], level, stack)
             np.concatenate(sinks, out=out[:top, c0 : c0 + cols], casting="unsafe")
-        if dtypes[low].kind == "f":
+        if exact:
             _reduce_in_place(out, m)

@@ -26,7 +26,6 @@ from zpscodes.matrix import (
     ShapeError,
     _carve,
     _headroom,
-    _level_dtype,
     _matmul_dtype,
     _matmul_reduced,
     _parse_digits,
@@ -45,7 +44,7 @@ from zpscodes.matrix import (
     zeros,
 )
 from zpscodes.minors import BlockMinorTable
-from zpscodes.zring import DomainError, RingMismatchError
+from zpscodes.zring import RingMismatchError
 
 from helpers import chunk_spy, entrywise_parse_matrix, inverse, random_matrix, row_format_matrix
 from oracles import sign
@@ -862,56 +861,9 @@ def test_kernel_into_out_and_work(p, s, k, tier):
         assert peak < out.nbytes // 2
 
 
-def _as_prime_power(m):
-    """(p, s) with p^s = m, or None."""
-    p = next((d for d in range(2, math.isqrt(m) + 1) if m % d == 0), m)
-    s = 0
-    while m % p == 0:
-        m, s = m // p, s + 1
-    return (p, s) if m == 1 else None
-
-
-def _level_bound_moduli(k):
-    """The largest prime power m with m * (m * k + 1) < 2^53, and the next."""
-    below = math.isqrt(2 ** 53 // k) + 1
-    while below * (below * k + 1) >= 2 ** 53 or _as_prime_power(below) is None:
-        below -= 1
-    above = below + 1
-    while _as_prime_power(above) is None:
-        above += 1
-    return below, above
-
-
-# A float64 level product at the bound's either side, with the largest sums it
-# can meet: rows m - 1, children +-(m - 1) by column, and c = m - 1.
-@pytest.mark.parametrize("k", [1, 2, 24])
-def test_float_levels_at_their_bound(k):
-    rows, width, blocks = 3, 4, 8
-    for m, floats in zip(_level_bound_moduli(k), (True, False)):
-        ring = RingSpec(*_as_prime_power(m))
-        assert (_level_dtype(ring, k) is np.float64) is floats
-        a = np.full((rows, k), m - 1, dtype=np.int64)
-        b = np.full((k, blocks * width), m - 1, dtype=np.int64)
-        b[:, 1::2] *= -1
-        c = np.full((rows, width), m - 1, dtype=np.int64)
-        want = [[(x + m - 1) % m for x in row] for row in _python_product(a, b, m)]
-        # The storage path, on entries reduced into [0, m).
-        assert _matmul_reduced(a, b % m, ring, c).tolist() == want
-        out, work = np.empty((rows, blocks * width)), np.empty(rows * blocks * width)
-        operands = (a.astype(np.float64), b.astype(np.float64), ring, c.astype(np.float64))
-        if not floats:
-            with pytest.raises(DomainError):
-                _matmul_reduced(*operands, out, work)
-            continue
-        assert _matmul_reduced(*operands, out, work) is out
-        assert np.all(np.abs(out) < m) and np.all(out == np.rint(out))
-        assert (out.astype(np.int64) % m).tolist() == want
-
-
-# With ring None a float level is exact and left as it is: the integer
-# product plus c on each block, here with partial sums up to 4 * 2^20 + 2^22
-# in float32 and 4 * 2^46 + 2^48 in float64.  With a ring, a float32 out is
-# refused: only float64 levels are reduced.
+# A float level is exact and left as it is: the integer product plus c on
+# each block, here with partial sums up to 4 * 2^20 + 2^22 in float32 and
+# 4 * 2^46 + 2^48 in float64.
 @pytest.mark.parametrize("dtype,bits", [(np.float32, 10), (np.float64, 23)])
 def test_exact_float_level_is_not_reduced(dtype, bits):
     rng = np.random.default_rng(bits)
@@ -925,30 +877,25 @@ def test_exact_float_level_is_not_reduced(dtype, bits):
     assert got is out
     assert np.array_equal(out.astype(np.int64), a @ b + np.tile(c, blocks))
     assert out[0, 0] == 4 * 2 ** (2 * bits) + 2 ** (2 * bits + 2)
-    if dtype is np.float32:
-        with pytest.raises(DomainError):
-            _matmul_reduced(a.astype(dtype), b.astype(dtype), RingSpec(3, 5), c, out, work)
 
 
 def test_float_level_allocates_nothing_that_grows():
     # Adding c takes a buffer of numpy's iterator, at most 8192 entries, a
-    # quarter of this product.
-    ring, rows, k, width, cols = RingSpec(3, 13), 16, 24, 8, 2048
-    assert _level_dtype(ring, k) is np.float64
+    # quarter of this product.  Entries in (-3^13, 3^13) keep every partial
+    # sum below 24 * 3^26 + 3^13 < 2^46: the float64 level is exact.
+    m, rows, k, width, cols = 3 ** 13, 16, 24, 8, 2048
     rng = np.random.default_rng(9)
-    a, b, c = (rng.integers(1 - ring.modulus, ring.modulus, shape).astype(np.float64)
-               for shape in ((rows, k), (k, cols), (rows, width)))
+    a, b, c = (rng.integers(1 - m, m, shape) for shape in ((rows, k), (k, cols), (rows, width)))
     out, work = np.empty((rows, cols)), np.empty(rows * cols)
+    fa, fb, fc = (x.astype(np.float64) for x in (a, b, c))
     tracemalloc.start()
     try:
-        _matmul_reduced(a, b, ring, c, out, work)
+        _matmul_reduced(fa, fb, None, fc, out, work)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < out.nbytes // 2
-    want = _matmul_reduced(*(x.astype(np.int64) % ring.modulus for x in (a, b)), ring,
-                           c.astype(np.int64) % ring.modulus)
-    assert np.array_equal(out.astype(np.int64) % ring.modulus, want)
+    assert np.array_equal(out.astype(np.int64), a @ b + np.tile(c, cols // width))
 
 
 def test_product_dtype_is_never_object():

@@ -591,7 +591,7 @@ def _expected_levels(table, end):
     """The dtypes of the levels a = 1..end-2 of forest (1, end) by the rule:
     exact for an int64 table whose every A(a, b) is below p^(b-a) and whose
     bound stays below 2^53, float32 where the bound from a on is below 2^24;
-    None when the forest keeps today's dtype."""
+    None when the forest runs in the ring's storage."""
     p, t = table.ring.p, table.layout.t
     if dtype_for(table.ring) is object or any(
             np.max(blk, initial=0) >= p ** (b - a) for (a, b), blk in table.blocks.items()):
@@ -619,15 +619,13 @@ def _level_spy(monkeypatch):
 # Canonical blocks, as random_code's standard form leaves them, get exact
 # float levels: the kernel is told not to reduce them (ring None), and a level
 # is float32 where the bound allows.  Blocks drawn from all of [0, m) get
-# today's rule: float64 signed residues in (-m, m) when m * (m * k + 1) <
-# 2^53 at k = total - t_1 (401^3 passes at k = 2 and 409^3 fails, 3^15 passes
-# at k = 14 and 3^16 fails at k = 15), else int64.
-@pytest.mark.parametrize("p,s,t,floats", [
-    (401, 3, (1, 1, 1), True), (409, 3, (1, 1, 1), False),
-    (3, 15, (1,) * 15, True), (3, 16, (1,) * 16, False),
-    (2, 3, (2, 1, 2), True), (3, 3, (2, 1, 2), True),
+# storage levels on every ring: int64, which the kernel reduces into [0, m).
+@pytest.mark.parametrize("p,s,t", [
+    pytest.param(401, 3, (1, 1, 1), id="401^3"), pytest.param(409, 3, (1, 1, 1), id="409^3"),
+    pytest.param(3, 15, (1,) * 15, id="3^15"), pytest.param(3, 16, (1,) * 16, id="3^16"),
+    pytest.param(2, 3, (2, 1, 2), id="2^3"), pytest.param(3, 3, (2, 1, 2), id="3^3"),
 ])
-def test_levels_switch_to_float64(p, s, t, floats, monkeypatch):
+def test_levels_exact_or_storage(p, s, t, monkeypatch):
     ring, n = RingSpec(p, s), 20
     m, levels = ring.modulus, _level_spy(monkeypatch)
     sf = random_code(ring, n, t, 63)
@@ -635,7 +633,7 @@ def test_levels_switch_to_float64(p, s, t, floats, monkeypatch):
     want = {end: _expected_levels(table, end) for end in range(2, s + 2)}
     assert None not in want.values()
     for end, dtypes in want.items():
-        assert table._levels(1, end) == (dtypes, True), end
+        assert table._levels(1, end) == dtypes, end
     assert parity_check_minors(sf).h == parity_check_iterative(sf).h
     assert {exact for exact, *_ in levels} == {True}
     assert {dtype for _, dtype, _, _ in levels} == {d for ds in want.values() for d in ds.values()}
@@ -651,11 +649,8 @@ def test_levels_switch_to_float64(p, s, t, floats, monkeypatch):
         want = _node_group(node, end, m)
         assert got[0].dtype == want[0].dtype and np.array_equal(got[0], want[0]), end
         assert got[1] == want[1], end
-    assert {(exact, dtype) for exact, dtype, _, _ in levels} == {
-        (False, np.dtype(np.float64 if floats else np.int64))}
-    if floats:  # signed residues, never reduced into [0, m)
-        assert all(-m < low and high < m for *_, low, high in levels)
-        assert min(low for _, _, low, _ in levels) < 0
+    assert {(exact, dtype) for exact, dtype, _, _ in levels} == {(False, np.dtype(np.int64))}
+    assert all(0 <= low and high < m for *_, low, high in levels)
 
 
 def _tuned_table(ring, t, free, fill, target):
@@ -694,20 +689,23 @@ def _check_wide_group(table):
 
 
 # Level 1 of forest (1, 7) over 37^6, its children's bounds below 2^24: its
-# own bound at 2^24 - 1 makes it float32, at 2^24 float64.  Over 13^8 at
-# t_i = 12 the bound at 2^53 - 1 keeps the forest exact (float64 at the top),
-# and at 2^53 it keeps today's int64 levels.
+# own bound at 2^24 - 1 makes it float32, at 2^24 float64.  Over 13^8 and
+# 3^13 at t_i = 12 the bound at 2^53 - 1 keeps the forest exact (float64 at
+# the top), and at 2^53 it runs in int64, the storage: 3^13 at k = 144 is
+# small enough that float64 could hold residues, but levels hold only exact
+# minors.
 @pytest.mark.parametrize("p,s,ell,fill,target,dtypes", [
     pytest.param(37, 6, 2, 1, 2 ** 24 - 1, (np.float32, True), id="2^24-1"),
     pytest.param(37, 6, 2, 1, 2 ** 24, (np.float64, True), id="2^24"),
     pytest.param(13, 8, 12, 13 ** 8, 2 ** 53 - 1, (np.float64, True), id="2^53-1"),
     pytest.param(13, 8, 12, 13 ** 8, 2 ** 53, (np.int64, False), id="2^53"),
+    pytest.param(3, 13, 12, 2, 2 ** 53 - 1, (np.float64, True), id="3^13-2^53-1"),
+    pytest.param(3, 13, 12, 2, 2 ** 53, (np.int64, False), id="3^13-2^53"),
 ])
 def test_exact_levels_at_their_bounds(p, s, ell, fill, target, dtypes, monkeypatch):
     table = _tuned_table(RingSpec(p, s), (ell,) * s, 2, fill, target)
     levels = _level_spy(monkeypatch)
-    assert table._levels(1, s + 1)[0][1] == np.dtype(dtypes[0])
-    assert table._levels(1, s + 1)[1] is dtypes[1]
+    assert table._levels(1, s + 1)[1] == np.dtype(dtypes[0])
     assert (_expected_levels(table, s + 1) or {1: np.dtype(np.int64)})[1] == np.dtype(dtypes[0])
     _check_wide_group(table)
     # Level 1 is the last of each strip.
@@ -721,16 +719,15 @@ def test_exact_level_over_a_child_past_float32(monkeypatch):
     bound = _bounds_by_hand(table.blocks, table.layout.t, 7)
     assert bound[1] == 1000 and 2 ** 24 < bound[2] < 2 ** 53
     levels = _level_spy(monkeypatch)
-    dtypes, exact = table._levels(1, 7)
-    assert exact and dtypes[1] == np.dtype(np.float64) == _expected_levels(table, 7)[1]
+    assert table._levels(1, 7)[1] == np.dtype(np.float64) == _expected_levels(table, 7)[1]
     _check_wide_group(table)
     assert (levels[-1][0], levels[-1][1]) == (True, np.dtype(np.float64))
 
 
-# Canonical tables of random_code: 3^16, past today's float64 levels at
-# k = 15, and 1447^3, the largest odd cube stored in int64, each against the
-# node-by-node oracle.  An entry of A(1, 2) raised to p, just outside its
-# canonical range, sends the table back to today's rule.
+# Canonical tables of random_code: 3^16 at t_i = 1, and 1447^3, the largest
+# odd cube stored in int64, each against the node-by-node oracle.  An entry
+# of A(1, 2) raised to p, just outside its canonical range, sends the table
+# to storage levels.
 @pytest.mark.parametrize("ring,n,t", [
     pytest.param(RingSpec(3, 16), 18, (1,) * 16, id="3^16"),
     pytest.param(RingSpec(1447, 3), 10, (2, 2, 2), id="1447^3"),
@@ -740,7 +737,7 @@ def test_exact_levels_of_canonical_tables(ring, n, t, monkeypatch):
     blocks = extract_blocks(sf)
     table = BlockMinorTable(blocks, sf.layout)
     want = _expected_levels(table, len(t) + 1)
-    assert want and table._levels(1, len(t) + 1) == (want, True)
+    assert want and table._levels(1, len(t) + 1) == want
     levels = _level_spy(monkeypatch)
     _check_wide_group(table)
     assert {exact for exact, *_ in levels} == {True}
@@ -750,10 +747,11 @@ def test_exact_levels_of_canonical_tables(ring, n, t, monkeypatch):
     blocks[(1, 2)] = Matrix(ring, bumped)
     table = BlockMinorTable(blocks, sf.layout)
     assert _expected_levels(table, len(t) + 1) is None
-    assert table._levels(1, len(t) + 1) == (dict.fromkeys(range(1, len(t)), table._dtype), False)
+    storage = np.dtype(dtype_for(ring))
+    assert table._levels(1, len(t) + 1) == dict.fromkeys(range(1, len(t)), storage)
     levels.clear()
     _check_wide_group(table)
-    assert {exact for exact, *_ in levels} == {False}
+    assert {(exact, dtype) for exact, dtype, _, _ in levels} == {(False, storage)}
 
 
 def test_wide_inner_dimension_stays_int64(monkeypatch):
