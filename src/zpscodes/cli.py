@@ -31,7 +31,8 @@ EXIT_BUDGET = 3
 # panel buffer of its standard form, rows x 2 min(PANEL_WIDTH, ncols), where
 # a row without columns counts as one entry, its line of text; H, n x n at
 # most, for parity-check; G H^T for verify.  A header alone can ask for any
-# of them.
+# of them.  It counts entries, not bytes: a standard form's working copy and
+# buffer in int8 to int32 count as in int64, so the charge stays an upper bound.
 ENTRY_BUDGET = 2 ** 26
 
 

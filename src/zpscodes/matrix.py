@@ -59,9 +59,11 @@ def _carve(buf, shape, dtype):
 # Entries below which one % costs less than floor division's three passes:
 # on small arrays numpy's per-call overhead dominates.  On int64 by 16 the
 # two break even near 512 entries; % takes 0.9 us on 4 entries against
-# 2.1 us, and 70 us on 16384 against 25 us.  Without the gate, minors-deep
-# (183 of its 198 reductions a code are below it; its levels reduce in
-# float64) runs 2-3 % slower, and iter-wide (99 of 130) about 1 %.
+# 2.1 us, and 70 us on 16384 against 25 us.  Below it, a code makes 141 of
+# minors-deep's 156 reductions (none a level's: the levels are exact) and 99
+# of iter-wide's 130; generic-gen's 760 all mask.  Without the gate, in an
+# in-process A/B of 200 codes, minors-deep runs 2.9 % and iter-wide 1.7 %
+# slower.
 _REDUCE_FLOOR_MIN = 1024
 
 
@@ -70,16 +72,16 @@ def _reduce_in_place(arr: np.ndarray, m: int, work=None) -> None:
     int64 buffer of arr.size entries or more, takes the quotient of floor
     division if given.
 
-    When m is a power of two, an int64 array of any size becomes
-    arr & (m - 1): in two's complement the low bits of every int64,
-    -2^63 included, are its residue mod m, and the mask takes one pass
-    with no temporary.  Any other int64 array of _REDUCE_FLOOR_MIN entries
-    or more becomes arr - (arr // m) * m: numpy divides an array by a
-    scalar through a precomputed reciprocal (Granlund and Montgomery,
-    1994), which costs a fraction of the true division that % takes.
-    Where q * m wraps, for entries within m of -2^63, arr - q * m wraps
-    back: the result, in [0, m), is still exact.  Small arrays and Python
-    ints go through %.
+    When m is a power of two, an integer array of any size becomes
+    arr & (m - 1): in two's complement the low bits of every signed
+    integer, the type's minimum included, are its residue mod m, and the
+    mask takes one pass with no temporary.  Any other integer array of
+    _REDUCE_FLOOR_MIN entries or more becomes arr - (arr // m) * m: numpy
+    divides an array by a scalar through a precomputed reciprocal
+    (Granlund and Montgomery, 1994), a fraction of the true division that
+    % takes.  Where q * m wraps, for entries within m of the type's
+    minimum, arr - q * m wraps back: the result, in [0, m), is still
+    exact.  Small arrays and Python ints go through %.
     """
     if arr.dtype != object and not m & (m - 1):
         arr &= m - 1
@@ -198,12 +200,16 @@ FLOAT_MIN_MACS = 4096
 _PANEL_BYTES = 1 << 21
 
 
-def _headroom(m: int) -> int:
-    """Products of two entries reduced mod m that an int64 may gain or lose
-    from an entry in [0, m) and stay exact mod m: (2^63 - m) // (m - 1)^2.
-    A power of two has no bound, 2^63 here: int64 wraps modulo 2^64, a
-    multiple of m, and the mask of _reduce_in_place reduces any int64."""
-    return (2 ** 63 - m) // (m - 1) ** 2 if m & (m - 1) else 2 ** 63
+def _headroom(m: int, dtype=np.int64) -> int:
+    """Products of two entries reduced mod m that a signed integer dtype of
+    b bits may gain or lose from an entry in [0, m) and stay exact mod m:
+    (2^(b-1) - m) // (m - 1)^2, or 0.  A power of two below 2^(b-1) has no
+    bound, 2^63 here: the dtype wraps modulo 2^b, a multiple of m, and the
+    mask of _reduce_in_place reduces any of its values."""
+    top = 2 ** (8 * np.dtype(dtype).itemsize - 1)
+    if m & (m - 1):
+        return max((top - m) // (m - 1) ** 2, 0)
+    return 2 ** 63 if m < top else 0
 
 
 def _product_dtype(m: int, k: int, macs: int):

@@ -35,17 +35,21 @@ buffer's transpose so that the update and the outer product it subtracts
 are both row-major.
 
 The buffer is reduced lazily (delayed reduction, as in FFLAS-FFPACK: Dumas,
-Giorgi and Pernet, 2008).  An update subtracts products of two reduced
-entries, so it lowers an entry by at most (m - 1)^2, and an int64 buffer
-stays exact for matrix._headroom(m) = (2^63 - m) // (m - 1)^2 updates: it
-is reduced when that many are pending, and at each flush.  That is once a
-flush below about 2^28, and after every update at the largest odd int64
-moduli; a Python-int buffer is reduced after every update.  A power of two
-has no bound, as int64 wraps modulo 2^64, a multiple of m, and the mask
-reduces any int64: 2^30 and 2^31, which the formula would reduce every 8
-and every 2 updates, are reduced at the flush only.  Each pivot reduces
-only what it reads: its column, before the quotients are taken, and its
-row, before and after the scaling by the unit inverse.
+Giorgi and Pernet, 2008), and work and the buffer are held in the narrowest
+signed type in which a panel waits for its flush.  An update subtracts
+products of two reduced entries, so it lowers an entry by at most (m - 1)^2,
+and b bits stay exact for matrix._headroom(m, dtype) = (2^(b-1) - m) //
+(m - 1)^2 updates, with no bound for a power of two below 2^(b-1), which
+the wrap modulo 2^b and the mask keep exact.  A panel makes at most
+PANEL_WIDTH updates, so the type is the first of int8, int16 and int32 with
+that headroom: Z_16 takes int8, odd moduli up to 31 and 2^7 to 2^14 int16,
+odd moduli up to 8191 and 2^15 to 2^30 int32.  Other int64 rings keep
+int64, reduced when their headroom of updates is pending and at each flush;
+a Python-int buffer is reduced after every update.  Every scalar combined
+with the buffer (p^(v+1), its mask, the unit inverse) is at most m, so it
+fits the type; the standard form takes the ring's storage once, at the end.
+Each pivot reduces only what it reads: its column, before the quotients are
+taken, and its row, before and after the scaling by the unit inverse.
 
 The search tests one residue per entry.  At stage v every entry of the
 search region (rows from the next pivot row, columns from the next pivot
@@ -54,11 +58,11 @@ valuation v - 1, and a row operation of stage v adds multiples of a row of
 the region.  So an entry has valuation exactly v when it is not divisible
 by p^(v+1).  p^(v+1) divides p^s, so the test holds on unreduced entries
 too; for p = 2 it masks the low v + 1 bits.  The chosen pivot's valuation
-is checked again as a scalar.  The search after a flush scans PANEL_WIDTH
-columns, then twice as many, four times as many and so on, and stops at
-the first chunk with a hit: a pivot just past the window costs one chunk,
-and a search that crosses every column costs a number of chunks
-logarithmic in their count.
+is checked again as a scalar.  A search scans its first column alone,
+then PANEL_WIDTH columns, then twice as many, four times as many and so
+on, and stops at the first chunk with a hit: the usual pivot, in the next
+column, costs one column, and a search that crosses every column costs a
+number of chunks logarithmic in their count.
 
 The pivot order is exactly the unblocked one.  The window's columns are up
 to date, and they come first, so a pivot found there is the first in the
@@ -106,15 +110,15 @@ class StandardForm:
 def _first_pivot(region: np.ndarray, pv1: int):
     """(row, col) in region of the first entry not divisible by pv1, in the
     first column that has one; None when there is none.  The columns are
-    scanned in chunks of PANEL_WIDTH, then twice as many, four times as
+    scanned in chunks of one, PANEL_WIDTH, twice as many, four times as
     many and so on, up to the first chunk with a hit."""
     if not region.shape[0]:
         return None
-    c0, width = 0, PANEL_WIDTH
+    c0, width = 0, 1
     while c0 < region.shape[1]:
         chunk = region[:, c0 : c0 + width]
         # The transpose's flat order runs column by column.  The low bits of
-        # an int64 or a Python int are its residue mod a power of two.
+        # a signed integer or a Python int are its residue mod a power of two.
         if pv1 & (pv1 - 1):
             hits = (chunk // pv1 * pv1 != chunk).T
         else:
@@ -124,7 +128,7 @@ def _first_pivot(region: np.ndarray, pv1: int):
             c, r = divmod(first, chunk.shape[0])
             return r, c0 + c
         c0 += width
-        width *= 2
+        width = max(2 * width, PANEL_WIDTH)
     return None
 
 
@@ -147,19 +151,23 @@ def standard_form(rows: Matrix) -> StandardForm:
     ring = rows.ring
     p, s, m = ring.p, ring.s, ring.modulus
     n = rows.ncols
+    storage = rows.data.dtype
+    # The narrowest type in which a panel's updates wait for its flush.
+    narrow = () if storage == object else (np.int8, np.int16, np.int32)
+    dtype = next((d for d in narrow if _headroom(m, d) >= PANEL_WIDTH), storage)
     # work and buf are column-major, so that a window, a search chunk and
     # the columns right of a panel are each one contiguous block.
-    work = rows.data.copy(order="F")
+    work = rows.data.astype(dtype, order="F")
     cols = list(range(n))  # cols[j] = original column now at position j
     # The panel buffer: the open window [wstart, wend) of work in columns
     # [0, wend - wstart), zeros up to the panel's width, then X.  Column k of
     # X: the open panel's operations applied to the unit column of its k-th
     # pivot row; zero until that pivot is chosen.
     panel = min(PANEL_WIDTH, n)
-    buf = np.zeros((work.shape[0], 2 * panel), dtype=work.dtype, order="F")
+    buf = np.zeros((work.shape[0], 2 * panel), dtype=dtype, order="F")
     x = buf[:, panel:]
     # Updates the buffer takes before it is reduced.
-    step = 1 if work.dtype == object else _headroom(m)
+    step = 1 if dtype == object else _headroom(m, dtype)
 
     t = [0] * s
     row_ptr = 0
@@ -198,9 +206,9 @@ def standard_form(rows: Matrix) -> StandardForm:
             r = row_ptr + hit[0]
             if r != row_ptr:
                 # The window's columns of work are stale until the flush
-                # writes the buffer back.
-                work[[row_ptr, r]] = work[[r, row_ptr]]
-                buf[[row_ptr, r]] = buf[[r, row_ptr]]
+                # writes the buffer back.  Row copies: cheaper than fancy indexing.
+                work[row_ptr], work[r] = work[r], work[row_ptr].copy()
+                buf[row_ptr], buf[r] = buf[r], buf[row_ptr].copy()
             col = buf[:, col_ptr - wstart]
             _reduce_in_place(col, m)
             pivot = int(col[row_ptr])
@@ -218,21 +226,20 @@ def standard_form(rows: Matrix) -> StandardForm:
             # clears them exactly; above it reduces the entry into [0, p^v).
             q = col // pv
             q[row_ptr] = 0
-            if np.any(q):
-                # Through the transpose both operands are row-major.
-                np.subtract(act.T, np.outer(prow, q), out=act.T)
-                pending += 1
-                if pending == step:
-                    _reduce_in_place(act, m)
-                    pending = 0
+            # Through the transpose both operands are row-major.
+            np.subtract(act.T, np.multiply.outer(prow, q), out=act.T)
+            pending += 1
+            if pending == step:
+                _reduce_in_place(act, m)
+                pending = 0
             t[v] += 1
             row_ptr += 1
             col_ptr += 1
             k += 1
 
-    # Every entry of work is reduced.  The row-major copy leaves the
-    # redundant rows behind.
-    g = Matrix._of_reduced(ring, np.ascontiguousarray(work[:row_ptr]))
+    # Every entry of work is reduced.  The row-major copy in the ring's
+    # storage leaves the redundant rows behind.
+    g = Matrix._of_reduced(ring, work[:row_ptr].astype(storage, order="C"))
     layout = BlockLayout(n, t)
     perm = Permutation(np.add(cols, 1))
     return StandardForm(g, layout, perm)

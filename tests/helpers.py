@@ -1,11 +1,13 @@
 """Shared test oracles and generators, independent of the library paths
 they check."""
 
+import itertools
 import random
 
 import numpy as np
 
-from zpscodes import BlockLayout, Matrix, OpCounters, Permutation, RingSpec, StandardForm
+from zpscodes import (BlockLayout, Matrix, OpCounters, Permutation, RingSpec, StandardForm,
+                      standard_form)
 from zpscodes.matrix import ParseError
 from zpscodes.zring import unit_inverse_int
 
@@ -233,6 +235,24 @@ def sequential_standard_form(rows: Matrix) -> StandardForm:
             col_ptr += 1
     g = Matrix(ring, work[:row_ptr].reshape(row_ptr, n))
     return StandardForm(g, BlockLayout(n, t), Permutation([c + 1 for c in cols]))
+
+
+def every_matrix(ring, nrows, ncols):
+    """Every nrows x ncols matrix over ring, its entries in lexicographic order."""
+    for entries in itertools.product(range(ring.modulus), repeat=nrows * ncols):
+        yield Matrix(ring, np.array(entries, dtype=np.int64).reshape(nrows, ncols))
+
+
+def check_against_sequential(g: Matrix, rng) -> StandardForm:
+    """standard_form(g), checked equal to sequential_standard_form(g) in
+    matrix, dtype, layout and permutation, and to standard_form(U g) for a
+    random unimodular U."""
+    got, want = standard_form(g), sequential_standard_form(g)
+    assert got.matrix == want.matrix, g
+    assert got.matrix.data.dtype == want.matrix.data.dtype
+    assert got.layout == want.layout and got.perm == want.perm, g
+    assert standard_form(unimodular_row_mix(g, rng)) == got, g
+    return got
 
 
 def row_format_matrix(m: Matrix) -> str:

@@ -5,13 +5,17 @@ import numpy as np
 import pytest
 
 from zpscodes import BlockLayout, Matrix, Permutation, RingSpec, random_code, standard_form
-from zpscodes.matrix import ShapeError, _matmul_reduced, apply_col_permutation, dtype_for, zeros
+from zpscodes import stdform
+from zpscodes.matrix import (ShapeError, _headroom, _matmul_reduced, apply_col_permutation,
+                             dtype_for, zeros)
 from zpscodes.stdform import PANEL_WIDTH, _flush, extract_blocks
 
 from codemodel import CodeSpec, cardinality, is_member
 from helpers import (
     DEGENERATE_CASES,
+    check_against_sequential,
     degenerate_type,
+    every_matrix,
     inverse,
     random_matrix,
     row_span_set,
@@ -220,21 +224,37 @@ def test_membership_both_directions_after_reduction():
             assert is_member(roundtrip, row)
 
 
+# On both sides of each switch of standard_form's working type, the first
+# of int8, int16 and int32 whose matrix._headroom reaches PANEL_WIDTH, else
+# int64: the largest modulus each type takes and the smallest past it, for
+# a power of two and for an odd modulus.  No odd modulus takes int8.
+TYPE_EDGES = {
+    "2^6": (RingSpec(2, 6), np.int8),
+    "2^7": (RingSpec(2, 7), np.int16),
+    "2^14": (RingSpec(2, 14), np.int16),
+    "2^15": (RingSpec(2, 15), np.int32),
+    "2^30": (RingSpec(2, 30), np.int32),
+    "2^31": (RingSpec(2, 31), np.int64),
+    "3^1": (RingSpec(3, 1), np.int16),
+    "31^1": (RingSpec(31, 1), np.int16),
+    "37^1": (RingSpec(37, 1), np.int32),
+    "8191^1": (RingSpec(8191, 1), np.int32),
+    "8209^1": (RingSpec(8209, 1), np.int64),
+}
+
 DIFF_RINGS = {
     "2^1": RingSpec(2, 1),
     "2^4": RingSpec(2, 4),
     "3^5": RingSpec(3, 5),
     "5^3": RingSpec(5, 3),
     "1447^3": RingSpec(1447, 3),  # the largest odd cube stored as int64
-    # Stored as int64, at each step of the reduction rule: the panel buffer
-    # is reduced once a flush (2^26), every 8 updates, inside a panel
-    # (2^30), every 2, through the mask (2^31), and after every update
-    # (the largest int64 prime).  Overflow wraps exactly mod a power of
-    # two, so 3^19, reduced every 6 updates, is the case where a missed
-    # reduction shows.
+    # 2^26 takes int32; then the working type's edges, where 2^31, in
+    # int64, is reduced through the mask at the flush only.
     "2^26": RingSpec(2, 26),
-    "2^30": RingSpec(2, 30),
-    "2^31": RingSpec(2, 31),
+    **{ring_id: ring for ring_id, (ring, _) in TYPE_EDGES.items()},
+    # int64 buffers reduced inside a panel: every 6 updates (3^19, where
+    # no wrap mod a power of two hides a missed reduction) and after every
+    # update (the largest int64 prime).
     "3^19": RingSpec(3, 19),
     "3037000493": RingSpec(3037000493, 1),
     "3^21": RingSpec(3, 21),  # python ints
@@ -322,6 +342,16 @@ def _differential_case(kind, ring, rng):
                 rows[i] = (rows[i] + rng.randrange(m) * rows[j]) % m
         rows = rows[rng.sample(range(len(rows)), len(rows))]
         return rows[:, rng.sample(range(ncols), ncols)]
+    if kind == "worst":
+        # Each update of the first panel takes (m - 1)^2 from column 0 of X
+        # in the last rows, the most a panel's headroom allows: pivot row 0
+        # is (m - 1) e_0, pivot row r > 0 has m - 1 in column 0 and 1 in
+        # column r, and the last rows have m - 1 in every pivot column, so
+        # every quotient and every normalized X[r, 0] is m - 1.  Random
+        # columns past the window carry X into the flush.
+        head = [[m - 1] + [int(c == r) for c in range(1, w)] for r in range(w)]
+        head += [[m - 1] * w for _ in range(4)]
+        return [row + [rng.randrange(m) for _ in range(16)] for row in head]
     if kind == "no-rows":
         return np.zeros((0, 12), dtype=np.int64)
     if kind == "no-cols":
@@ -330,7 +360,7 @@ def _differential_case(kind, ring, rng):
 
 
 DIFF_KINDS = ["panels", "beyond-window", "far-beyond", "stages", "redundant", "gaps",
-              "square", "mixed", "no-rows", "no-cols"]
+              "square", "mixed", "worst", "no-rows", "no-cols"]
 
 
 @pytest.mark.parametrize("kind", DIFF_KINDS)
@@ -383,6 +413,57 @@ def test_standard_form_is_canonical(ring_id, kind):
     ring = DIFF_RINGS[ring_id]
     rng = random.Random(f"canonical:{ring_id}:{kind}")
     _check_canonical(ring, _differential_case(kind, ring, rng), rng)
+
+
+@pytest.mark.parametrize("ring_id", list(TYPE_EDGES))
+def test_headroom_picks_each_working_type(ring_id, monkeypatch):
+    ring, want = TYPE_EDGES[ring_id]
+    m = ring.modulus
+    types = [np.int8, np.int16, np.int32, np.int64]
+    for dtype in types:
+        info, h = np.iinfo(dtype), _headroom(m, dtype)
+        if m & (m - 1):
+            # The most updates by (m - 1)^2 that keep an entry of [0, m) in
+            # the type, with a margin of m: (2^(b-1) - m) // (m - 1)^2.
+            assert h == 0 or -h * (m - 1) ** 2 >= info.min + m
+            assert -(h + 1) * (m - 1) ** 2 < info.min + m
+        else:
+            # No bound once m, and so the mask, fits the type.
+            assert h == (2 ** 63 if m <= info.max else 0)
+        if not h:
+            continue
+        # Updates in the type against Python ints: exact for an odd modulus,
+        # exact mod m after the wrap for a power of two.
+        k = min(h, 3 * PANEL_WIDTH)
+        entries = np.array([0, m - 1], dtype)
+        prod = np.array([m - 1], dtype) * np.array([m - 1], dtype)
+        for _ in range(k):
+            entries -= prod
+        want_entries = [e - k * (m - 1) ** 2 for e in (0, m - 1)]
+        if m & (m - 1):
+            assert entries.tolist() == want_entries
+        else:
+            assert (entries & (m - 1)).tolist() == [e % m for e in want_entries]
+    # standard_form runs in the first type with a panel's headroom, int64
+    # at the latest; every scalar it combines with the buffer, p^(v+1), the
+    # mask and the unit inverse, is at most m, so it fits.
+    assert next(d for d in types if d is np.int64 or _headroom(m, d) >= PANEL_WIDTH) is want
+    assert m <= np.iinfo(want).max
+    seen, flush = set(), stdform._flush
+    monkeypatch.setattr(stdform, "_flush", lambda work, *args: seen.add(work.dtype) or flush(work, *args))
+    rng = random.Random(ring_id)
+    g = Matrix(ring, np.array(_differential_case("stages", ring, rng), dtype=object))
+    assert standard_form(g) == sequential_standard_form(g)
+    assert seen == {np.dtype(want)}
+
+
+# Every generator matrix of a small scope (ROADMAP item 5), in int8 and in
+# int16; tests/exhaustive.py runs larger shapes by hand.
+@pytest.mark.parametrize("p,s,shape", [(2, 2, (2, 3)), (3, 2, (2, 2))])
+def test_every_small_generator_matrix(p, s, shape):
+    rng = random.Random(f"every:{p}^{s}")
+    for g in every_matrix(RingSpec(p, s), *shape):
+        check_against_sequential(g, rng)
 
 
 @pytest.mark.parametrize("case", DEGENERATE_CASES)
