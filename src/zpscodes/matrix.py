@@ -30,19 +30,33 @@ class ParseError(ValueError):
         self.column = column
 
 
-# The largest modulus m with (m - 1)^2 < 2^63.
-_INT64_MAX_MODULUS = math.isqrt(2 ** 63 - 1) + 1
+# Each working type holds every integer of magnitude below its limit exactly.
+_EXACT_BELOW = {np.float32: 2 ** 24, np.float64: 2 ** 53,
+                np.int8: 2 ** 7, np.int16: 2 ** 15, np.int32: 2 ** 31, np.int64: 2 ** 63}
+
+
+def _exact_terms(dtype, term: int, start: int = 0, m: int | None = None) -> int:
+    """The terms of magnitude at most term (1 for 0) that a sum of magnitude
+    at most start may take in dtype, a numpy scalar type, and stay exact:
+    (limit - 1 - start) // term, or 0 past the limit.  Given m, a power of
+    two below an integer type's limit bounds nothing (2^63): the type wraps
+    modulo 2^b, a multiple of m, which the mask of _reduce_in_place reduces.
+    The package's one exactness rule (README, "Exactness")."""
+    limit = _EXACT_BELOW[dtype]
+    if m is not None and not m & (m - 1) and m < limit and issubclass(dtype, np.integer):
+        return 2 ** 63
+    return (limit - 1 - start) // (term or 1) if start < limit else 0
 
 
 def dtype_for(ring: RingSpec):
-    """Storage for arrays over ring: int64 when the product of two reduced
-    entries fits, (p^s - 1)^2 < 2^63, and python ints (object) otherwise.
+    """Storage for arrays over ring: int64 when it holds the product of two
+    reduced entries, (p^s - 1)^2, and python ints (object) otherwise.
 
     Every elementwise sum, negation and product of reduced entries is then
     exact; only a matrix product, which sums k such products, must look at
-    its inner dimension too.  This is the package's one overflow rule.
+    its inner dimension too.
     """
-    return np.int64 if ring.modulus <= _INT64_MAX_MODULUS else object
+    return np.int64 if _exact_terms(np.int64, (ring.modulus - 1) ** 2) else object
 
 
 def _carve(buf, shape, dtype):
@@ -200,50 +214,36 @@ FLOAT_MIN_MACS = 4096
 _PANEL_BYTES = 1 << 21
 
 
-def _headroom(m: int, dtype=np.int64) -> int:
-    """Products of two entries reduced mod m that a signed integer dtype of
-    b bits may gain or lose from an entry in [0, m) and stay exact mod m:
-    (2^(b-1) - m) // (m - 1)^2, or 0.  A power of two below 2^(b-1) has no
-    bound, 2^63 here: the dtype wraps modulo 2^b, a multiple of m, and the
-    mask of _reduce_in_place reduces any of its values."""
-    top = 2 ** (8 * np.dtype(dtype).itemsize - 1)
-    if m & (m - 1):
-        return max((top - m) // (m - 1) ** 2, 0)
-    return 2 ** 63 if m < top else 0
-
-
-def _product_dtype(m: int, k: int, macs: int):
-    """The BLAS dtype for a product of entries reduced mod m whose macs
-    multiply-adds repay the conversions: float32 when every partial sum,
-    an integer below (m - 1)^2 * k, is below 2^24, float64 when it is below
-    2^53; either holds each partial sum exactly, in any order.  int64
-    otherwise, and for products too small to repay the conversions."""
-    bound = (m - 1) ** 2 * k
-    if macs < FLOAT_MIN_MACS or bound >= 2 ** 53:
-        return np.int64
-    return np.float32 if bound < 2 ** 24 else np.float64
+def _tier(term: int, k: int, macs: int = FLOAT_MIN_MACS):
+    """The type in which a product whose entries sum k terms of magnitude at
+    most term runs: the first float type that holds every partial sum, in
+    any order, once its macs multiply-adds reach FLOAT_MIN_MACS and repay the
+    conversions (a forest level's do by default); else int64, in chunks,
+    where it holds one term; else Python ints (object)."""
+    for dtype in (np.float32, np.float64) if macs >= FLOAT_MIN_MACS else ():
+        if _exact_terms(dtype, term) >= k:
+            return dtype
+    return np.int64 if _exact_terms(np.int64, term) else object
 
 
 def _matmul_dtype(ring: RingSpec, rows: int, k: int, cols: int):
     """The dtype in which _matmul_reduced multiplies a rows x k matrix by a
-    k x cols one: the storage for a ring stored in Python ints, else as
-    _product_dtype says."""
-    storage = dtype_for(ring)
-    return storage if storage is object else _product_dtype(ring.modulus, k, rows * k * cols)
+    k x cols one: the _tier of k terms of (p^s - 1)^2."""
+    return _tier((ring.modulus - 1) ** 2, k, rows * k * cols)
 
 
-def _matmul_reduced(a: np.ndarray, b: np.ndarray, ring: RingSpec | None, c=None, out=None,
+def _matmul_reduced(a: np.ndarray, b: np.ndarray, ring: RingSpec, c=None, out=None,
                     work=None) -> np.ndarray:
     """(a @ b, plus c on each block of c.shape[1] columns) mod p^s in the
     ring's storage, for reduced a, b and c: the one place where the
-    arithmetic of a product is decided.  It runs in float32 or float64 as
-    _product_dtype says, else in the storage: an int64 ring in inner chunks
-    of _headroom(m), each added to the sum so far and reduced once, so
-    Python ints serve only a ring stored in them.  c is added in the
-    storage, after the product.  A b already in _matmul_dtype is used as
-    it is.  Without out, a float copy of b of more than _PANEL_BYTES is
-    made one column panel at a time, in one reused buffer of that size,
-    each panel multiplied into the result: a is converted once.
+    arithmetic of a product is decided.  It runs in _matmul_dtype, and an
+    int64 product in inner chunks of _exact_terms(int64, (m - 1)^2, m - 1,
+    m), each added to the sum so far and reduced once, so Python ints
+    serve only a ring stored in them.  c is added in the storage, after the
+    product.  A b already in _matmul_dtype is used as it is.  Without out,
+    a float copy of b of more than _PANEL_BYTES is made one column panel at
+    a time, in one reused buffer of that size, each panel multiplied into
+    the result: a is converted once.
 
     The result is a new array unless out, a C-contiguous array of its shape
     in the storage, is given to take it.  A product in one chunk then
@@ -253,31 +253,28 @@ def _matmul_reduced(a: np.ndarray, b: np.ndarray, ring: RingSpec | None, c=None,
     the storage of as many entries or more.  work is written only once b
     has been read, so it may hold b.
 
-    A float32 or float64 out takes an exact level of the block-minor
-    forest instead, and ring is None: a and b are integers in out's dtype,
-    c integers in any, and work a flat buffer of as many 8-byte words or
-    more.  The caller has bounded every partial sum of a row of a by b, and
-    the sum plus c, below 2^24 in float32 or 2^53 in float64, so that each
-    is held exactly in any order.  BLAS writes the product into out, c is
-    added in out's dtype, and nothing is reduced, converted or allocated.
+    A float out, which no storage is, takes an exact level of the
+    block-minor forest: a and b integers in out's dtype, c, which it needs,
+    integers in any, work a flat buffer of as many 8-byte words or more, and
+    every partial sum of the product plus c one term that _exact_terms
+    holds in out's dtype.  BLAS writes the product into out, c is added in out's dtype,
+    and nothing is reduced, converted or allocated.
     """
     (rows, k), cols = a.shape, b.shape[1]
     if out is not None and out.dtype.kind == "f":
-        work = np.empty(out.size) if work is None else work
         np.matmul(a, b, out=out)
-        if c is not None:
-            # c goes on tiled rep times, from work: numpy broadcasts a row
-            # of rep blocks over the product far faster than one of a block.
-            width = c.shape[1]
-            blocks = cols // max(width, 1)
-            rep = min(blocks & -blocks, 64) or 1
-            tile = _carve(work, (rows, 1, rep * width), out.dtype)
-            tile.reshape(rows, rep, width)[...] = c[:, None, :]
-            total = out.reshape(rows, blocks // rep, rep * width)
-            total += tile
+        # c goes on tiled rep times, from work: numpy broadcasts a row of rep
+        # blocks over the product far faster than one of a block.
+        width = c.shape[1]
+        blocks = cols // max(width, 1)
+        rep = min(blocks & -blocks, 64) or 1
+        tile = _carve(work, (rows, 1, rep * width), out.dtype)
+        tile.reshape(rows, rep, width)[...] = c[:, None, :]
+        total = out.reshape(rows, blocks // rep, rep * width)
+        total += tile
         return out
     m, storage, dtype = ring.modulus, dtype_for(ring), _matmul_dtype(ring, rows, k, cols)
-    step = _headroom(m) if dtype is np.int64 else max(k, 1)
+    step = _exact_terms(np.int64, (m - 1) ** 2, m - 1, m) if dtype is np.int64 else max(k, 1)
     # The product, as blocks of c's width, takes c on each.
     width = cols if c is None else c.shape[1]
     blocks = (rows, cols // max(width, 1), width)

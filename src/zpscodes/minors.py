@@ -23,16 +23,17 @@ in [0, p^v), so A(a, b) has entries below p^(b-a), the free group's
 entries of M(a) are then integers of magnitude at most U(a) = sum over
 a < b < end of t_b max A(a, b) U(b), plus max A(a, end), where U(end - 1)
 = max A(end - 1, end) and each max is read from the table's own blocks.
-Every partial sum of a level product is bounded by its U too.  So a forest
-whose U stay below 2^53 is exact in float64 in any summation order, and a
-level whose own U and its children's stay below 2^24 is exact in float32,
-which moves half the bytes.  On minors-deep (3^13, t_i = 2) U(1) is below
-2^36.2, and levels 6 to 12, the ones with the most nodes, are float32.  Such
-a forest reduces only the minors it writes into the int64 H^T, once.  This
-is delayed reduction (FFLAS-FFPACK: Dumas, Giorgi and Pernet, 2008) taken
-to its end.  Every other forest, one whose bound reaches 2^53 or of a table
-over Python ints or with an entry outside its canonical range, keeps its
-levels in the ring's storage, reduced into [0, p^s) by each level product.
+Every partial sum of a level product is bounded by its U too.  So a level
+is exact in any summation order in the first float type that holds one
+term of the largest U of it and its children (README, "Exactness").  On
+minors-deep (3^13, t_i = 2) U(1) is 2^33.4 to 2^35.4, and levels 5 to 12
+(6 to 12 in 4 of 100 codes), the ones with the most nodes, are float32.
+Such a forest reduces only the minors it writes into the int64 H^T, once:
+delayed reduction (FFLAS-FFPACK: Dumas, Giorgi and Pernet, 2008) taken to
+its end.  Every other forest, one whose U(low) no float type holds or of a
+table over Python ints or with an entry outside its canonical range, keeps
+its levels in the ring's storage, reduced into [0, p^s) by each level
+product.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .matrix import (
-    ShapeError, _carve, _matmul_dtype, _matmul_reduced, _reduce, _reduce_in_place, dtype_for,
+    ShapeError, _carve, _matmul_dtype, _matmul_reduced, _reduce, _reduce_in_place, _tier, dtype_for,
 )
 from .opcounters import OpCounters
 from .zring import DomainError
@@ -53,8 +54,6 @@ from .zring import DomainError
 # together: the table's workspace (see BlockMinorTable._plan).  A forest
 # whose single column passes it splits off its first tree (see _forest).
 _TREE_BYTES = 1 << 20
-
-_FLOAT32, _FLOAT64 = np.dtype(np.float32), np.dtype(np.float64)
 
 # Copies of the leaf level's node that a forest broadcasts over its leaf
 # stacks at a time (see _strip).
@@ -81,7 +80,7 @@ class BlockMinorTable:
         self.layout = layout
         self.ring = blocks[(1, 2)].ring
         self.counters = counters if counters is not None else OpCounters()
-        self._work, self._cast = None, {}
+        self._work, self._cast, self._dtypes = None, {}, {}
 
     @cached_property
     def _rows(self) -> dict:
@@ -142,15 +141,18 @@ class BlockMinorTable:
         return np.maximum.accumulate(bound[::-1], axis=0)[::-1].T.tolist()
 
     def _levels(self, low: int, end: int) -> dict:
-        """The dtype of each level a = low..end-2 of forest (low, end).  The
-        levels hold exact minors when the forest's bound (see _bounds) is
-        below 2^53: level a is then float32 where the bound from a on is
-        below 2^24, float64 where not.  Else every level is in the ring's
-        storage."""
-        bound = None if self._bounds is None else self._bounds[end]
-        if bound is None or bound[low] >= 2 ** 53:
-            return dict.fromkeys(range(low, end - 1), np.dtype(dtype_for(self.ring)))
-        return {a: _FLOAT32 if bound[a] < 2 ** 24 else _FLOAT64 for a in range(low, end - 1)}
+        """The dtype of each level a = low..end-2 of forest (low, end), found
+        once, as _plan asks twice: the matrix._tier of one term of the bound
+        from a on (see _bounds).  The levels hold exact minors when that of
+        level low, the largest, is a float type; else every level is in the
+        ring's storage."""
+        if (low, end) not in self._dtypes:
+            bound = None if self._bounds is None else self._bounds[end]
+            exact = bound is not None and _tier(bound[low], 1) in (np.float32, np.float64)
+            self._dtypes[low, end] = {
+                a: np.dtype(_tier(bound[a], 1) if exact else dtype_for(self.ring))
+                for a in range(low, end - 1)}
+        return self._dtypes[low, end]
 
     # A counted block product and sum, kept only as perfbench/tracer.py's targets.
     def _counted_mul(self, a: np.ndarray, b: np.ndarray, wide: bool) -> np.ndarray:
@@ -274,7 +276,7 @@ class BlockMinorTable:
         there, counted once at full width.  The leaf level end - 1 is never
         computed: each node is -A(end-1, end), which a forest of one order-1
         tree copies whole.  Float levels (see _levels) hold exact signed
-        minors, which the kernel is told not to reduce by ring None.  Each
+        minors, which the kernel leaves unreduced in a float out.  Each
         strip copies its sinks, node 0 of each level, into out as they are,
         and a forest of float levels reduces out, the leaf's row group
         included, once.  A forest whose single column passes the budget
@@ -293,8 +295,7 @@ class BlockMinorTable:
             self._tree(low, end, out[: t[low - 1]])
             return
         work = self._workspace(nlevels + nstack)
-        exact = dtypes[low].kind == "f"
-        stack, wide, ring = work[nlevels:], end == self.layout.s + 1, None if exact else self.ring
+        stack, wide = work[nlevels:], end == self.layout.s + 1
         for a in range(end - 2, low - 1, -1):  # at full width, once
             self.counters.record_node(t[a - 1], t[a : end - 1], width, wide, 1 << (a - low))
         top = out.shape[0] - t[end - 2]  # the rows above the leaf's group
@@ -312,7 +313,7 @@ class BlockMinorTable:
                 if sources:
                     np.concatenate(sources, out=kids)
                 leaves[...] = tile[:, None, : leaves.shape[2]]
-                _matmul_reduced(factor, children, ring, terms[:, c0 : c0 + cols], level, stack)
+                _matmul_reduced(factor, children, self.ring, terms[:, c0 : c0 + cols], level, stack)
             np.concatenate(sinks, out=out[:top, c0 : c0 + cols], casting="unsafe")
-        if exact:
+        if dtypes[low].kind == "f":
             _reduce_in_place(out, m)

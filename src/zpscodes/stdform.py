@@ -37,10 +37,9 @@ are both row-major.
 The buffer is reduced lazily (delayed reduction, as in FFLAS-FFPACK: Dumas,
 Giorgi and Pernet, 2008), and work and the buffer are held in the narrowest
 signed type in which a panel waits for its flush.  An update subtracts
-products of two reduced entries, so it lowers an entry by at most (m - 1)^2,
-and b bits stay exact for matrix._headroom(m, dtype) = (2^(b-1) - m) //
-(m - 1)^2 updates, with no bound for a power of two below 2^(b-1), which
-the wrap modulo 2^b and the mask keep exact.  A panel makes at most
+products of two reduced entries, so it lowers an entry of [0, m) by at most
+(m - 1)^2, and a type stays exact for matrix._exact_terms(dtype, (m - 1)^2,
+m - 1, m) updates (see README, "Exactness").  A panel makes at most
 PANEL_WIDTH updates, so the type is the first of int8, int16 and int32 with
 that headroom: Z_16 takes int8, odd moduli up to 31 and 2^7 to 2^14 int16,
 odd moduli up to 8191 and 2^15 to 2^30 int32.  Other int64 rings keep
@@ -80,7 +79,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matrix import (BlockLayout, Matrix, Permutation, ShapeError, _headroom, _matmul_reduced,
+from .matrix import (BlockLayout, Matrix, Permutation, ShapeError, _exact_terms, _matmul_reduced,
                      _reduce_in_place)
 from .zring import RingSpec, unit_inverse_int
 
@@ -151,10 +150,11 @@ def standard_form(rows: Matrix) -> StandardForm:
     ring = rows.ring
     p, s, m = ring.p, ring.s, ring.modulus
     n = rows.ncols
-    storage = rows.data.dtype
+    storage = rows.data.dtype.type
     # The narrowest type in which a panel's updates wait for its flush.
-    narrow = () if storage == object else (np.int8, np.int16, np.int32)
-    dtype = next((d for d in narrow if _headroom(m, d) >= PANEL_WIDTH), storage)
+    narrow = () if storage is np.object_ else (np.int8, np.int16, np.int32)
+    dtype = next((d for d in narrow if _exact_terms(d, (m - 1) ** 2, m - 1, m) >= PANEL_WIDTH),
+                 storage)
     # work and buf are column-major, so that a window, a search chunk and
     # the columns right of a panel are each one contiguous block.
     work = rows.data.astype(dtype, order="F")
@@ -167,7 +167,7 @@ def standard_form(rows: Matrix) -> StandardForm:
     buf = np.zeros((work.shape[0], 2 * panel), dtype=dtype, order="F")
     x = buf[:, panel:]
     # Updates the buffer takes before it is reduced.
-    step = 1 if dtype == object else _headroom(m, dtype)
+    step = 1 if dtype is np.object_ else _exact_terms(dtype, (m - 1) ** 2, m - 1, m)
 
     t = [0] * s
     row_ptr = 0

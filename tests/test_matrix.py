@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,13 +26,13 @@ from zpscodes.matrix import (
     ParseError,
     ShapeError,
     _carve,
-    _headroom,
+    _exact_terms,
     _matmul_dtype,
     _matmul_reduced,
     _parse_digits,
-    _product_dtype,
     _reduce,
     _reduce_in_place,
+    _tier,
     apply_col_permutation,
     dtype_for,
     extract_block,
@@ -709,8 +710,8 @@ def _check_product_edge(p, s, k_edge, below, above):
     # Few rows, but enough for the products to pass the size gate.
     outer = max(2, math.ceil(math.sqrt(FLOAT_MIN_MACS / k_edge)))
     assert outer * outer * k_edge >= FLOAT_MIN_MACS
-    assert _product_dtype(m, k_edge, outer * outer * k_edge) is below
-    assert _product_dtype(m, k_edge + 1, outer * outer * (k_edge + 1)) is above
+    assert _matmul_dtype(ring, outer, k_edge, outer) is below
+    assert _matmul_dtype(ring, outer, k_edge + 1, outer) is above
     digits = np.finfo(below).nmant + 1  # 24 for float32, 53 for float64
     for k in (k_edge, k_edge + 1):
         # Entries m - 1, and m - 2 in the last place where that makes the
@@ -749,7 +750,7 @@ def test_float_tier_size_gate():
     # falls below the gate.
     assert 16 * 16 * 16 == FLOAT_MIN_MACS
     for rows, dtype in [(15, np.int64), (16, np.float32)]:
-        assert _product_dtype(m, 16, rows * 16 * 16) is dtype
+        assert _matmul_dtype(ring, rows, 16, 16) is dtype
         a = random_matrix(ring, rows, 16, rng).data
         b = random_matrix(ring, 16, 16, rng).data
         assert _matmul_reduced(a, b, ring).tolist() == _python_product(a, b, m)
@@ -777,8 +778,9 @@ def test_kernel_converts_a_large_operand_in_panels(p, s, tier, monkeypatch):
                 assert chunks == [(k, np.dtype(tier))] * -(-cols // w)
 
 
-# Int64 rings at the chunk rule's edges, with their headroom (2^63 for a
-# power of two, which has no bound), and a Python-int ring.
+# Int64 rings at the chunk rule's edges, with their chunk width, the int64
+# terms of (m - 1)^2 on m - 1 (2^63 for a power of two, which has no bound),
+# and a Python-int ring.
 KERNEL_RINGS = [(3, 16, 4977), (3, 19, 6), (55103, 2, 1), (3037000493, 1, 1), (2, 31, 2 ** 63),
                 (3, 39, None)]
 
@@ -787,8 +789,6 @@ KERNEL_RINGS = [(3, 16, 4977), (3, 19, 6), (55103, 2, 1), (3037000493, 1, 1), (2
 def test_kernel_matches_python_ints(p, s, headroom):
     ring = RingSpec(p, s)
     m, storage = ring.modulus, dtype_for(ring)
-    if headroom is not None:
-        assert _headroom(m) == headroom
     # Without a bound every product is one chunk.
     unbounded = headroom in (None, 2 ** 63)
     ks = [0, 1, 2, 65] if unbounded else [0, 1, headroom, headroom + 1, 3 * headroom + 2]
@@ -857,7 +857,8 @@ def test_kernel_into_out_and_work(p, s, k, tier):
     want = a.astype(object) @ b.astype(object) + np.tile(c.astype(object), (1, cols // width))
     assert got.dtype == storage and np.shares_memory(got, out)
     assert out.tolist() == (want % m).tolist() == _matmul_reduced(a, b, ring, c).tolist()
-    if tier is not np.float32 and storage is not object and k <= _headroom(m):
+    if tier is not np.float32 and storage is not object and k <= _exact_terms(
+            np.int64, (m - 1) ** 2, m - 1, m):
         assert peak < out.nbytes // 2
 
 
@@ -873,7 +874,8 @@ def test_exact_float_level_is_not_reduced(dtype, bits):
     c = rng.integers(-(2 ** (2 * bits + 2)), 2 ** (2 * bits + 2), (rows, width))
     a[0], b[:, 0], c[0, 0] = 2 ** bits, 2 ** bits, 2 ** (2 * bits + 2)
     out, work = np.empty((rows, blocks * width), dtype), np.empty(rows * blocks * width)
-    got = _matmul_reduced(a.astype(dtype), b.astype(dtype), None, c, out, work)
+    # The ring goes unread: a float out is an exact level.
+    got = _matmul_reduced(a.astype(dtype), b.astype(dtype), RingSpec(3, 13), c, out, work)
     assert got is out
     assert np.array_equal(out.astype(np.int64), a @ b + np.tile(c, blocks))
     assert out[0, 0] == 4 * 2 ** (2 * bits) + 2 ** (2 * bits + 2)
@@ -890,7 +892,7 @@ def test_float_level_allocates_nothing_that_grows():
     fa, fb, fc = (x.astype(np.float64) for x in (a, b, c))
     tracemalloc.start()
     try:
-        _matmul_reduced(fa, fb, None, fc, out, work)
+        _matmul_reduced(fa, fb, RingSpec(3, 13), fc, out, work)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -898,11 +900,90 @@ def test_float_level_allocates_nothing_that_grows():
     assert np.array_equal(out.astype(np.int64), a @ b + np.tile(c, cols // width))
 
 
-def test_product_dtype_is_never_object():
-    for m in (2, 2 ** 4, 3 ** 16, 3037000493, 55109 ** 2, 3 ** 39, 2 ** 62):
-        for k in (0, 1, 7, 10 ** 6):
-            for macs in (0, FLOAT_MIN_MACS, 10 ** 9):
-                assert _product_dtype(m, k, macs) in (np.float32, np.float64, np.int64)
+# The exactness rule against Python ints, for each type of its table.
+# Terms of magnitude term on a sum of magnitude start: the largest term, a
+# quarter of the limit, which divides it, terms near a fifth and a 37th of
+# it, no term, and standard_form's updates, (m - 1)^2 on m - 1.
+EXACT_LIMITS = {np.float32: 2 ** 24, np.float64: 2 ** 53, np.int8: 2 ** 7, np.int16: 2 ** 15,
+                np.int32: 2 ** 31, np.int64: 2 ** 63}
+
+# Every p^s < 2^63 for these primes, and the storage edge: 3037000500 is the
+# largest m with (m - 1)^2 < 2^63, 3037000507 the smallest prime past it.
+RULE_MODULI = [p ** s for p in (2, 3, 5, 7, 31, 37, 8191, 8209, 55103, 3037000493)
+               for s in range(1, 64) if p ** s < 2 ** 63] + [3037000500, 3037000501, 3037000507]
+
+
+def _parent_headroom(m, dtype):
+    top = 2 ** (8 * np.dtype(dtype).itemsize - 1)
+    if m & (m - 1):
+        return max((top - m) // (m - 1) ** 2, 0)
+    return 2 ** 63 if m < top else 0
+
+
+def _parent_storage(m):
+    return np.int64 if m <= math.isqrt(2 ** 63 - 1) + 1 else object
+
+
+def _parent_product_dtype(m, k, macs):
+    bound = (m - 1) ** 2 * k
+    if _parent_storage(m) is object:
+        return object
+    if macs < 4096 or bound >= 2 ** 53:
+        return np.int64
+    return np.float32 if bound < 2 ** 24 else np.float64
+
+
+@pytest.mark.parametrize("dtype", list(EXACT_LIMITS), ids=lambda d: np.dtype(d).name)
+def test_exact_terms_rule(dtype):
+    limit = EXACT_LIMITS[dtype]
+    # Every integer of magnitude below limit is exact in dtype, limit + 1 is
+    # not: a float rounds it, an integer type wraps it.
+    if np.dtype(dtype).kind == "f":
+        assert int(dtype(limit - 1)) == limit - 1 and int(dtype(limit + 1)) != limit + 1
+    else:
+        assert np.iinfo(dtype).max == limit - 1 and np.iinfo(dtype).min == -limit
+    cases = [(limit - 1, 0), (limit // 4, 0), (limit // 5 - 1, 3), (limit // 37 + 1, limit // 9),
+             (0, 0)]
+    cases += [((m - 1) ** 2, m - 1) for m in (3, 16, 31, 37, 8191, 8209) if (m - 1) ** 2 < limit]
+    for term, start in cases:
+        n = _exact_terms(dtype, term, start)
+        assert start + n * max(term, 1) < limit <= start + (n + 1) * max(term, 1)
+        if n < 100:
+            # n terms after start, added and subtracted in dtype, are exact.
+            steps = np.array([start, *[term] * n], dtype)
+            for sign in (1, -1):
+                sums = np.cumsum(sign * steps, dtype=dtype)
+                assert [int(x) for x in sums] == [sign * (start + i * term) for i in range(n + 1)]
+    # A power of two m below an integer type's limit bounds nothing: the
+    # type wraps modulo a multiple of m.  A float type takes no exception.
+    for m in (2, 16, 2 ** 7, 2 ** 31):
+        got = _exact_terms(dtype, (m - 1) ** 2, m - 1, m)
+        if np.dtype(dtype).kind == "i" and m < limit:
+            assert got == 2 ** 63
+            # -(m - 1)^2 as the type holds it, then 300 of them summed.
+            term = (limit - (m - 1) ** 2) % (2 * limit) - limit
+            wrapped = np.full(300, term, dtype).cumsum(dtype=dtype)
+            assert (wrapped & (m - 1)).tolist() == [-(i + 1) * (m - 1) ** 2 % m for i in range(300)]
+        else:
+            assert got == max((limit - m) // (m - 1) ** 2, 0)
+    # The parent's three rules, written out by hand, on RULE_MODULI:
+    # standard_form's and the kernel chunk's headroom, the product tier,
+    # Python ints for no int64 ring, and the storage.
+    assert len(RULE_MODULI) == 191
+    for m in RULE_MODULI:
+        if np.dtype(dtype).kind == "i":
+            assert _exact_terms(dtype, (m - 1) ** 2, m - 1, m) == _parent_headroom(m, dtype), m
+        for k in (0, 1, 2, 7, 286, 287, 10 ** 6):
+            # macs counts rows * k * cols multiply-adds: none when k = 0.
+            for macs in (0, FLOAT_MIN_MACS - 1, FLOAT_MIN_MACS, 10 ** 9)[: 4 if k else 1]:
+                want, got = _parent_product_dtype(m, k, macs), _tier((m - 1) ** 2, k, macs)
+                assert (got is dtype) == (want is dtype), (m, k, macs)
+                assert dtype is not np.int64 or got is want, (m, k, macs)
+        if dtype is np.int64:
+            assert dtype_for(SimpleNamespace(modulus=m)) is _parent_storage(m), m
+    if dtype is np.int64:
+        assert dtype_for(RingSpec(3037000493, 1)) is np.int64
+        assert dtype_for(RingSpec(3037000507, 1)) is object
 
 
 def test_verify_parity_witness_at_float_tier():
@@ -911,7 +992,7 @@ def test_verify_parity_witness_at_float_tier():
     rng = random.Random(7)
     g = random_matrix(ring, 40, 60, rng)
     h = parity_check_iterative(standard_form(g)).h_unpermuted
-    assert _product_dtype(m, g.ncols, g.nrows * g.ncols * h.nrows) is np.float32
+    assert _matmul_dtype(ring, g.nrows, g.ncols, h.nrows) is np.float32
     assert verify_parity(g, h) == (True, None)
     bad = h.data.copy()
     for _ in range(2):

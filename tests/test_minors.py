@@ -20,7 +20,7 @@ from zpscodes import (
 from zpscodes import minors
 from zpscodes.matrix import BlockLayout, ShapeError, dtype_for, identity, mat_mul
 from zpscodes.minors import BlockMinorTable
-from zpscodes.stdform import extract_blocks
+from zpscodes.stdform import StandardForm, extract_blocks
 from zpscodes.zring import DomainError
 
 from helpers import (
@@ -604,12 +604,14 @@ def _expected_levels(table, end):
 
 
 def _level_spy(monkeypatch):
-    """(exact, out's dtype, lowest, highest) of each level product."""
+    """(exact, out's dtype, lowest, highest) of each level product: exact
+    when out is a float level, which the kernel leaves unreduced."""
     levels, kernel = [], minors._matmul_reduced
 
     def spy(rows, children, ring, leaf, out, work):
         level = kernel(rows, children, ring, leaf, out, work)
-        levels.append((ring is None, out.dtype, level.min(initial=0), level.max(initial=0)))
+        exact = out.dtype.kind == "f"
+        levels.append((exact, out.dtype, level.min(initial=0), level.max(initial=0)))
         return level
 
     monkeypatch.setattr(minors, "_matmul_reduced", spy)
@@ -617,18 +619,28 @@ def _level_spy(monkeypatch):
 
 
 # Canonical blocks, as random_code's standard form leaves them, get exact
-# float levels: the kernel is told not to reduce them (ring None), and a level
-# is float32 where the bound allows.  Blocks drawn from all of [0, m) get
-# storage levels on every ring: int64, which the kernel reduces into [0, m).
-@pytest.mark.parametrize("p,s,t", [
-    pytest.param(401, 3, (1, 1, 1), id="401^3"), pytest.param(409, 3, (1, 1, 1), id="409^3"),
-    pytest.param(3, 15, (1,) * 15, id="3^15"), pytest.param(3, 16, (1,) * 16, id="3^16"),
-    pytest.param(2, 3, (2, 1, 2), id="2^3"), pytest.param(3, 3, (2, 1, 2), id="3^3"),
+# float levels: the kernel leaves a float out unreduced, and a level
+# is float32 where the bound allows.  So do all-zero blocks, whose bound is
+# 0, against the node-by-node oracle too.  Blocks drawn from all of [0, m)
+# get storage levels on every ring: int64, which the kernel reduces into
+# [0, m).
+@pytest.mark.parametrize("p,s,t,zero", [
+    pytest.param(401, 3, (1, 1, 1), False, id="401^3"),
+    pytest.param(409, 3, (1, 1, 1), False, id="409^3"),
+    pytest.param(3, 15, (1,) * 15, False, id="3^15"),
+    pytest.param(3, 16, (1,) * 16, False, id="3^16"),
+    pytest.param(2, 3, (2, 1, 2), False, id="2^3"), pytest.param(3, 3, (2, 1, 2), False, id="3^3"),
+    pytest.param(3, 4, (2, 2, 2, 2), True, id="3^4-zero"),
 ])
-def test_levels_exact_or_storage(p, s, t, monkeypatch):
+def test_levels_exact_or_storage(p, s, t, zero, monkeypatch):
     ring, n = RingSpec(p, s), 20
     m, levels = ring.modulus, _level_spy(monkeypatch)
     sf = random_code(ring, n, t, 63)
+    if zero:  # only the diagonal blocks p^(i-1) Id are left
+        data = sf.matrix.data.copy()
+        for i in range(1, s + 1):
+            data[sf.layout.group(i), sf.layout.group(i + 1).start :] = 0
+        sf = StandardForm(Matrix(ring, data), sf.layout, sf.perm)
     table = BlockMinorTable(extract_blocks(sf), sf.layout)
     want = {end: _expected_levels(table, end) for end in range(2, s + 2)}
     assert None not in want.values()
@@ -639,6 +651,10 @@ def test_levels_exact_or_storage(p, s, t, monkeypatch):
     assert {dtype for _, dtype, _, _ in levels} == {d for ds in want.values() for d in ds.values()}
     bound = max(max(_bounds_by_hand(table.blocks, t, end).values()) for end in want)
     assert all(-bound <= low and high <= bound for *_, low, high in levels)
+    if zero:
+        assert bound == 0 and set(levels) == {(True, np.dtype(np.float32), 0, 0)}
+        for end in want:
+            _check_group(table, end)
     # Entries drawn from all of [0, m), against the node-by-node oracle.
     table = random_block_table(ring, s, n, random.Random(64), t=t)
     node = _node_by_node(table)

@@ -6,7 +6,7 @@ import pytest
 
 from zpscodes import BlockLayout, Matrix, Permutation, RingSpec, random_code, standard_form
 from zpscodes import stdform
-from zpscodes.matrix import (ShapeError, _headroom, _matmul_reduced, apply_col_permutation,
+from zpscodes.matrix import (ShapeError, _exact_terms, _matmul_reduced, apply_col_permutation,
                              dtype_for, zeros)
 from zpscodes.stdform import PANEL_WIDTH, _flush, extract_blocks
 
@@ -225,7 +225,7 @@ def test_membership_both_directions_after_reduction():
 
 
 # On both sides of each switch of standard_form's working type, the first
-# of int8, int16 and int32 whose matrix._headroom reaches PANEL_WIDTH, else
+# of int8, int16 and int32 whose matrix._exact_terms reaches PANEL_WIDTH, else
 # int64: the largest modulus each type takes and the smallest past it, for
 # a power of two and for an odd modulus.  No odd modulus takes int8.
 TYPE_EDGES = {
@@ -420,34 +420,13 @@ def test_headroom_picks_each_working_type(ring_id, monkeypatch):
     ring, want = TYPE_EDGES[ring_id]
     m = ring.modulus
     types = [np.int8, np.int16, np.int32, np.int64]
-    for dtype in types:
-        info, h = np.iinfo(dtype), _headroom(m, dtype)
-        if m & (m - 1):
-            # The most updates by (m - 1)^2 that keep an entry of [0, m) in
-            # the type, with a margin of m: (2^(b-1) - m) // (m - 1)^2.
-            assert h == 0 or -h * (m - 1) ** 2 >= info.min + m
-            assert -(h + 1) * (m - 1) ** 2 < info.min + m
-        else:
-            # No bound once m, and so the mask, fits the type.
-            assert h == (2 ** 63 if m <= info.max else 0)
-        if not h:
-            continue
-        # Updates in the type against Python ints: exact for an odd modulus,
-        # exact mod m after the wrap for a power of two.
-        k = min(h, 3 * PANEL_WIDTH)
-        entries = np.array([0, m - 1], dtype)
-        prod = np.array([m - 1], dtype) * np.array([m - 1], dtype)
-        for _ in range(k):
-            entries -= prod
-        want_entries = [e - k * (m - 1) ** 2 for e in (0, m - 1)]
-        if m & (m - 1):
-            assert entries.tolist() == want_entries
-        else:
-            assert (entries & (m - 1)).tolist() == [e % m for e in want_entries]
-    # standard_form runs in the first type with a panel's headroom, int64
-    # at the latest; every scalar it combines with the buffer, p^(v+1), the
-    # mask and the unit inverse, is at most m, so it fits.
-    assert next(d for d in types if d is np.int64 or _headroom(m, d) >= PANEL_WIDTH) is want
+    # standard_form runs in the first type with a panel's headroom, the
+    # updates by (m - 1)^2 that it takes on an entry of [0, m) (see
+    # tests/test_matrix.py::test_exact_terms_rule), int64 at the latest;
+    # every scalar it combines with the buffer, p^(v+1), the mask and the
+    # unit inverse, is at most m, so it fits.
+    headroom = {d: _exact_terms(d, (m - 1) ** 2, m - 1, m) for d in types}
+    assert next(d for d in types if d is np.int64 or headroom[d] >= PANEL_WIDTH) is want
     assert m <= np.iinfo(want).max
     seen, flush = set(), stdform._flush
     monkeypatch.setattr(stdform, "_flush", lambda work, *args: seen.add(work.dtype) or flush(work, *args))
