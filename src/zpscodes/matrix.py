@@ -61,9 +61,7 @@ def dtype_for(ring: RingSpec):
 
 def _carve(buf, shape, dtype):
     """The leading bytes of the flat, contiguous buffer buf as a C-contiguous
-    array of shape in dtype, sharing buf's memory; None without a buffer."""
-    if buf is None:
-        return None
+    array of shape in dtype, sharing buf's memory."""
     size = math.prod(shape)
     if buf.dtype == dtype:
         return buf[:size].reshape(shape)
@@ -81,10 +79,8 @@ def _carve(buf, shape, dtype):
 _REDUCE_FLOOR_MIN = 1024
 
 
-def _reduce_in_place(arr: np.ndarray, m: int, work=None) -> None:
-    """Reduce arr into [0, m) in place; a view writes through.  work, a flat
-    int64 buffer of arr.size entries or more, takes the quotient of floor
-    division if given.
+def _reduce_in_place(arr: np.ndarray, m: int) -> None:
+    """Reduce arr into [0, m) in place; a view writes through.
 
     When m is a power of two, an integer array of any size becomes
     arr & (m - 1): in two's complement the low bits of every signed
@@ -102,7 +98,7 @@ def _reduce_in_place(arr: np.ndarray, m: int, work=None) -> None:
     elif arr.dtype == object or arr.size < _REDUCE_FLOOR_MIN:
         arr %= m
     else:
-        q = np.floor_divide(arr, m, out=_carve(work, arr.shape, np.int64))
+        q = arr // m
         q *= m
         arr -= q
 
@@ -240,28 +236,21 @@ def _matmul_reduced(a: np.ndarray, b: np.ndarray, ring: RingSpec, c=None, out=No
     int64 product in inner chunks of _exact_terms(int64, (m - 1)^2, m - 1,
     m), each added to the sum so far and reduced once, so Python ints
     serve only a ring stored in them.  c is added in the storage, after the
-    product.  A b already in _matmul_dtype is used as it is.  Without out,
-    a float copy of b of more than _PANEL_BYTES is made one column panel at
-    a time, in one reused buffer of that size, each panel multiplied into
-    the result: a is converted once.
+    product.  A b already in _matmul_dtype is used as it is.  A float copy
+    of b of more than _PANEL_BYTES is made one column panel at a time, in
+    one reused buffer of that size, each panel multiplied into the result:
+    a is converted once.  The result is a new array.
 
-    The result is a new array unless out, a C-contiguous array of its shape
-    in the storage, is given to take it.  A product in one chunk then
-    allocates nothing that grows with it unless it runs in float32 or in
-    Python ints: it is written into out's own bytes and converted there,
-    and the quotient of its last reduction goes to work, a flat buffer in
-    the storage of as many entries or more.  work is written only once b
-    has been read, so it may hold b.
-
-    A float out, which no storage is, takes an exact level of the
-    block-minor forest: a and b integers in out's dtype, c, which it needs,
-    integers in any, work a flat buffer of as many 8-byte words or more, and
-    every partial sum of the product plus c one term that _exact_terms
-    holds in out's dtype.  BLAS writes the product into out, c is added in out's dtype,
-    and nothing is reduced, converted or allocated.
+    Given out, a float array of the product's shape, it multiplies an exact
+    level of the block-minor forest instead: a and b integers in out's
+    dtype, c, which it needs, integers in any, work a flat buffer of as
+    many 8-byte words or more, which may hold b, and every partial sum of
+    the product plus c one term that _exact_terms holds in out's dtype.
+    BLAS writes the product into out, c is added in out's dtype, and
+    nothing is reduced, converted or allocated.
     """
     (rows, k), cols = a.shape, b.shape[1]
-    if out is not None and out.dtype.kind == "f":
+    if out is not None:
         np.matmul(a, b, out=out)
         # c goes on tiled rep times, from work: numpy broadcasts a row of rep
         # blocks over the product far faster than one of a block.
@@ -279,13 +268,13 @@ def _matmul_reduced(a: np.ndarray, b: np.ndarray, ring: RingSpec, c=None, out=No
     width = cols if c is None else c.shape[1]
     blocks = (rows, cols // max(width, 1), width)
 
-    def chunk(k0, into=None):
+    def chunk(k0):
         # Converted here, so that no converted operand outlives its product.
         x, y = a[:, k0 : k0 + step], b[k0 : k0 + step]
-        return np.matmul(x.astype(dtype, copy=False), y.astype(dtype, copy=False), out=into)
+        return np.matmul(x.astype(dtype, copy=False), y.astype(dtype, copy=False))
 
     itemsize = np.dtype(dtype).itemsize
-    if out is None and b.dtype != dtype and k * cols * itemsize > _PANEL_BYTES:
+    if b.dtype != dtype and k * cols * itemsize > _PANEL_BYTES:
         # A float tier with a large b: b goes through one reused buffer,
         # a column panel at a time, each multiplied into the result.
         x, w = a.astype(dtype, copy=False), max(1, _PANEL_BYTES // (k * itemsize))
@@ -295,27 +284,15 @@ def _matmul_reduced(a: np.ndarray, b: np.ndarray, ring: RingSpec, c=None, out=No
             y[...] = b[:, c0 : c0 + w]
             np.matmul(x, y, out=prod[:, c0 : c0 + w])
         total = prod.astype(storage)
-    elif out is None:
-        total = chunk(0).astype(storage, copy=False)
     else:
-        # Python ints take a new prod, released once copied: object matmul leaks out's entries.
-        shared = dtype is not object and np.dtype(dtype).itemsize == out.itemsize
-        prod = chunk(0, out.view(dtype) if shared else None)
-        if prod.dtype != storage or not shared:
-            # Where prod is out's own bytes, each entry is converted where it
-            # lies: in one dimension numpy copies nothing.
-            np.copyto(out.reshape(-1), prod.reshape(-1), casting="unsafe")
-        total, prod = out, None
+        total = chunk(0).astype(storage, copy=False)
     total = total.reshape(blocks)
     if c is not None:
         total += c[:, None, :]
     for k0 in range(step, k, step):  # int64 chunks after the first
         _reduce_in_place(total, m)
         total += chunk(k0).reshape(blocks)
-    if out is None:
-        return _reduce(total, m).reshape(rows, cols)
-    _reduce_in_place(total, m, work)
-    return out
+    return _reduce(total, m).reshape(rows, cols)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

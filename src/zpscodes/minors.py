@@ -12,39 +12,38 @@ over a < b <= end of (-1)^(b-1-a) A(a, b) O(b, end), O(end, end) = Id.  As
 a < b <= end of A(a, b) M(b), M(end) = Id: each block carries its sign, as
 in the iterative construction.  All the trees of one column group of H^T
 run at once, as one forest of levels of nodes, each level one call of the
-product kernel (see BlockMinorTable._forest).  A forest too big for one
-column splits off its first tree, one root product over a forest of its
-own.  The signed sum itself serves only as an oracle, in the tests.
+product kernel (see BlockMinorTable._forest).  The signed sum itself
+serves only as an oracle, in the tests.
 
-The levels hold the minors as plain integers, reduced nowhere, wherever
-they fit.  standard_form leaves every entry above a pivot of valuation v
-in [0, p^v), so A(a, b) has entries below p^(b-a), the free group's
-(b = s + 1) included.  With the factors -A(a, b) taken as they are, the
-entries of M(a) are then integers of magnitude at most U(a) = sum over
-a < b < end of t_b max A(a, b) U(b), plus max A(a, end), where U(end - 1)
-= max A(end - 1, end) and each max is read from the table's own blocks.
-Every partial sum of a level product is bounded by its U too.  So a level
-is exact in any summation order in the first float type that holds one
-term of the largest U of it and its children (README, "Exactness").  On
-minors-deep (3^13, t_i = 2) U(1) is 2^33.4 to 2^35.4, and levels 5 to 12
-(6 to 12 in 4 of 100 codes), the ones with the most nodes, are float32.
-Such a forest reduces only the minors it writes into the int64 H^T, once:
-delayed reduction (FFLAS-FFPACK: Dumas, Giorgi and Pernet, 2008) taken to
-its end.  Every other forest, one whose U(low) no float type holds or of a
-table over Python ints or with an entry outside its canonical range, keeps
-its levels in the ring's storage, reduced into [0, p^s) by each level
-product.
+The levels hold the minors as plain integers, reduced nowhere.  With the
+factors -A(a, b) taken as they are, the entries of M(a) are integers of
+magnitude at most U(a) = sum over a < b < end of t_b max A(a, b) U(b),
+plus max A(a, end), where U(end - 1) = max A(end - 1, end) and each max is
+read from the table's own blocks, so U bounds M(a) for any reduced
+blocks.  Every partial sum of a level product is bounded by its U too.
+So a level is exact in any summation order in the first float type that
+holds one term of the largest U of it and its children (README,
+"Exactness").  standard_form leaves every entry above a pivot of
+valuation v in [0, p^v), so A(a, b) has entries below p^(b-a), the free
+group's (b = s + 1) included, and U stays small: on minors-deep (3^13,
+t_i = 2) U(1) is 2^33.4 to 2^35.4, and levels 5 to 12 (6 to 12 in 4 of
+100 codes), the ones with the most nodes, are float32.  A forest
+reduces only the minors it writes into H^T, once, over Python ints
+through int64: delayed reduction (FFLAS-FFPACK: Dumas, Giorgi and
+Pernet, 2008) taken to its end.  A forest whose U(low) no float type
+holds, or too big for one column, has one fallback: it splits off its
+first tree, whose root product, over a forest of its own, runs in the
+ring's storage, reduced into [0, p^s) by the kernel's own rule.
 """
 
 from __future__ import annotations
 
-import sys
 from functools import cached_property
 
 import numpy as np
 
 from .matrix import (
-    ShapeError, _carve, _matmul_dtype, _matmul_reduced, _reduce, _reduce_in_place, _tier, dtype_for,
+    ShapeError, _carve, _matmul_reduced, _reduce, _reduce_in_place, _tier, dtype_for,
 )
 from .opcounters import OpCounters
 from .zring import DomainError
@@ -52,7 +51,8 @@ from .zring import DomainError
 # Bytes that the level arrays of one column strip of a block-minor forest,
 # the leaf level excluded, and its largest children stack or level may take
 # together: the table's workspace (see BlockMinorTable._plan).  A forest
-# whose single column passes it splits off its first tree (see _forest).
+# whose single column passes it splits off its first tree, as one whose
+# bound no float type holds does (see _forest).
 _TREE_BYTES = 1 << 20
 
 # Copies of the leaf level's node that a forest broadcasts over its leaf
@@ -97,7 +97,7 @@ class BlockMinorTable:
 
     def _row(self, a: int, dtype: np.dtype) -> np.ndarray:
         """Row group a in dtype: signed in a float dtype, reduced mod p^s in
-        any other, as int64 levels and _tree's root product take it."""
+        the storage, as _tree's root product takes it."""
         if (a, dtype) not in self._cast:
             row = self._rows[a]
             self._cast[(a, dtype)] = (row.astype(dtype, copy=False) if dtype.kind == "f"
@@ -108,17 +108,15 @@ class BlockMinorTable:
     def _bounds(self):
         """S, where S[end][a], a < end, is the largest U(b) over a <= b < end
         (see the module docstring): the bound of level a of a forest that
-        ends at end and of its children; None for a table over Python ints,
-        or with an entry of some A(a, b) not below p^(b-a).
+        ends at end and of its children, for any ring and any reduced
+        blocks.
 
         S is computed in float64.  Its terms are all >= 0, so a sum or
         product whose exact value is below 2^53 is computed exactly, in any
         order, and one whose exact value is not stays at or above 2^53:
-        rounding is monotone.  No U of a canonical int64 table nears
-        float64's range."""
-        s, t, p, n = self.layout.s, self.layout.t, self.ring.p, self.layout.n
-        if dtype_for(self.ring) is object:
-            return None
+        rounding is monotone.  Each U is clamped at 2^53, which no float
+        level holds, so that no sum reaches inf, nor a product 0 * inf nan."""
+        s, t, n = self.layout.s, self.layout.t, self.layout.n
         # top[a, b] = max A(a, b): the column maxima of each row group, where
         # its columns lie (a trailing 0 past them), then of each column
         # group; reduceat gives an empty group the next one's first column.
@@ -129,29 +127,25 @@ class BlockMinorTable:
         top = np.zeros((s + 2, s + 2))
         top[:, 1:] = np.maximum.reduceat(cols, starts, axis=1)
         top[:, 1:][:, np.diff((*starts, n)) == 0] = 0
-        order = np.arange(s + 2)
-        if np.any(top >= float(p) ** np.maximum(order - order[:, None], 0)):
-            return None
         # U[a, end] = max A(a, end) + sum over a < b < end of t_b max A(a, b)
         # U[b, end], with U[b, end] = 0 for b >= end.
         weight = top * (0, *t, 0)
         bound = np.zeros((s + 2, s + 2))
         for a in range(s, 0, -1):
-            bound[a] = top[a] + weight[a] @ bound
+            bound[a] = np.minimum(top[a] + weight[a] @ bound, 2.0 ** 53)
         return np.maximum.accumulate(bound[::-1], axis=0)[::-1].T.tolist()
 
-    def _levels(self, low: int, end: int) -> dict:
-        """The dtype of each level a = low..end-2 of forest (low, end), found
-        once, as _plan asks twice: the matrix._tier of one term of the bound
-        from a on (see _bounds).  The levels hold exact minors when that of
-        level low, the largest, is a float type; else every level is in the
-        ring's storage."""
+    def _levels(self, low: int, end: int):
+        """The float dtype of each level a = low..end-2 of forest (low, end),
+        found once, as _plan asks twice: the matrix._tier of one term of the
+        bound from a on (see _bounds).  None unless that of level low, the
+        largest, is a float type: no float type holds the forest's minors,
+        and it splits (see _forest)."""
         if (low, end) not in self._dtypes:
-            bound = None if self._bounds is None else self._bounds[end]
-            exact = bound is not None and _tier(bound[low], 1) in (np.float32, np.float64)
-            self._dtypes[low, end] = {
-                a: np.dtype(_tier(bound[a], 1) if exact else dtype_for(self.ring))
-                for a in range(low, end - 1)}
+            bound = self._bounds[end]
+            exact = _tier(bound[low], 1) in (np.float32, np.float64)
+            self._dtypes[low, end] = ({a: np.dtype(_tier(bound[a], 1)) for a in range(low, end - 1)}
+                                      if exact else None)
         return self._dtypes[low, end]
 
     # A counted block product and sum, kept only as perfbench/tracer.py's targets.
@@ -184,41 +178,36 @@ class BlockMinorTable:
 
     def _plan(self, low: int, end: int) -> tuple:
         """(strip, sizes, dtypes) of forest (low, end) (see _forest): the
-        strip width, 0 when one column passes _TREE_BYTES; the workspace
-        words, 8 bytes each, that a strip takes for its levels, each padded
-        to a whole word, and for its largest children stack or level, whose
-        quotient or c the stack takes once the level's product is done; and
-        _levels.  Level a holds 2^(a-low) nodes of t_a rows, and stacks
-        sum(t[a:end-1]) rows of children for each, in its own dtype."""
-        t, width, m = self.layout.t, self.blocks[(low, end)].shape[1], self.ring.modulus
+        strip width, 0 when one column passes _TREE_BYTES or _levels is
+        None; the workspace words, 8 bytes each, that a strip takes for its
+        levels, each padded to a whole word, and for its largest children
+        stack or level, whose c the stack takes once the level's product is
+        done; and _levels.  Level a holds 2^(a-low) nodes of t_a rows, and
+        stacks sum(t[a:end-1]) rows of children for each, in its own
+        dtype."""
+        t, width = self.layout.t, self.blocks[(low, end)].shape[1]
         dtypes, sizes, stack, kids = self._levels(low, end), [], 0, 0
+        if dtypes is None:
+            return 0, (0, 0), None
         for a in range(end - 2, low - 1, -1):
             count, itemsize = 1 << (a - low), dtypes[a].itemsize
             kids += t[a]  # sum(t[a:end-1])
             sizes.append(t[a - 1] * count * itemsize)
             stack = max(stack, max(kids, t[a - 1]) * count * itemsize)
-        # Bytes a column; over Python ints, also a level entry's int below m,
-        # and a stack entry's share of the product under way: a pointer, a
-        # sum below kids * m^2.
-        column = sum(sizes) + stack
-        if dtype_for(self.ring) is object:
-            column += (sum(sizes) * sys.getsizeof(m - 1)
-                       + stack * (8 + sys.getsizeof(kids * m * m))) // 8
+        column = sum(sizes) + stack  # bytes a column
         strip = max(1, _TREE_BYTES // max(column, 8)) if column <= _TREE_BYTES else 0
         cols = min(strip, width)
         return strip, (sum(-(-size * cols // 8) for size in sizes), -(-stack * cols // 8)), dtypes
 
     def _workspace(self, size: int) -> np.ndarray:
-        """The flat buffer of 8-byte words, float64 or, for a ring stored in
-        them, Python ints, that every level product works in, of at least
-        size words.  It is allocated at the largest column group of the
-        table, so once for a table unless a larger _TREE_BYTES asks for more;
-        the old buffer goes first."""
+        """The flat float64 buffer that every level product works in, of at
+        least size 8-byte words.  It is allocated at the largest column group
+        of the table, so once for a table unless a split forest or a larger
+        _TREE_BYTES asks for more; the old buffer goes first."""
         if self._work is None or self._work.size < size:
             groups = (sum(self._plan(1, end)[1]) for end in range(2, self.layout.s + 2))
             self._work = None
-            self._work = np.empty(max(size, *groups),
-                                  object if dtype_for(self.ring) is object else np.float64)
+            self._work = np.empty(max(size, *groups))
         return self._work
 
     def _strip(self, low: int, end: int, cols: int, levels: np.ndarray, stack: np.ndarray,
@@ -238,10 +227,8 @@ class BlockMinorTable:
         for a in range(end - 2, low - 1, -1):
             count, dtype, k = 1 << (a - low), dtypes[a], k + t[a]
             row, copies, nodes = self._row(a, dtype), min(count, _LEAF_COPIES), count * cols
-            if dtype.kind != "f":  # the children in the dtype of the product
-                dtype = _matmul_dtype(self.ring, t[a - 1], k, nodes)
             children = _carve(stack, (k, nodes), dtype)
-            level[a] = _carve(levels[used:], (t[a - 1], nodes), dtypes[a])
+            level[a] = _carve(levels[used:], (t[a - 1], nodes), dtype)
             used += -(-level[a].nbytes // 8)
             steps.append((row[:, :k], row[:, k:],
                           [level[b][:, nodes : 2 * nodes] for b in range(a + 1, end - 1)],
@@ -275,14 +262,16 @@ class BlockMinorTable:
         workspace, plus -A(a, end), both from row a, into its own array
         there, counted once at full width.  The leaf level end - 1 is never
         computed: each node is -A(end-1, end), which a forest of one order-1
-        tree copies whole.  Float levels (see _levels) hold exact signed
-        minors, which the kernel leaves unreduced in a float out.  Each
-        strip copies its sinks, node 0 of each level, into out as they are,
-        and a forest of float levels reduces out, the leaf's row group
-        included, once.  A forest whose single column passes the budget
-        (order above 17 at t = 2 in 8-byte levels) splits off its first
-        tree: forest (low + 1, end), then tree (low, end), which runs forest
-        (low + 1, end) again, as the unmemoized count requires.
+        tree copies whole.  The levels, float (see _levels), hold exact
+        signed minors, which the kernel leaves unreduced in a float out.
+        Each strip copies its sinks, node 0 of each level, into out as they
+        are, through one int64 array for an out of Python ints, and the
+        forest reduces out, the leaf's row group included, once.  A forest
+        whose single column passes the budget (order above 17 at t = 2 in
+        8-byte levels), or whose bound no float type holds, splits off its
+        first tree: forest (low + 1, end), then tree (low, end), which runs
+        forest (low + 1, end) again, as the unmemoized count requires, and
+        whose root product runs in the storage.
         """
         t, width, m = self.layout.t, out.shape[1], self.ring.modulus
         if low == end - 1:
@@ -294,13 +283,15 @@ class BlockMinorTable:
             self._forest(low + 1, end, out[t[low - 1] :])
             self._tree(low, end, out[: t[low - 1]])
             return
+        # Python ints take the exact minors from int64, never as floats.
+        dest = out if out.dtype != object else np.empty(out.shape, np.int64)
         work = self._workspace(nlevels + nstack)
         stack, wide = work[nlevels:], end == self.layout.s + 1
         for a in range(end - 2, low - 1, -1):  # at full width, once
             self.counters.record_node(t[a - 1], t[a : end - 1], width, wide, 1 << (a - low))
         top = out.shape[0] - t[end - 2]  # the rows above the leaf's group
         leaf = self._row(end - 1, dtypes[end - 2])[:, :width]
-        out[top:] = leaf
+        dest[top:] = leaf
         cols = None
         for c0 in range(0, max(width, 1), strip):
             if cols != min(strip, width - c0):  # the first strip, or a narrower last one
@@ -314,6 +305,7 @@ class BlockMinorTable:
                     np.concatenate(sources, out=kids)
                 leaves[...] = tile[:, None, : leaves.shape[2]]
                 _matmul_reduced(factor, children, self.ring, terms[:, c0 : c0 + cols], level, stack)
-            np.concatenate(sinks, out=out[:top, c0 : c0 + cols], casting="unsafe")
-        if dtypes[low].kind == "f":
-            _reduce_in_place(out, m)
+            np.concatenate(sinks, out=dest[:top, c0 : c0 + cols], casting="unsafe")
+        _reduce_in_place(dest, m)
+        if dest is not out:
+            out[...] = dest

@@ -11,7 +11,8 @@ Each mutant names a file under src/zpscodes/, a text that occurs there
 exactly once, its replacement, what the change breaks and the Tier-1 tests
 expected to kill it.  The script copies src/, tests/ and pyproject.toml
 into a temporary directory, applies one mutant at a time and runs its tests
-there with pytest -x.  A mutant is killed when a test fails; it survives
+there with pytest -x and plain asserts: a kill needs no explanation, and
+pytest's diff of two long texts can take minutes.  A mutant is killed when a test fails; it survives
 when they all pass.  The script prints one line a mutant and exits 1 if
 any survives or cannot be run.  A survivor stays in the catalogue: it
 names a test that is missing.  tests/test_mutants.py checks in Tier-1 that
@@ -101,6 +102,34 @@ MUTANTS = [
         ("tests/test_matrix.py::test_kernel_matches_python_ints",),
     ),
     Mutant(
+        "level-term-subtracted", "matrix.py",
+        "        total += tile\n",
+        "        total -= tile\n",
+        "an exact level subtracts its term -A(a, end) instead of adding it",
+        ("tests/test_matrix.py::test_exact_float_level_is_not_reduced",),
+    ),
+    Mutant(
+        "panel-stride-too-wide", "matrix.py",
+        "for c0 in range(0, cols, w):",
+        "for c0 in range(0, cols, w + 1):",
+        "a product converted in panels skips a column between panels",
+        ("tests/test_matrix.py::test_kernel_converts_a_large_operand_in_panels",),
+    ),
+    Mutant(
+        "place-writer-row-end-dropped", "matrix.py",
+        'text[last[ncols - 1 :: ncols]] = ord("\\n")',
+        "pass",
+        "the place writer ends every row with a blank, not a newline",
+        ("tests/test_matrix.py::test_format_matches_row_writer",),
+    ),
+    Mutant(
+        "template-row-end-shifted", "matrix.py",
+        "cells[ncols - 1 :: ncols] -= 0x1600",
+        "cells[ncols - 2 :: ncols] -= 0x1600",
+        "the template writer puts each row's newline one entry early",
+        ("tests/test_matrix.py::test_format_sparse_chunks",),
+    ),
+    Mutant(
         "working-type-at-panel-width-strict", "stdform.py",
         ">= PANEL_WIDTH),",
         "> PANEL_WIDTH),",
@@ -122,18 +151,53 @@ MUTANTS = [
         ("tests/test_minors.py::test_exact_levels_at_their_bounds",),
     ),
     Mutant(
-        "bounds-accept-p-power", "minors.py",
-        "if np.any(top >= float(p) ** np.maximum(order - order[:, None], 0)):",
-        "if np.any(top > float(p) ** np.maximum(order - order[:, None], 0)):",
-        "an entry of A(a, b) equal to p^(b-a), outside its canonical range, is bounded as inside",
-        ("tests/test_minors.py::test_exact_levels_of_canonical_tables",),
+        "inexact-forest-not-split", "minors.py",
+        "if exact else None)",
+        "if True else None)",
+        "a forest whose bound no float type holds runs in int64 levels, which overflow, unsplit",
+        ("tests/test_minors.py::test_exact_levels_at_their_bounds",),
+    ),
+    Mutant(
+        "bounds-not-clamped", "minors.py",
+        "bound[a] = np.minimum(top[a] + weight[a] @ bound, 2.0 ** 53)",
+        "bound[a] = top[a] + weight[a] @ bound",
+        "a bound past float64's range becomes inf, and 0 * inf nan",
+        ("tests/test_minors.py::test_exact_bound_clamped_past_float64_range",),
     ),
     Mutant(
         "exact-forest-not-reduced", "minors.py",
-        'if dtypes[low].kind == "f":',
-        "if False:",
+        "_reduce_in_place(dest, m)",
+        "pass",
         "the signed minors of float levels reach H^T unreduced",
         ("tests/test_minors.py::test_levels_exact_or_storage",),
+    ),
+    Mutant(
+        "python-ints-without-int64-hop", "minors.py",
+        "dest = out if out.dtype != object else np.empty(out.shape, np.int64)",
+        "dest = out",
+        "the exact minors of float levels reach a Python-int H^T as Python floats",
+        ("tests/test_minors.py::test_exact_levels_over_python_ints",),
+    ),
+    Mutant(
+        "tree-budget-exclusive", "minors.py",
+        "if column <= _TREE_BYTES else 0",
+        "if column < _TREE_BYTES else 0",
+        "a forest whose column takes exactly _TREE_BYTES splits instead of running in strips of one",
+        ("tests/test_minors.py::test_strip_edges",),
+    ),
+    Mutant(
+        "minors-wide-flag-shifted", "minors.py",
+        "stack, wide = work[nlevels:], end == self.layout.s + 1",
+        "stack, wide = work[nlevels:], end == self.layout.s",
+        "the forest files column group 2, not the free group, as wide in its counters",
+        ("tests/test_acceptance.py::test_ac5_exact_operation_counts",),
+    ),
+    Mutant(
+        "root-wide-flag-shifted", "minors.py",
+        "t, width, wide = self.layout.t, out.shape[1], end == self.layout.s + 1",
+        "t, width, wide = self.layout.t, out.shape[1], end == self.layout.s",
+        "a split's root product is counted in the wrong column group",
+        ("tests/test_minors.py::test_levels_match_node_by_node",),
     ),
     Mutant(
         "column-group-scaling", "paritycheck.py",
@@ -191,7 +255,8 @@ def run(mutant: Mutant, tree: Path) -> str:
     apply(mutant, tree / "src")
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     code = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests],
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--assert=plain",
+         *mutant.tests],
         cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     ).returncode
     # pytest exits 1 when a test failed, 2 when collection failed (a mutant

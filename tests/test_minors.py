@@ -163,6 +163,13 @@ def random_block_table(ring, s, n, rng, counters=None, t=None):
     return BlockMinorTable(blocks, layout, counters)
 
 
+def canonical_table(ring, n, t, seed):
+    """The stripped blocks of random_code's standard form, each entry of
+    A(a, b) below p^(b-a)."""
+    sf = random_code(ring, n, t, seed)
+    return BlockMinorTable(extract_blocks(sf), sf.layout)
+
+
 def test_block_minor_conventions():
     rng = random.Random(30)
     ring = RingSpec(2, 2)
@@ -340,10 +347,12 @@ def _group(table, end):
 # Budget 0 splits every forest with entries down to its order-1 forests,
 # 2^62 evaluates every forest in one strip, and 600 bytes (2^16 on 3^13,
 # where the order-13 forests get strips of one column) mixes strips of
-# several widths with splits.  1447^3 stores int64 and multiplies in int64
-# chunks of one; 3^21 and 1451^3 store python ints.  Types put t_i = 0
-# first, in the middle and last, and n = t; (0, 2, 1, 3, 2) has a column
-# group of width 1.
+# several widths with splits.  Entries drawn from all of [0, m) keep the
+# forests of 2^4, 1447^3 and 1451^3 exact, and split those of 3^21 and of
+# the higher orders of 3^13 wherever a bound passes 2^53.  1447^3 stores
+# int64 and multiplies in int64 chunks of one; 3^21 and 1451^3 store python
+# ints.  Types put t_i = 0 first, in the middle and last, and n = t;
+# (0, 2, 1, 3, 2) has a column group of width 1.
 @pytest.mark.parametrize("ring,n,t", [
     *(pytest.param(ring, n, t, id=f"{ring.p}^{ring.s}-{n}-{t}")
       for ring in (RingSpec(2, 4), RingSpec(1447, 3), RingSpec(3, 21), RingSpec(1451, 3))
@@ -392,60 +401,49 @@ def _check_group(table, end):
 
 # Forest (1, 5) over t = (2, 1, 2, 1) computes three levels of 2*4 + 1*2 +
 # 2*1 = 12 nodes (its leaf level of 1*8 is never computed), and its largest
-# children stack or level, level 3's, has 2*4 = 8 rows: 20 entries, 160
-# bytes a column.  Its leaf is 7 columns wide, or 0 when n = t, which still
-# runs (and counts) one empty strip.
+# children stack or level, level 3's, has 2*4 = 8 rows: 20 entries.  A
+# canonical 3^4 table bounds every minor below 2^24, so they are float32,
+# 80 bytes a column.  Its leaf is 7 columns wide, or 0 when n = t, which
+# still runs (and counts) one empty strip.
 @pytest.mark.parametrize("n,tree_bytes,strips", [
-    pytest.param(13, 160 * 3, [3, 3, 1], id="3-does-not-divide-7"),
-    pytest.param(13, 160 * 7 - 1, [6, 1], id="6-of-7"),
-    pytest.param(13, 160 * 7, [7], id="leaf-width"),
+    pytest.param(13, 80 * 3, [3, 3, 1], id="3-does-not-divide-7"),
+    pytest.param(13, 80 * 7 - 1, [6, 1], id="6-of-7"),
+    pytest.param(13, 80 * 7, [7], id="leaf-width"),
     pytest.param(13, 2 ** 62, [7], id="unbounded"),
-    pytest.param(13, 160, [1] * 7, id="one-column"),
+    pytest.param(13, 80, [1] * 7, id="one-column"),
     pytest.param(6, 2 ** 62, [0], id="width-0"),
 ])
 def test_strip_edges(n, tree_bytes, strips, monkeypatch):
-    table = random_block_table(RingSpec(3, 4), 4, n, random.Random(56), t=(2, 1, 2, 1))
+    table = canonical_table(RingSpec(3, 4), n, (2, 1, 2, 1), 56)
+    assert set(table._levels(1, 5).values()) == {np.dtype(np.float32)}
     monkeypatch.setattr(minors, "_TREE_BYTES", tree_bytes)
     widths = _strip_widths(table, monkeypatch)
     _check_group(table, 5)
     assert widths == [w for w in strips for _ in range(3)]
 
 
-def test_strips_count_python_int_bytes(monkeypatch):
-    # Over 11^10, stored as python ints, a level entry holds an 8-byte
-    # pointer and an int object of up to 32 bytes (CPython 3.11, 64-bit),
-    # and a stack entry a pointer and its share of the product under way: a
-    # pointer and an unreduced sum of up to 36 bytes.  A column of forest
-    # (2, 11) at t_i = 2 holds 510 nodes of its eight computed levels and a
-    # children stack or level of at most 256 rows (level 9's), 510 * 40 +
-    # 256 * 52 bytes, so 1 MiB gives strips of 31 of its leaf's 60 columns;
-    # at 8 bytes an entry it was one strip of 60.  Forest (1, 11), 1022 and
-    # 512 entries a column, gets strips of 15.  So tree (1, 11), one root
-    # product over forest (2, 11), and forest (1, 11) keep the workspace and
-    # its ints, temporaries included, below twice the budget, and the forest
-    # leaves no more allocated than its output, 1200 entries of 40 bytes.
-    table = random_block_table(RingSpec(11, 10), 10, 80, random.Random(60), t=(2,) * 10)
-    want = node_by_node_minor(table, 1, 10)
-    counters, table.counters = table.counters, OpCounters()
-    monkeypatch.setattr(minors, "_TREE_BYTES", 1 << 20)
-    widths = _strip_widths(table, monkeypatch)
-    tracemalloc.start()
-    try:
-        got = tree_minor(table, 1, 10)
-        before, peak = tracemalloc.get_traced_memory()
-        assert table.counters == counters
-        tracemalloc.reset_peak()
-        group = _group(table, 11)[0]
-        after, forest_peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert widths == [w for w in (31, 29) for _ in range(8)] + [60] + [15] * 36
-    assert got.dtype == want.dtype == object and np.array_equal(got, want)
-    assert peak < 2 * minors._TREE_BYTES and forest_peak < 2 * minors._TREE_BYTES
-    assert after - before < 40 * group.size
-    widths.clear()
-    _check_group(table, 11)
-    assert widths == [15] * 36
+# Over Python ints, 3^20 and 11^10, a canonical table's forests hold exact
+# minors as an int64 table's do: every level product is a float level, the
+# forests of 3^20 too big for one column or past 2^53 split off their first
+# trees, whose root products run in Python ints, and the exact minors reach
+# H^T through int64, never as Python floats.
+@pytest.mark.parametrize("ring,n,split", [
+    pytest.param(RingSpec(3, 20), 45, [21], id="3^20"),
+    pytest.param(RingSpec(11, 10), 80, [], id="11^10"),
+])
+def test_exact_levels_over_python_ints(ring, n, split, monkeypatch):
+    s = ring.s
+    sf = random_code(ring, n, (2,) * s, 60)
+    table = BlockMinorTable(extract_blocks(sf), sf.layout)
+    assert dtype_for(ring) is object
+    assert [end for end in range(3, s + 2) if table._levels(1, end) is None] == split
+    assert table._levels(2, s + 1)
+    levels = _level_spy(monkeypatch)
+    res = parity_check_minors(sf)
+    assert {dtype.kind for exact, dtype, *_ in levels if exact} == {"f"}
+    assert {dtype for exact, dtype, *_ in levels if not exact} <= {np.dtype(object)}
+    assert res.h.data.dtype == object and {type(x) for x in res.h.data.flat} == {int}
+    assert res.h == parity_check_iterative(sf).h
 
 
 # The leaf level's nodes skip the product by the identity, so none reaches
@@ -535,13 +533,14 @@ def test_one_level_product_per_group_level_and_strip(monkeypatch):
 
 
 def test_deep_tree_evaluates_its_root_over_recursed_children(monkeypatch):
-    # At 159 bytes one column of forest (1, 5) (160 bytes, see
-    # test_strip_edges) passes the budget, and at 71 one of forest (2, 5)
-    # (72 bytes) does: each splits into the forest of its other trees and its
-    # first tree, one full-width root product over a forest of its own.
-    # Forest (3, 5) (32 bytes) runs in strips of 2.
-    table = random_block_table(RingSpec(3, 4), 4, 13, random.Random(56), t=(2, 1, 2, 1))
-    monkeypatch.setattr(minors, "_TREE_BYTES", 71)
+    # At 35 bytes one column of forest (1, 5) (80 bytes, see
+    # test_strip_edges) passes the budget, and so does one of forest (2, 5)
+    # (5 level rows and a 4-row stack in float32, 36 bytes): each splits into
+    # the forest of its other trees and its first tree, one full-width root
+    # product over a forest of its own.  Forest (3, 5) (16 bytes) runs in
+    # strips of 2.
+    table = canonical_table(RingSpec(3, 4), 13, (2, 1, 2, 1), 56)
+    monkeypatch.setattr(minors, "_TREE_BYTES", 35)
     calls, forest = [], minors.BlockMinorTable._forest
 
     def spy(self, low, end, out):
@@ -558,12 +557,15 @@ def test_deep_tree_evaluates_its_root_over_recursed_children(monkeypatch):
 
 
 def test_deep_tree_memory_within_budget(monkeypatch):
-    # One column of forest (2, 19), the children of an order-18 tree at
-    # t_i = 2, takes 2^17 nodes and a 2^16-row stack at 8 bytes, 1.5 times
-    # the budget, so it splits off its first tree; the level arrays stay
-    # within the budget, temporaries included, below twice it.
+    # Forest (1, 19) of a canonical 3^18 table at t_i = 2 has levels 1 to 9
+    # in float64 and 10 to 17 in float32: one column takes 2^18 - 2 level rows
+    # and a 2^17-row stack, 1.5 times the budget, so tree (1, 19) is one root
+    # product over its children, forest (2, 19), which takes 0.75 times it a
+    # column and runs in strips of one.  The level arrays stay within the
+    # budget, temporaries included, below twice it.
     s = 18
-    table = random_block_table(RingSpec(3, s), s, 2 * s + 8, random.Random(59), t=(2,) * s)
+    table = canonical_table(RingSpec(3, s), 2 * s + 8, (2,) * s, 59)
+    assert table._plan(1, s + 1)[0] == 0 and table._plan(2, s + 1)[0] == 1
     tracemalloc.start()
     try:
         got = tree_minor(table, 1, s)
@@ -588,15 +590,11 @@ def _bounds_by_hand(blocks, t, end):
 
 
 def _expected_levels(table, end):
-    """The dtypes of the levels a = 1..end-2 of forest (1, end) by the rule:
-    exact for an int64 table whose every A(a, b) is below p^(b-a) and whose
-    bound stays below 2^53, float32 where the bound from a on is below 2^24;
-    None when the forest runs in the ring's storage."""
-    p, t = table.ring.p, table.layout.t
-    if dtype_for(table.ring) is object or any(
-            np.max(blk, initial=0) >= p ** (b - a) for (a, b), blk in table.blocks.items()):
-        return None
-    bound = _bounds_by_hand(table.blocks, t, end)
+    """The dtypes of the levels a = 1..end-2 of forest (1, end) by the rule,
+    for any ring and any reduced blocks: exact while the bound stays below
+    2^53, float32 where the bound from a on is below 2^24; None when no
+    float type holds the forest, which splits."""
+    bound = _bounds_by_hand(table.blocks, table.layout.t, end)
     if max(bound.values()) >= 2 ** 53:
         return None
     return {a: np.dtype(np.float32 if max(bound[b] for b in range(a, end)) < 2 ** 24
@@ -604,14 +602,14 @@ def _expected_levels(table, end):
 
 
 def _level_spy(monkeypatch):
-    """(exact, out's dtype, lowest, highest) of each level product: exact
-    when out is a float level, which the kernel leaves unreduced."""
+    """(exact, dtype, lowest, highest) of each product of the forest: a level
+    product is exact, into a float out, which the kernel leaves unreduced; a
+    split's root product, without out, is reduced in the storage."""
     levels, kernel = [], minors._matmul_reduced
 
-    def spy(rows, children, ring, leaf, out, work):
+    def spy(rows, children, ring, leaf, out=None, work=None):
         level = kernel(rows, children, ring, leaf, out, work)
-        exact = out.dtype.kind == "f"
-        levels.append((exact, out.dtype, level.min(initial=0), level.max(initial=0)))
+        levels.append((out is not None, level.dtype, level.min(initial=0), level.max(initial=0)))
         return level
 
     monkeypatch.setattr(minors, "_matmul_reduced", spy)
@@ -622,8 +620,10 @@ def _level_spy(monkeypatch):
 # float levels: the kernel leaves a float out unreduced, and a level
 # is float32 where the bound allows.  So do all-zero blocks, whose bound is
 # 0, against the node-by-node oracle too.  Blocks drawn from all of [0, m)
-# get storage levels on every ring: int64, which the kernel reduces into
-# [0, m).
+# are bounded as they are: exact where the bound allows, and split where it
+# passes 2^53, as on the higher orders over 401^3, 409^3, 3^15 and 3^16,
+# down to root products in int64, which the kernel reduces into [0, m).  So
+# each product is an exact float level or a split's root in the storage.
 @pytest.mark.parametrize("p,s,t,zero", [
     pytest.param(401, 3, (1, 1, 1), False, id="401^3"),
     pytest.param(409, 3, (1, 1, 1), False, id="409^3"),
@@ -659,14 +659,23 @@ def test_levels_exact_or_storage(p, s, t, zero, monkeypatch):
     table = random_block_table(ring, s, n, random.Random(64), t=t)
     node = _node_by_node(table)
     levels.clear()
+    split = set()
     for end in range(2, s + 2):
-        assert _expected_levels(table, end) is None
+        dtypes = _expected_levels(table, end)
+        assert table._levels(1, end) == dtypes, end
+        if dtypes is None:
+            split.add(end)
         got = _group(table, end)
         want = _node_group(node, end, m)
         assert got[0].dtype == want[0].dtype and np.array_equal(got[0], want[0]), end
         assert got[1] == want[1], end
-    assert {(exact, dtype) for exact, dtype, _, _ in levels} == {(False, np.dtype(np.int64))}
-    assert all(0 <= low and high < m for *_, low, high in levels)
+    assert bool(split) == (m > 81)
+    assert {(exact, dtype.kind) for exact, dtype, _, _ in levels} == (
+        {(True, "f"), (False, "i")} if split else {(True, "f")})
+    # Each split forest runs at least one root product, in the storage.
+    roots = [(dtype, low, high) for exact, dtype, low, high in levels if not exact]
+    assert len(roots) >= len(split)
+    assert all(dtype == np.int64 and 0 <= low and high < m for dtype, low, high in roots)
 
 
 def _tuned_table(ring, t, free, fill, target):
@@ -707,25 +716,28 @@ def _check_wide_group(table):
 # Level 1 of forest (1, 7) over 37^6, its children's bounds below 2^24: its
 # own bound at 2^24 - 1 makes it float32, at 2^24 float64.  Over 13^8 and
 # 3^13 at t_i = 12 the bound at 2^53 - 1 keeps the forest exact (float64 at
-# the top), and at 2^53 it runs in int64, the storage: 3^13 at k = 144 is
-# small enough that float64 could hold residues, but levels hold only exact
-# minors.
-@pytest.mark.parametrize("p,s,ell,fill,target,dtypes", [
-    pytest.param(37, 6, 2, 1, 2 ** 24 - 1, (np.float32, True), id="2^24-1"),
-    pytest.param(37, 6, 2, 1, 2 ** 24, (np.float64, True), id="2^24"),
-    pytest.param(13, 8, 12, 13 ** 8, 2 ** 53 - 1, (np.float64, True), id="2^53-1"),
-    pytest.param(13, 8, 12, 13 ** 8, 2 ** 53, (np.int64, False), id="2^53"),
-    pytest.param(3, 13, 12, 2, 2 ** 53 - 1, (np.float64, True), id="3^13-2^53-1"),
-    pytest.param(3, 13, 12, 2, 2 ** 53, (np.int64, False), id="3^13-2^53"),
+# the top), and at 2^53 no float type holds it: it splits off tree 1, whose
+# root product runs in int64, the storage.  3^13 at k = 144 is small enough
+# that float64 could hold residues, but levels hold only exact minors.
+@pytest.mark.parametrize("p,s,ell,fill,target,level", [
+    pytest.param(37, 6, 2, 1, 2 ** 24 - 1, np.float32, id="2^24-1"),
+    pytest.param(37, 6, 2, 1, 2 ** 24, np.float64, id="2^24"),
+    pytest.param(13, 8, 12, 13 ** 8, 2 ** 53 - 1, np.float64, id="2^53-1"),
+    pytest.param(13, 8, 12, 13 ** 8, 2 ** 53, None, id="2^53"),
+    pytest.param(3, 13, 12, 2, 2 ** 53 - 1, np.float64, id="3^13-2^53-1"),
+    pytest.param(3, 13, 12, 2, 2 ** 53, None, id="3^13-2^53"),
 ])
-def test_exact_levels_at_their_bounds(p, s, ell, fill, target, dtypes, monkeypatch):
+def test_exact_levels_at_their_bounds(p, s, ell, fill, target, level, monkeypatch):
     table = _tuned_table(RingSpec(p, s), (ell,) * s, 2, fill, target)
-    levels = _level_spy(monkeypatch)
-    assert table._levels(1, s + 1)[1] == np.dtype(dtypes[0])
-    assert (_expected_levels(table, s + 1) or {1: np.dtype(np.int64)})[1] == np.dtype(dtypes[0])
+    levels, want = _level_spy(monkeypatch), level and np.dtype(level)
+    assert (table._levels(1, s + 1) or {1: None})[1] == want
+    assert (_expected_levels(table, s + 1) or {1: None})[1] == want
+    assert table._levels(2, s + 1)
     _check_wide_group(table)
-    # Level 1 is the last of each strip.
-    assert (levels[-1][0], levels[-1][1]) == (dtypes[1], np.dtype(dtypes[0]))
+    # Level 1 is the last product of each strip, and tree 1's root product
+    # the last of a split.
+    assert levels[-1][:2] == ((True, want) if want else (False, np.dtype(np.int64)))
+    assert sum(not exact for exact, *_ in levels) == (0 if want else 1)
 
 
 def test_exact_level_over_a_child_past_float32(monkeypatch):
@@ -742,8 +754,9 @@ def test_exact_level_over_a_child_past_float32(monkeypatch):
 
 # Canonical tables of random_code: 3^16 at t_i = 1, and 1447^3, the largest
 # odd cube stored in int64, each against the node-by-node oracle.  An entry
-# of A(1, 2) raised to p, just outside its canonical range, sends the table
-# to storage levels.
+# of A(1, 2) raised to p, just outside its canonical range, is bounded as it
+# is, and the levels stay exact; raised to p^s - 1, it takes U(1) past 2^53,
+# and forest (1, s + 1) splits off tree 1, whose children stay exact.
 @pytest.mark.parametrize("ring,n,t", [
     pytest.param(RingSpec(3, 16), 18, (1,) * 16, id="3^16"),
     pytest.param(RingSpec(1447, 3), 10, (2, 2, 2), id="1447^3"),
@@ -758,16 +771,17 @@ def test_exact_levels_of_canonical_tables(ring, n, t, monkeypatch):
     _check_wide_group(table)
     assert {exact for exact, *_ in levels} == {True}
     assert {dtype for _, dtype, _, _ in levels} == set(want.values())
-    bumped = blocks[(1, 2)].data.copy()
-    bumped[0, 0] = ring.p
-    blocks[(1, 2)] = Matrix(ring, bumped)
-    table = BlockMinorTable(blocks, sf.layout)
-    assert _expected_levels(table, len(t) + 1) is None
-    storage = np.dtype(dtype_for(ring))
-    assert table._levels(1, len(t) + 1) == dict.fromkeys(range(1, len(t)), storage)
-    levels.clear()
-    _check_wide_group(table)
-    assert {(exact, dtype) for exact, dtype, _, _ in levels} == {(False, storage)}
+    storage, end = np.dtype(dtype_for(ring)), len(t) + 1
+    for entry, split in ((ring.p, False), (ring.modulus - 1, True)):
+        bumped = blocks[(1, 2)].data.copy()
+        bumped[0, 0] = entry
+        table = BlockMinorTable({**blocks, (1, 2): Matrix(ring, bumped)}, sf.layout)
+        want = _expected_levels(table, end)
+        assert table._levels(1, end) == want and (want is None) == split
+        assert table._levels(2, end)
+        levels.clear()
+        _check_wide_group(table)
+        assert [dtype for exact, dtype, *_ in levels if not exact] == [storage] * split
 
 
 def test_wide_inner_dimension_stays_int64(monkeypatch):
@@ -797,17 +811,47 @@ def test_wide_inner_dimension_stays_int64(monkeypatch):
 def test_minors_kernel_work_equals_counted_mults(monkeypatch):
     # The minors construction does the work the paper counts, no less: the
     # multiply-adds of its kernel calls sum to the counted products' a*b*c.
-    macs, kernel = [], minors._matmul_reduced
+    # On minors-deep every product is an exact level; a split costs nothing
+    # more either, its root products included: 3^12 at t_i = 20, whose
+    # widest forests pass 2^53, and 3^20 over Python ints, n = 45, whose
+    # widest passes it and whose deep forests pass the budget too.
+    macs, roots, kernel = [], [], minors._matmul_reduced
 
-    def spy(a, b, *rest):
+    def spy(a, b, ring, c, *level):
         macs.append(a.shape[0] * a.shape[1] * b.shape[1])
-        return kernel(a, b, *rest)
+        roots.append(not level)
+        return kernel(a, b, ring, c, *level)
 
     monkeypatch.setattr(minors, "_matmul_reduced", spy)
-    sf = random_code(RingSpec(3, 13), 200, (2,) * 13, 7)
-    hist = parity_check_minors(sf).counters.hist
-    counted = sum(key[1] * key[2] * key[3] * n for key, n in hist.items() if key[0] == "mul")
-    assert sum(macs) == counted == 5_756_688
+    for ring, n, t, want, split in ((RingSpec(3, 13), 200, (2,) * 13, 5_756_688, 0),
+                                    (RingSpec(3, 12), 400, (20,) * 12, 293_448_000, 4),
+                                    (RingSpec(3, 20), 45, (2,) * 20, 29_358_020, 11)):
+        macs.clear()
+        roots.clear()
+        hist = parity_check_minors(random_code(ring, n, t, 7)).counters.hist
+        counted = sum(key[1] * key[2] * key[3] * count for key, count in hist.items()
+                      if key[0] == "mul")
+        assert sum(macs) == counted == want and sum(roots) == split, ring
+
+
+# Entries of 2^40 drawn from all of [0, m) at t_i = 1: the bound of forest
+# (1, 41), near 2^1600, passes float64's range.  _bounds clamps each U at
+# 2^53, so no inf or nan appears, every forest of order 2 or more splits,
+# and its trees, at small orders, equal the node-by-node oracle.
+def test_exact_bound_clamped_past_float64_range():
+    ring, s = RingSpec(2, 40), 40
+    table = random_block_table(ring, s, s + 2, random.Random(66), t=(1,) * s)
+    assert _bounds_by_hand(table.blocks, table.layout.t, s + 1)[1] > 2 ** 1024
+    assert all(0 <= x <= 2 ** 53 for row in table._bounds for x in row)
+    assert max(table._bounds[s + 1]) == 2 ** 53
+    for end in range(2, s + 2):
+        assert table._levels(1, end) == _expected_levels(table, end)
+    for i in range(1, s + 1):
+        for j in range(1, min(4, s + 2 - i)):
+            table.counters = OpCounters()
+            got, counters, table.counters = tree_minor(table, i, j), table.counters, OpCounters()
+            want = node_by_node_minor(table, i, j)
+            assert got.dtype == want.dtype and np.array_equal(got, want) and counters == table.counters
 
 
 def test_malformed_blocks_raise_before_counting():
