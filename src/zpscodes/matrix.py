@@ -228,11 +228,10 @@ def _matmul_dtype(ring: RingSpec, rows: int, k: int, cols: int):
     return _tier((ring.modulus - 1) ** 2, k, rows * k * cols)
 
 
-def _matmul_reduced(a: np.ndarray, b: np.ndarray, ring: RingSpec, c=None, out=None,
-                    work=None) -> np.ndarray:
+def _matmul_reduced(a: np.ndarray, b: np.ndarray, ring: RingSpec, c=None) -> np.ndarray:
     """(a @ b, plus c on each block of c.shape[1] columns) mod p^s in the
     ring's storage, for reduced a, b and c: the one place where the
-    arithmetic of a product is decided.  It runs in _matmul_dtype, and an
+    arithmetic of a reduced product is decided.  It runs in _matmul_dtype, and an
     int64 product in inner chunks of _exact_terms(int64, (m - 1)^2, m - 1,
     m), each added to the sum so far and reduced once, so Python ints
     serve only a ring stored in them.  c is added in the storage, after the
@@ -240,28 +239,8 @@ def _matmul_reduced(a: np.ndarray, b: np.ndarray, ring: RingSpec, c=None, out=No
     of b of more than _PANEL_BYTES is made one column panel at a time, in
     one reused buffer of that size, each panel multiplied into the result:
     a is converted once.  The result is a new array.
-
-    Given out, a float array of the product's shape, it multiplies an exact
-    level of the block-minor forest instead: a and b integers in out's
-    dtype, c, which it needs, integers in any, work a flat buffer of as
-    many 8-byte words or more, which may hold b, and every partial sum of
-    the product plus c one term that _exact_terms holds in out's dtype.
-    BLAS writes the product into out, c is added in out's dtype, and
-    nothing is reduced, converted or allocated.
     """
     (rows, k), cols = a.shape, b.shape[1]
-    if out is not None:
-        np.matmul(a, b, out=out)
-        # c goes on tiled rep times, from work: numpy broadcasts a row of rep
-        # blocks over the product far faster than one of a block.
-        width = c.shape[1]
-        blocks = cols // max(width, 1)
-        rep = min(blocks & -blocks, 64) or 1
-        tile = _carve(work, (rows, 1, rep * width), out.dtype)
-        tile.reshape(rows, rep, width)[...] = c[:, None, :]
-        total = out.reshape(rows, blocks // rep, rep * width)
-        total += tile
-        return out
     m, storage, dtype = ring.modulus, dtype_for(ring), _matmul_dtype(ring, rows, k, cols)
     step = _exact_terms(np.int64, (m - 1) ** 2, m - 1, m) if dtype is np.int64 else max(k, 1)
     # The product, as blocks of c's width, takes c on each.

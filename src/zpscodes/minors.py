@@ -11,15 +11,15 @@ over a < b <= end of (-1)^(b-1-a) A(a, b) O(b, end), O(end, end) = Id.  As
 (end - a) + (b - 1 - a) + (end - b) is odd, it reads M(a) = -sum over
 a < b <= end of A(a, b) M(b), M(end) = Id: each block carries its sign, as
 in the iterative construction.  All the trees of one column group of H^T
-run at once, as one forest of levels of nodes, each level one call of the
-product kernel (see BlockMinorTable._forest).  The signed sum itself
+run at once, as one forest of levels of nodes, each level one exact
+product, _level_product (see BlockMinorTable._forest).  The signed sum itself
 serves only as an oracle, in the tests.
 
 The levels hold the minors as plain integers, reduced nowhere.  With the
 factors -A(a, b) taken as they are, the entries of M(a) are integers of
 magnitude at most U(a) = sum over a < b < end of t_b max A(a, b) U(b),
 plus max A(a, end), where U(end - 1) = max A(end - 1, end) and each max is
-read from the table's own blocks, so U bounds M(a) for any reduced
+read from the table's own rows, so U bounds M(a) for any reduced
 blocks.  Every partial sum of a level product is bounded by its U too.
 So a level is exact in any summation order in the first float type that
 holds one term of the largest U of it and its children (README,
@@ -46,6 +46,7 @@ from .matrix import (
     ShapeError, _carve, _matmul_reduced, _reduce, _reduce_in_place, _tier, dtype_for,
 )
 from .opcounters import OpCounters
+from .stdform import StandardForm, stripped_row
 from .zring import DomainError
 
 # Bytes that the level arrays of one column strip of a block-minor forest,
@@ -60,40 +61,45 @@ _TREE_BYTES = 1 << 20
 _LEAF_COPIES = 64
 
 
+def _level_product(factor, children, terms, level, stack) -> None:
+    """An exact level of a forest (see BlockMinorTable._forest): factor @
+    children into level, plus terms on each block of terms' width, all
+    integers, every partial sum one term that _exact_terms holds in level's
+    float dtype.  terms go on tiled rep times, from the flat buffer stack,
+    which may hold children: numpy broadcasts a row of rep blocks far faster
+    than one block.  Nothing is reduced, converted or allocated."""
+    np.matmul(factor, children, out=level)
+    rows, width = terms.shape
+    blocks = level.shape[1] // max(width, 1)
+    rep = min(blocks & -blocks, 64) or 1
+    tile = _carve(stack, (rows, 1, rep * width), level.dtype)
+    tile.reshape(rows, rep, width)[...] = terms[:, None, :]
+    total = level.reshape(rows, blocks // rep, rep * width)
+    total += tile
+
+
 class BlockMinorTable:
     """Block-minors of the block diagonal of a reduced associated matrix.
 
-    Holds the stripped blocks A_{i,j}, keyed by (i, j), 1 <= i <= s,
-    i + 1 <= j <= s + 1, as raw ndarrays, and recurses on their negations
-    (see the module docstring), counting through OpCounters.record_node as
-    the iterative construction does: one multiplication and one addition
-    per non-identity term, never the product by the order-0 identity
-    minor.  Nothing is memoized: every node of a recursion tree performs
-    its own block products, so operation counts reproduce independent
+    Holds row a = 1..s of the standard form as _rows[a] = -stripped_row(sf,
+    a), the factor and terms of every node at anchor a, in float64, exact
+    for an int64 ring, or in Python ints, and recurses on them (see the
+    module docstring), counting through OpCounters.record_node as the
+    iterative construction does: one multiplication and one addition per
+    non-identity term, never the product by the order-0 identity minor.
+    No minor is memoized: every node of a recursion tree performs its own
+    block products, so operation counts reproduce independent
     recomputation.  Only the dispatch is batched, one product per level of
-    nodes (see _forest), and the memory reused: every level product works
-    in the table's one workspace, which goes with the table.
+    nodes (see _forest), each forest planned once (see _plan), and the
+    memory reused: every level product works in the table's one workspace.
     """
 
-    def __init__(self, blocks: dict, layout, counters: OpCounters | None = None):
-        self.blocks = {key: block.data for key, block in blocks.items()}
-        self.layout = layout
-        self.ring = blocks[(1, 2)].ring
+    def __init__(self, sf: StandardForm, counters: OpCounters | None = None):
+        self.layout, self.ring = sf.layout, sf.matrix.ring
         self.counters = counters if counters is not None else OpCounters()
-        self._work, self._cast, self._dtypes = None, {}, {}
-
-    @cached_property
-    def _rows(self) -> dict:
-        """Row group a as -[A(a, a+1) | ... | A(a, s+1)], signed, in float64,
-        which holds every entry of an int64 ring exactly, or in Python ints:
-        the factor and the terms of every node at anchor a."""
-        layout, blocks = self.layout, self.blocks
-        widths = (*layout.t, layout.n - layout.total)
-        if any(blk.shape != (widths[a - 1], widths[b - 1]) for (a, b), blk in blocks.items()):
-            raise ShapeError(f"blocks do not fit the type {layout.t}")
         dtype = object if dtype_for(self.ring) is object else np.float64
-        return {a: -np.hstack([blocks[(a, b)] for b in range(a + 1, layout.s + 2)], dtype=dtype)
-                for a in range(1, layout.s + 1)}
+        self._rows = {a: -stripped_row(sf, a).astype(dtype) for a in range(1, self.layout.s + 1)}
+        self._work, self._cast, self._plans = None, {}, {}
 
     def _row(self, a: int, dtype: np.dtype) -> np.ndarray:
         """Row group a in dtype: signed in a float dtype, reduced mod p^s in
@@ -135,19 +141,6 @@ class BlockMinorTable:
             bound[a] = np.minimum(top[a] + weight[a] @ bound, 2.0 ** 53)
         return np.maximum.accumulate(bound[::-1], axis=0)[::-1].T.tolist()
 
-    def _levels(self, low: int, end: int):
-        """The float dtype of each level a = low..end-2 of forest (low, end),
-        found once, as _plan asks twice: the matrix._tier of one term of the
-        bound from a on (see _bounds).  None unless that of level low, the
-        largest, is a float type: no float type holds the forest's minors,
-        and it splits (see _forest)."""
-        if (low, end) not in self._dtypes:
-            bound = self._bounds[end]
-            exact = _tier(bound[low], 1) in (np.float32, np.float64)
-            self._dtypes[low, end] = ({a: np.dtype(_tier(bound[a], 1)) for a in range(low, end - 1)}
-                                      if exact else None)
-        return self._dtypes[low, end]
-
     # A counted block product and sum, kept only as perfbench/tracer.py's targets.
     def _counted_mul(self, a: np.ndarray, b: np.ndarray, wide: bool) -> np.ndarray:
         if a.shape[1] != b.shape[0]:
@@ -170,34 +163,40 @@ class BlockMinorTable:
         end, layout = i + j, self.layout
         if not (1 <= i and 0 <= j and end <= layout.s + 1):
             raise DomainError(f"block-minor ({i}, {j}) out of range for s={layout.s}")
-        rows = layout.group(end).start - layout.group(i).start
-        if out.shape != (rows, self.blocks[(i, end)].shape[1] if j else 0):
+        rows, cols = layout.group(end).start - layout.group(i).start, layout.group(end)
+        if out.shape != (rows, cols.stop - cols.start if j else 0):
             raise ShapeError(f"out {out.shape} does not fit the minors ({i}, {j})")
         if j:
             self._forest(i, end, out)
 
     def _plan(self, low: int, end: int) -> tuple:
-        """(strip, sizes, dtypes) of forest (low, end) (see _forest): the
-        strip width, 0 when one column passes _TREE_BYTES or _levels is
-        None; the workspace words, 8 bytes each, that a strip takes for its
-        levels, each padded to a whole word, and for its largest children
-        stack or level, whose c the stack takes once the level's product is
-        done; and _levels.  Level a holds 2^(a-low) nodes of t_a rows, and
-        stacks sum(t[a:end-1]) rows of children for each, in its own
-        dtype."""
-        t, width = self.layout.t, self.blocks[(low, end)].shape[1]
-        dtypes, sizes, stack, kids = self._levels(low, end), [], 0, 0
-        if dtypes is None:
-            return 0, (0, 0), None
-        for a in range(end - 2, low - 1, -1):
-            count, itemsize = 1 << (a - low), dtypes[a].itemsize
-            kids += t[a]  # sum(t[a:end-1])
-            sizes.append(t[a - 1] * count * itemsize)
-            stack = max(stack, max(kids, t[a - 1]) * count * itemsize)
-        column = sum(sizes) + stack  # bytes a column
-        strip = max(1, _TREE_BYTES // max(column, 8)) if column <= _TREE_BYTES else 0
-        cols = min(strip, width)
-        return strip, (sum(-(-size * cols // 8) for size in sizes), -(-stack * cols // 8)), dtypes
+        """(strip, sizes, dtypes) of forest (low, end), found once a table
+        (see _forest).  dtypes[a], a = low..end-2, is the matrix._tier of one
+        term of the bound from a on (see _bounds); dtypes is None, and the
+        forest splits, unless level low's, the largest, is a float type.
+        strip is 0 then, or when one column passes _TREE_BYTES; sizes are
+        the 8-byte workspace words of a strip's levels, each padded to a
+        word, and of its largest children stack or level, which takes the
+        level's terms after its product.  Level a holds 2^(a-low) nodes of
+        t_a rows, and stacks sum(t[a:end-1]) rows of children for each."""
+        key = low, end
+        if key not in self._plans:
+            t, bound, group = self.layout.t, self._bounds[end], self.layout.group(end)
+            self._plans[key] = 0, (0, 0), None
+            if _tier(bound[low], 1) in (np.float32, np.float64):
+                dtypes = {a: np.dtype(_tier(bound[a], 1)) for a in range(low, end - 1)}
+                sizes, stack, kids = [], 0, 0
+                for a in range(end - 2, low - 1, -1):
+                    count, itemsize = 1 << (a - low), dtypes[a].itemsize
+                    kids += t[a]  # sum(t[a:end-1])
+                    sizes.append(t[a - 1] * count * itemsize)
+                    stack = max(stack, max(kids, t[a - 1]) * count * itemsize)
+                column = sum(sizes) + stack  # bytes a column
+                strip = max(1, _TREE_BYTES // max(column, 8)) if column <= _TREE_BYTES else 0
+                cols = min(strip, group.stop - group.start)
+                words = sum(-(-size * cols // 8) for size in sizes), -(-stack * cols // 8)
+                self._plans[key] = strip, words, dtypes
+        return self._plans[key]
 
     def _workspace(self, size: int) -> np.ndarray:
         """The flat float64 buffer that every level product works in, of at
@@ -210,20 +209,19 @@ class BlockMinorTable:
             self._work = np.empty(max(size, *groups))
         return self._work
 
-    def _strip(self, low: int, end: int, cols: int, levels: np.ndarray, stack: np.ndarray,
-               dtypes: dict):
+    def _strip(self, low: int, end: int, cols: int, levels: np.ndarray, stack: np.ndarray):
         """(steps, sinks): the views in which each strip of cols columns of
-        forest (low, end) runs, levels in the flat buffer levels (see _plan)
-        in dtypes, each level and stack as rows of its nodes side by side.
-        Step a, a = end-2..low, is (row a's first k columns, the rest, the
-        nodes of levels a+1..end-2 that are its children, where they stack,
-        where the leaf level's stack, the whole stack, level a), with
+        forest (low, end) runs, levels in the flat buffer levels in the
+        dtypes of _plan, each level and stack as rows of its nodes side by
+        side.  Step a, a = end-2..low, is (row a's first k columns, the rest,
+        the nodes of levels a+1..end-2 that are its children, where they
+        stack, where the leaf level's stack, the whole stack, level a), with
         k = sum(t[a:end-1]); sink a is node 0 of level a.  The leaf
         level's stack is seen as rows of _LEAF_COPIES nodes, or of all of
         them if fewer: numpy broadcasts one node over many at a fraction of
         the speed at which it copies such a row."""
         t, steps, level, used, k = self.layout.t, [], {}, 0, 0
-        leaves = t[end - 2]
+        leaves, dtypes = t[end - 2], self._plan(low, end)[2]
         for a in range(end - 2, low - 1, -1):
             count, dtype, k = 1 << (a - low), dtypes[a], k + t[a]
             row, copies, nodes = self._row(a, dtype), min(count, _LEAF_COPIES), count * cols
@@ -257,13 +255,13 @@ class BlockMinorTable:
         A(a, b) M(b), skipping the product by M(end) = Id.  Level a holds the
         2^(a-low) nodes that the trees have at anchor a, node 0 the root of
         tree a; its nodes' children at anchor b are nodes [2^(a-low),
-        2^(a-low+1)) of level b.  So a level is one call of _matmul_reduced:
+        2^(a-low+1)) of level b.  So a level is one call of _level_product:
         -[A(a, a+1) | ... | A(a, end-1)] times its children, stacked in the
         workspace, plus -A(a, end), both from row a, into its own array
         there, counted once at full width.  The leaf level end - 1 is never
         computed: each node is -A(end-1, end), which a forest of one order-1
-        tree copies whole.  The levels, float (see _levels), hold exact
-        signed minors, which the kernel leaves unreduced in a float out.
+        tree copies whole.  The levels, float (see _plan), hold exact
+        signed minors, unreduced.
         Each strip copies its sinks, node 0 of each level, into out as they
         are, through one int64 array for an out of Python ints, and the
         forest reduces out, the leaf's row group included, once.  A forest
@@ -296,7 +294,7 @@ class BlockMinorTable:
         for c0 in range(0, max(width, 1), strip):
             if cols != min(strip, width - c0):  # the first strip, or a narrower last one
                 cols = min(strip, width - c0)
-                steps, sinks = self._strip(low, end, cols, work[:nlevels], stack, dtypes)
+                steps, sinks = self._strip(low, end, cols, work[:nlevels], stack)
             # The leaf level's node, as copies side by side that fill a row of
             # a leaf stack at a time (see _strip).
             tile = np.tile(leaf[:, c0 : c0 + cols], min(1 << (end - 2 - low), _LEAF_COPIES))
@@ -304,7 +302,7 @@ class BlockMinorTable:
                 if sources:
                     np.concatenate(sources, out=kids)
                 leaves[...] = tile[:, None, : leaves.shape[2]]
-                _matmul_reduced(factor, children, self.ring, terms[:, c0 : c0 + cols], level, stack)
+                _level_product(factor, children, terms[:, c0 : c0 + cols], level, stack)
             np.concatenate(sinks, out=dest[:top, c0 : c0 + cols], casting="unsafe")
         _reduce_in_place(dest, m)
         if dest is not out:

@@ -31,7 +31,7 @@ from .matrix import (
 )
 from .minors import BlockMinorTable
 from .opcounters import OpCounters, predicted_counts_minors
-from .stdform import StandardForm, extract_blocks, standard_form, stripped_row
+from .stdform import StandardForm, standard_form, stripped_row
 from .zring import DomainError, RingMismatchError
 
 
@@ -106,7 +106,7 @@ def parity_check_minors(sf: StandardForm) -> ParityCheckResult:
 
     def fill(ht, dual, counters):
         # The table, and with it its workspace, goes when fill returns.
-        table = BlockMinorTable(extract_blocks(sf), layout, counters)
+        table = BlockMinorTable(sf, counters)
         for j, width in enumerate(dual.t, start=1):
             if width:
                 end = s + 2 - j

@@ -8,8 +8,11 @@ import numpy as np
 
 from zpscodes import (BlockLayout, Matrix, OpCounters, Permutation, RingSpec, StandardForm,
                       standard_form)
-from zpscodes.matrix import ParseError
+from zpscodes.matrix import ParseError, dtype_for
+from zpscodes.minors import BlockMinorTable
 from zpscodes.zring import unit_inverse_int
+
+from oracles import table_blocks
 
 
 def cofactor_det(rows, modulus):
@@ -121,21 +124,40 @@ def miscount_big_mults(monkeypatch):
     monkeypatch.setattr(OpCounters, "record_mul", record_twice)
 
 
+def group_width(layout, j):
+    """The width of column group j of layout."""
+    group = layout.group(j)
+    return group.stop - group.start
+
+
+def block_table(ring, layout, blocks, counters=None):
+    """A BlockMinorTable whose stripped blocks A(i, j) are the ndarrays
+    blocks[(i, j)], entries anywhere in [0, p^s).  A standard form's row
+    group i holds p^(i-1) A(i, j) mod p^s, so A(i, j) only mod p^(s-i+1):
+    the table is built from a zero form of the layout, and its signed rows
+    are then set from blocks."""
+    zero = Matrix(ring, np.zeros((layout.total, layout.n), np.int64))
+    table = BlockMinorTable(StandardForm(zero, layout, Permutation.identity(layout.n)), counters)
+    for i, row in table._rows.items():
+        row[...] = -np.hstack([blocks[(i, j)] for j in range(i + 1, layout.s + 2)])
+    return table
+
+
 def node_by_node_minor(table, i, j):
     """The order-j block-minor of a BlockMinorTable anchored at block-row i
     (j >= 1) by the plain recursion, one node at a time on python ints:
     O(a) = sum over a < b <= end of (-1)^(b-1-a) A(a, b) O(b), end = i + j,
     with the product by O(end) = Id skipped.  Each block product and sum is
-    recorded in table.counters with count 1.  Uses only table.blocks and
-    table.layout: the reference for the table's level-by-level recursion."""
+    recorded in table.counters with count 1.  Uses only the table's blocks
+    and layout: the reference for the table's level-by-level recursion."""
     end, m, t = i + j, table.ring.modulus, table.layout.t
-    wide = end == table.layout.s + 1
-    width = table.blocks[(i, end)].shape[1]
+    wide, blocks = end == table.layout.s + 1, table_blocks(table)
+    width = group_width(table.layout, end)
 
     def node(a):
         acc = None
         for b in range(a + 1, end + 1):
-            term = table.blocks[(a, b)].astype(object)
+            term = blocks[(a, b)].astype(object)
             if b < end:
                 term = term.dot(node(b))
                 table.counters.record_mul(t[a - 1], t[b - 1], width, wide)
@@ -145,15 +167,14 @@ def node_by_node_minor(table, i, j):
             acc = term if acc is None else acc + term
         return acc % m
 
-    return node(i).astype(table.blocks[(i, end)].dtype)
+    return node(i).astype(dtype_for(table.ring))
 
 
 def tree_minor(table, i, j):
     """O(i, i + j), j >= 1, from tree (i, i + j) of a BlockMinorTable alone,
     with its counters: BlockMinorTable._tree, or the forest of the one
     order-1 tree, which leave it signed (-1)^j."""
-    out = np.empty((table.layout.t[i - 1], table.blocks[(i, i + j)].shape[1]),
-                   table.blocks[(i, i + j)].dtype)
+    out = np.empty((table.layout.t[i - 1], group_width(table.layout, i + j)), dtype_for(table.ring))
     (table._tree if j > 1 else table._forest)(i, i + j, out)
     return out if j % 2 == 0 else (-out) % table.ring.modulus
 

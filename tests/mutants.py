@@ -102,13 +102,6 @@ MUTANTS = [
         ("tests/test_matrix.py::test_kernel_matches_python_ints",),
     ),
     Mutant(
-        "level-term-subtracted", "matrix.py",
-        "        total += tile\n",
-        "        total -= tile\n",
-        "an exact level subtracts its term -A(a, end) instead of adding it",
-        ("tests/test_matrix.py::test_exact_float_level_is_not_reduced",),
-    ),
-    Mutant(
         "panel-stride-too-wide", "matrix.py",
         "for c0 in range(0, cols, w):",
         "for c0 in range(0, cols, w + 1):",
@@ -152,10 +145,40 @@ MUTANTS = [
     ),
     Mutant(
         "inexact-forest-not-split", "minors.py",
-        "if exact else None)",
-        "if True else None)",
+        "if _tier(bound[low], 1) in (np.float32, np.float64):",
+        "if True:",
         "a forest whose bound no float type holds runs in int64 levels, which overflow, unsplit",
         ("tests/test_minors.py::test_exact_levels_at_their_bounds",),
+    ),
+    Mutant(
+        "plan-cache-keyed-on-end", "minors.py",
+        "key = low, end",
+        "key = end",
+        "a split's forest (low + 1, end) takes the plan of forest (low, end), and splits again",
+        ("tests/test_minors.py::test_each_forest_planned_once",
+         "tests/test_minors.py::test_deep_tree_evaluates_its_root_over_recursed_children"),
+    ),
+    Mutant(
+        "table-rows-unsigned", "minors.py",
+        "{a: -stripped_row(sf, a).astype(dtype)",
+        "{a: stripped_row(sf, a).astype(dtype)",
+        "the table holds A, not -A, so every minor of odd order has the wrong sign",
+        ("tests/test_minors.py::test_leaf_level_skipped_and_one_stack_per_table",),
+    ),
+    Mutant(
+        "level-term-subtracted", "minors.py",
+        "    total += tile\n",
+        "    total -= tile\n",
+        "an exact level subtracts its term -A(a, end) instead of adding it",
+        ("tests/test_matrix.py::test_exact_float_level_is_not_reduced",),
+    ),
+    Mutant(
+        "level-tile-not-dividing", "minors.py",
+        "rep = min(blocks & -blocks, 64) or 1",
+        "rep = min(blocks & -blocks, 48) or 1",
+        "a level of 64 nodes or more gets a tile of 48 copies of its term, which does not divide it",
+        ("tests/test_matrix.py::test_float_level_allocates_nothing_that_grows",
+         "tests/test_minors.py::test_one_level_product_per_group_level_and_strip"),
     ),
     Mutant(
         "bounds-not-clamped", "minors.py",

@@ -10,7 +10,7 @@ from itertools import combinations
 
 import numpy as np
 
-from zpscodes.matrix import Matrix, Permutation
+from zpscodes.matrix import Matrix, Permutation, dtype_for
 from zpscodes.stdform import extract_blocks
 from zpscodes.zring import DomainError
 
@@ -100,9 +100,22 @@ def det_structured_laplace(a: Matrix) -> int:
     return minor(1, n)
 
 
+def table_blocks(table) -> dict:
+    """The stripped blocks A_{i,j} of a BlockMinorTable, keyed by (i, j), in
+    the ring's storage: its rows -[A_{i,i+1} | ... | A_{i,s+1}], negated and
+    cut at the column groups."""
+    layout, storage, out = table.layout, dtype_for(table.ring), {}
+    for i, row in table._rows.items():
+        start = layout.group(i + 1).start
+        for j in range(i + 1, layout.s + 2):
+            cols = layout.group(j)
+            out[(i, j)] = (-row[:, cols.start - start : cols.stop - start]).astype(storage)
+    return out
+
+
 def block(table, i: int, j: int) -> Matrix:
     """The stripped block A_{i,j} of a BlockMinorTable."""
-    return Matrix(table.ring, table.blocks[(i, j)])
+    return Matrix(table.ring, table_blocks(table)[(i, j)])
 
 
 def block_minor_sum(table, i: int, j: int) -> Matrix:
@@ -114,11 +127,11 @@ def block_minor_sum(table, i: int, j: int) -> Matrix:
     if j == 0:
         group = table.layout.group(i)
         return Matrix(table.ring, np.eye(group.stop - group.start, dtype=np.int64))
-    acc = 0
+    acc, blocks = 0, table_blocks(table)
     for sigma in enumerate_restricted(j):
         term = None
         for h in j_set(sigma):
-            factor = table.blocks[(i + h - 1, i + sigma.images[h - 1])].astype(object)
+            factor = blocks[(i + h - 1, i + sigma.images[h - 1])].astype(object)
             term = factor if term is None else term.dot(factor)
         acc = acc + sign(sigma) * term
     return Matrix(table.ring, acc % table.ring.modulus)

@@ -43,7 +43,7 @@ from zpscodes.matrix import (
     mat_transpose,
     zeros,
 )
-from zpscodes.minors import BlockMinorTable
+from zpscodes.minors import BlockMinorTable, _level_product
 from zpscodes.zring import RingMismatchError
 
 from helpers import chunk_spy, entrywise_parse_matrix, inverse, random_matrix, row_format_matrix
@@ -659,7 +659,7 @@ def test_kernels_leave_operands_unchanged():
         assert prod.tolist() == _python_product(a, b, ring.modulus)
         plus_c = _matmul_reduced(a, b, ring, c)
         assert plus_c.tolist() == ((prod.astype(object) + c) % ring.modulus).tolist()
-        table = BlockMinorTable({(1, 2): Matrix(ring, a)}, None)
+        table = BlockMinorTable(standard_form(Matrix(ring, a[:1])))
         total = table._counted_add(prod, c, wide=False)
         assert total is not prod and total is not c
         assert total.tolist() == ((prod.astype(object) + c) % ring.modulus).tolist()
@@ -812,11 +812,12 @@ def test_kernel_matches_python_ints(p, s, headroom):
             assert chunks == [(w, np.dtype(storage)) for w in widths]
 
 
-# The kernel writing into a float out, an exact level, with b held in work
-# in out's dtype, on each float tier: float32 (2^4) and float64 (3^13).
-# work is written only once b has been read, so it may hold b, and the
-# product allocates nothing that grows with it: adding c takes a buffer of
-# numpy's iterator, at most 8192 entries, a quarter of this product.
+# An exact level of the block-minor forest, minors._level_product, writing
+# into a float out, with b held in work in out's dtype, on each float tier:
+# float32 (2^4) and float64 (3^13).  work is written only once b has been
+# read, so it may hold b, and the product allocates nothing that grows with
+# it: adding c takes a buffer of numpy's iterator, at most 8192 entries, a
+# quarter of this product.  The kernel gives the same product reduced.
 @pytest.mark.parametrize("p,s,k,tier", [(2, 4, 64, np.float32), (3, 13, 64, np.float64)])
 def test_kernel_into_out_and_work(p, s, k, tier):
     ring = RingSpec(p, s)
@@ -831,12 +832,12 @@ def test_kernel_into_out_and_work(p, s, k, tier):
     fa, out = a.astype(tier), np.empty((rows, cols), tier)
     tracemalloc.start()
     try:
-        got = _matmul_reduced(fa, held, ring, c, out, work)
+        _level_product(fa, held, c, out, work)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     want = a.astype(object) @ b.astype(object) + np.tile(c.astype(object), (1, cols // width))
-    assert got is out and out.astype(np.int64).tolist() == want.tolist()
+    assert out.astype(np.int64).tolist() == want.tolist()
     assert (want % m).tolist() == _matmul_reduced(a, b, ring, c).tolist()
     assert peak < out.nbytes // 2
 
@@ -853,9 +854,7 @@ def test_exact_float_level_is_not_reduced(dtype, bits):
     c = rng.integers(-(2 ** (2 * bits + 2)), 2 ** (2 * bits + 2), (rows, width))
     a[0], b[:, 0], c[0, 0] = 2 ** bits, 2 ** bits, 2 ** (2 * bits + 2)
     out, work = np.empty((rows, blocks * width), dtype), np.empty(rows * blocks * width)
-    # The ring goes unread: a float out is an exact level.
-    got = _matmul_reduced(a.astype(dtype), b.astype(dtype), RingSpec(3, 13), c, out, work)
-    assert got is out
+    _level_product(a.astype(dtype), b.astype(dtype), c, out, work)
     assert np.array_equal(out.astype(np.int64), a @ b + np.tile(c, blocks))
     assert out[0, 0] == 4 * 2 ** (2 * bits) + 2 ** (2 * bits + 2)
 
@@ -871,7 +870,7 @@ def test_float_level_allocates_nothing_that_grows():
     fa, fb, fc = (x.astype(np.float64) for x in (a, b, c))
     tracemalloc.start()
     try:
-        _matmul_reduced(fa, fb, RingSpec(3, 13), fc, out, work)
+        _level_product(fa, fb, fc, out, work)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

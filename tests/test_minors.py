@@ -24,7 +24,14 @@ from zpscodes.stdform import StandardForm, extract_blocks
 from zpscodes.zring import DomainError
 
 from helpers import (
-    chunk_spy, cofactor_det, node_by_node_minor, random_matrix, structured_matrix, tree_minor
+    block_table,
+    chunk_spy,
+    cofactor_det,
+    group_width,
+    node_by_node_minor,
+    random_matrix,
+    structured_matrix,
+    tree_minor,
 )
 from oracles import (
     block,
@@ -34,6 +41,7 @@ from oracles import (
     enumerate_restricted,
     is_restricted,
     j_set,
+    table_blocks,
 )
 
 
@@ -148,8 +156,8 @@ def test_det_methods_match_cofactor_oracle(ring):
 
 
 def random_block_table(ring, s, n, rng, counters=None, t=None):
-    """Random stripped block map for type t, or for a type drawn with every
-    t_i >= 0."""
+    """A table of random stripped blocks, entries from all of [0, p^s), for
+    type t, or for a type drawn with every t_i >= 0."""
     if t is None:
         t = [rng.randint(0, 3) for _ in range(s)]
         while sum(t) > n:
@@ -158,16 +166,14 @@ def random_block_table(ring, s, n, rng, counters=None, t=None):
     blocks = {}
     for i in range(1, s + 1):
         for j in range(i + 1, s + 2):
-            cols = layout.group(j)
-            blocks[(i, j)] = random_matrix(ring, layout.t[i - 1], cols.stop - cols.start, rng)
-    return BlockMinorTable(blocks, layout, counters)
+            blocks[(i, j)] = random_matrix(ring, layout.t[i - 1], group_width(layout, j), rng).data
+    return block_table(ring, layout, blocks, counters)
 
 
 def canonical_table(ring, n, t, seed):
-    """The stripped blocks of random_code's standard form, each entry of
-    A(a, b) below p^(b-a)."""
-    sf = random_code(ring, n, t, seed)
-    return BlockMinorTable(extract_blocks(sf), sf.layout)
+    """The table of random_code's standard form, each entry of A(a, b)
+    below p^(b-a)."""
+    return BlockMinorTable(random_code(ring, n, t, seed))
 
 
 def test_block_minor_conventions():
@@ -178,7 +184,7 @@ def test_block_minor_conventions():
     o0 = block_minor_sum(table, 1, 0)
     assert o0.shape == (t1, t1)
     assert o0.tolist() == [[1 if r == c else 0 for c in range(t1)] for r in range(t1)]
-    assert np.array_equal(tree_minor(table, 1, 1), table.blocks[(1, 2)])
+    assert np.array_equal(tree_minor(table, 1, 1), table_blocks(table)[(1, 2)])
     assert block_minor_sum(table, 1, 1) == block(table, 1, 2)
 
 
@@ -205,7 +211,7 @@ def test_block_minor_rec_matches_sum(s, ring, t):
         for i in range(1, s + 1):
             for j in range(0, min(s + 2 - i, 7)):
                 rows = slice(layout.group(i).start, layout.group(i + j).start)
-                width = table.blocks[(i, i + j)].shape[1] if j else 0
+                width = group_width(layout, i + j) if j else 0
                 out = np.zeros((rows.stop - rows.start, width), dtype_for(ring))
                 table.block_minor_rec(i, j, out)
                 for a in range(i, i + j):
@@ -250,7 +256,7 @@ def test_order_zero_minor_of_the_free_group():
     # O(s + 1) of order 0 is the identity on the free group, of width n - t.
     ring = RingSpec(3, 3)
     sf = random_code(ring, 10, (1, 2, 1), 1)
-    table = BlockMinorTable(extract_blocks(sf), sf.layout)
+    table = BlockMinorTable(sf)
     assert block_minor_sum(table, 4, 0) == identity(ring, 6)
     # n = t: the free group has width 0.
     table = random_block_table(ring, 3, 6, random.Random(55), t=(1, 2, 3))
@@ -336,7 +342,7 @@ def _group(table, end):
     """The column-group pass block_minor_rec(1, end - 1, out) with its own
     counters.  out is a column slice of a wider array, strided as a column
     group of H^T is."""
-    width = table.blocks[(1, end)].shape[1]
+    width = group_width(table.layout, end)
     wider = np.zeros((table.layout.group(end).start, width + 2), dtype_for(table.ring))
     table.counters = OpCounters()
     assert table.block_minor_rec(1, end - 1, wider[:, 1 : width + 1]) is None
@@ -361,11 +367,12 @@ def _group(table, end):
     pytest.param(RingSpec(3, 13), 200, (2,) * 13, id="3^13-minors-deep"),
 ])
 def test_levels_match_node_by_node(ring, n, t, monkeypatch):
-    table = random_block_table(ring, len(t), n, random.Random(54 + n), t=t)
-    node = _node_by_node(table)
+    node = _node_by_node(random_block_table(ring, len(t), n, random.Random(54 + n), t=t))
     groups = {end: _node_group(node, end, ring.modulus) for end in range(2, len(t) + 2)}
     for tree_bytes in (0, 600, 1 << 16, 2 ** 62):
         monkeypatch.setattr(minors, "_TREE_BYTES", tree_bytes)
+        # The same table, planned anew under this budget.
+        table = random_block_table(ring, len(t), n, random.Random(54 + n), t=t)
         got = _trees(table)
         for key, (arr, counters) in node.items():
             assert got[key][0].dtype == arr.dtype, key
@@ -378,15 +385,30 @@ def test_levels_match_node_by_node(ring, n, t, monkeypatch):
             assert got[1] == counters, (tree_bytes, end)
 
 
+def _spy_products(monkeypatch, record):
+    """Call record(exact, factor, children, terms, result) after each product
+    of a forest, in order: a level, by _level_product, exact, its result the
+    level; a split's root, by the kernel, reduced in the storage."""
+    level_product, kernel = minors._level_product, minors._matmul_reduced
+
+    def level_spy(factor, children, terms, level, stack):
+        level_product(factor, children, terms, level, stack)
+        record(True, factor, children, terms, level)
+
+    def root_spy(factor, children, ring, terms):
+        result = kernel(factor, children, ring, terms)
+        record(False, factor, children, terms, result)
+        return result
+
+    monkeypatch.setattr(minors, "_level_product", level_spy)
+    monkeypatch.setattr(minors, "_matmul_reduced", root_spy)
+
+
 def _strip_widths(table, monkeypatch):
-    """Leaf widths of the level and root products, minors' kernel calls."""
-    widths, kernel = [], minors._matmul_reduced
-
-    def spy(rows, children, ring, leaf, *work):
-        widths.append(leaf.shape[1])
-        return kernel(rows, children, ring, leaf, *work)
-
-    monkeypatch.setattr(minors, "_matmul_reduced", spy)
+    """Leaf widths of the level and root products."""
+    widths = []
+    _spy_products(monkeypatch, lambda _exact, _factor, _children, terms, _result:
+                  widths.append(terms.shape[1]))
     return widths
 
 
@@ -414,9 +436,9 @@ def _check_group(table, end):
     pytest.param(6, 2 ** 62, [0], id="width-0"),
 ])
 def test_strip_edges(n, tree_bytes, strips, monkeypatch):
-    table = canonical_table(RingSpec(3, 4), n, (2, 1, 2, 1), 56)
-    assert set(table._levels(1, 5).values()) == {np.dtype(np.float32)}
     monkeypatch.setattr(minors, "_TREE_BYTES", tree_bytes)
+    table = canonical_table(RingSpec(3, 4), n, (2, 1, 2, 1), 56)
+    assert set(table._plan(1, 5)[2].values()) == {np.dtype(np.float32)}
     widths = _strip_widths(table, monkeypatch)
     _check_group(table, 5)
     assert widths == [w for w in strips for _ in range(3)]
@@ -434,10 +456,10 @@ def test_strip_edges(n, tree_bytes, strips, monkeypatch):
 def test_exact_levels_over_python_ints(ring, n, split, monkeypatch):
     s = ring.s
     sf = random_code(ring, n, (2,) * s, 60)
-    table = BlockMinorTable(extract_blocks(sf), sf.layout)
+    table = BlockMinorTable(sf)
     assert dtype_for(ring) is object
-    assert [end for end in range(3, s + 2) if table._levels(1, end) is None] == split
-    assert table._levels(2, s + 1)
+    assert [end for end in range(3, s + 2) if table._plan(1, end)[2] is None] == split
+    assert table._plan(2, s + 1)[2]
     levels = _level_spy(monkeypatch)
     res = parity_check_minors(sf)
     assert {dtype.kind for exact, dtype, *_ in levels if exact} == {"f"}
@@ -461,26 +483,25 @@ def test_exact_levels_over_python_ints(ring, n, split, monkeypatch):
 def test_leaf_level_skipped_and_one_stack_per_table(ring, n, t, monkeypatch):
     sf = random_code(ring, n, t, 61)
     calls, groups = [], {}
-    kernel, block_minor_rec = minors._matmul_reduced, minors.BlockMinorTable.block_minor_rec
+    level_product, block_minor_rec = minors._level_product, minors.BlockMinorTable.block_minor_rec
 
-    def product_spy(rows, children, ring, leaf, out, work):
-        level = kernel(rows, children, ring, leaf, out, work)
-        calls.append((work.base, children, level))  # work: a slice of the workspace
-        return level
+    def product_spy(factor, children, terms, level, stack):
+        level_product(factor, children, terms, level, stack)
+        calls.append((stack.base, children, level))  # stack: a slice of the workspace
 
     def minor_spy(self, i, j, out):
         got = block_minor_rec(self, i, j, out)
         groups[(i, j)] = out.copy()  # a view of H^T, scaled once filled
         return got
 
-    monkeypatch.setattr(minors, "_matmul_reduced", product_spy)
+    monkeypatch.setattr(minors, "_level_product", product_spy)
     monkeypatch.setattr(minors.BlockMinorTable, "block_minor_rec", minor_spy)
     res = parity_check_minors(sf)
     work = calls[0][0]
     assert all(call[0] is work for call in calls)
     assert all(children.shape[0] > 0 and np.shares_memory(children, work)
                and np.shares_memory(level, work) for _, children, level in calls)
-    ref, layout = BlockMinorTable(extract_blocks(sf), sf.layout), sf.layout
+    ref, layout = BlockMinorTable(sf), sf.layout
     assert len(groups) == sum(1 for w in (n - sum(t), *t[1:]) if w)
     for (i, j), got in groups.items():
         assert i == 1
@@ -518,15 +539,14 @@ def test_one_level_product_per_group_level_and_strip(monkeypatch):
         strip = max(1, minors._TREE_BYTES // max(levels + stack, 8))
         want += -(-width // strip) * (end - 2)
     assert want == 174  # 9 strips of 21 of the wide group's 12 levels, and 66
-    calls, kernel = [], minors._matmul_reduced
+    calls, level_product = [], minors._level_product
 
-    def spy(rows, children, ring, leaf, out, work):
-        level = kernel(rows, children, ring, leaf, out, work)
-        # work is a slice of the table's workspace, out another.
-        calls.append(np.shares_memory(children, work.base) and np.shares_memory(level, work.base))
-        return level
+    def spy(factor, children, terms, level, stack):
+        level_product(factor, children, terms, level, stack)
+        # stack is a slice of the table's workspace, level another.
+        calls.append(np.shares_memory(children, stack.base) and np.shares_memory(level, stack.base))
 
-    monkeypatch.setattr(minors, "_matmul_reduced", spy)
+    monkeypatch.setattr(minors, "_level_product", spy)
     res = parity_check_minors(sf)
     assert len(calls) == want and all(calls)
     assert res.h == parity_check_iterative(sf).h
@@ -556,13 +576,37 @@ def test_deep_tree_evaluates_its_root_over_recursed_children(monkeypatch):
     assert widths == forest_3 + tree_2 + forest_3 + tree_2 + [7]
 
 
+# A table plans each forest once: every call of _plan for one (low, end)
+# returns the plan that the first found, and no two forests share one.  At
+# 35 bytes forest (1, 5) splits as in the test above, so forests (2, 5) and
+# (3, 5) run, twice each; the workspace plans (1, end) for every end.
+def test_each_forest_planned_once(monkeypatch):
+    table = canonical_table(RingSpec(3, 4), 13, (2, 1, 2, 1), 56)
+    monkeypatch.setattr(minors, "_TREE_BYTES", 35)
+    plans, plan = {}, minors.BlockMinorTable._plan
+
+    def spy(self, low, end):
+        got = plan(self, low, end)
+        plans.setdefault((low, end), []).append(got)
+        return got
+
+    monkeypatch.setattr(minors.BlockMinorTable, "_plan", spy)
+    for end in range(2, 6):
+        _check_group(table, end)
+    assert set(plans) == {(1, 2), (1, 3), (1, 4), (1, 5), (2, 5), (3, 5)}
+    assert all(got is calls[0] for calls in plans.values() for got in calls)
+    assert len({id(calls[0]) for calls in plans.values()}) == len(plans)
+    assert min(len(plans[key]) for key in ((1, 5), (2, 5), (3, 5))) > 1
+
+
 def test_deep_tree_memory_within_budget(monkeypatch):
     # Forest (1, 19) of a canonical 3^18 table at t_i = 2 has levels 1 to 9
     # in float64 and 10 to 17 in float32: one column takes 2^18 - 2 level rows
     # and a 2^17-row stack, 1.5 times the budget, so tree (1, 19) is one root
     # product over its children, forest (2, 19), which takes 0.75 times it a
     # column and runs in strips of one.  The level arrays stay within the
-    # budget, temporaries included, below twice it.
+    # budget, temporaries included, below twice it.  A table plans once, so
+    # the unbounded evaluation takes a table of its own.
     s = 18
     table = canonical_table(RingSpec(3, s), 2 * s + 8, (2,) * s, 59)
     assert table._plan(1, s + 1)[0] == 0 and table._plan(2, s + 1)[0] == 1
@@ -574,6 +618,8 @@ def test_deep_tree_memory_within_budget(monkeypatch):
         tracemalloc.stop()
     assert peak < 2 * minors._TREE_BYTES
     monkeypatch.setattr(minors, "_TREE_BYTES", 2 ** 62)
+    table = canonical_table(RingSpec(3, s), 2 * s + 8, (2,) * s, 59)
+    assert table._plan(2, s + 1)[0] > 1
     assert np.array_equal(got, tree_minor(table, 1, s))
 
 
@@ -594,7 +640,7 @@ def _expected_levels(table, end):
     for any ring and any reduced blocks: exact while the bound stays below
     2^53, float32 where the bound from a on is below 2^24; None when no
     float type holds the forest, which splits."""
-    bound = _bounds_by_hand(table.blocks, table.layout.t, end)
+    bound = _bounds_by_hand(table_blocks(table), table.layout.t, end)
     if max(bound.values()) >= 2 ** 53:
         return None
     return {a: np.dtype(np.float32 if max(bound[b] for b in range(a, end)) < 2 ** 24
@@ -603,16 +649,14 @@ def _expected_levels(table, end):
 
 def _level_spy(monkeypatch):
     """(exact, dtype, lowest, highest) of each product of the forest: a level
-    product is exact, into a float out, which the kernel leaves unreduced; a
-    split's root product, without out, is reduced in the storage."""
-    levels, kernel = [], minors._matmul_reduced
+    product, _level_product, is exact, into a float level, left unreduced;
+    a split's root product, by the kernel, is reduced in the storage."""
+    levels = []
 
-    def spy(rows, children, ring, leaf, out=None, work=None):
-        level = kernel(rows, children, ring, leaf, out, work)
-        levels.append((out is not None, level.dtype, level.min(initial=0), level.max(initial=0)))
-        return level
+    def record(exact, _factor, _children, _terms, result):
+        levels.append((exact, result.dtype, result.min(initial=0), result.max(initial=0)))
 
-    monkeypatch.setattr(minors, "_matmul_reduced", spy)
+    _spy_products(monkeypatch, record)
     return levels
 
 
@@ -641,15 +685,15 @@ def test_levels_exact_or_storage(p, s, t, zero, monkeypatch):
         for i in range(1, s + 1):
             data[sf.layout.group(i), sf.layout.group(i + 1).start :] = 0
         sf = StandardForm(Matrix(ring, data), sf.layout, sf.perm)
-    table = BlockMinorTable(extract_blocks(sf), sf.layout)
+    table = BlockMinorTable(sf)
     want = {end: _expected_levels(table, end) for end in range(2, s + 2)}
     assert None not in want.values()
     for end, dtypes in want.items():
-        assert table._levels(1, end) == dtypes, end
+        assert table._plan(1, end)[2] == dtypes, end
     assert parity_check_minors(sf).h == parity_check_iterative(sf).h
     assert {exact for exact, *_ in levels} == {True}
     assert {dtype for _, dtype, _, _ in levels} == {d for ds in want.values() for d in ds.values()}
-    bound = max(max(_bounds_by_hand(table.blocks, t, end).values()) for end in want)
+    bound = max(max(_bounds_by_hand(table_blocks(table), t, end).values()) for end in want)
     assert all(-bound <= low and high <= bound for *_, low, high in levels)
     if zero:
         assert bound == 0 and set(levels) == {(True, np.dtype(np.float32), 0, 0)}
@@ -662,7 +706,7 @@ def test_levels_exact_or_storage(p, s, t, zero, monkeypatch):
     split = set()
     for end in range(2, s + 2):
         dtypes = _expected_levels(table, end)
-        assert table._levels(1, end) == dtypes, end
+        assert table._plan(1, end)[2] == dtypes, end
         if dtypes is None:
             split.add(end)
         got = _group(table, end)
@@ -696,7 +740,7 @@ def _tuned_table(ring, t, free, fill, target):
         rest -= weight * x
     assert rest == 0
     assert _bounds_by_hand(blocks, t, s + 1)[1] == target
-    return BlockMinorTable({key: Matrix(ring, blk) for key, blk in blocks.items()}, layout)
+    return block_table(ring, layout, blocks)
 
 
 def _check_wide_group(table):
@@ -730,9 +774,9 @@ def _check_wide_group(table):
 def test_exact_levels_at_their_bounds(p, s, ell, fill, target, level, monkeypatch):
     table = _tuned_table(RingSpec(p, s), (ell,) * s, 2, fill, target)
     levels, want = _level_spy(monkeypatch), level and np.dtype(level)
-    assert (table._levels(1, s + 1) or {1: None})[1] == want
+    assert (table._plan(1, s + 1)[2] or {1: None})[1] == want
     assert (_expected_levels(table, s + 1) or {1: None})[1] == want
-    assert table._levels(2, s + 1)
+    assert table._plan(2, s + 1)[2]
     _check_wide_group(table)
     # Level 1 is the last product of each strip, and tree 1's root product
     # the last of a split.
@@ -744,10 +788,10 @@ def test_exact_level_over_a_child_past_float32(monkeypatch):
     # Level 1 is bounded by 1000, but its child, level 2, above 2^24: level 1
     # is float64, not float32.
     table = _tuned_table(RingSpec(37, 6), (2,) * 6, 2, 37 ** 6, 1000)
-    bound = _bounds_by_hand(table.blocks, table.layout.t, 7)
+    bound = _bounds_by_hand(table_blocks(table), table.layout.t, 7)
     assert bound[1] == 1000 and 2 ** 24 < bound[2] < 2 ** 53
     levels = _level_spy(monkeypatch)
-    assert table._levels(1, 7)[1] == np.dtype(np.float64) == _expected_levels(table, 7)[1]
+    assert table._plan(1, 7)[2][1] == np.dtype(np.float64) == _expected_levels(table, 7)[1]
     _check_wide_group(table)
     assert (levels[-1][0], levels[-1][1]) == (True, np.dtype(np.float64))
 
@@ -763,22 +807,22 @@ def test_exact_level_over_a_child_past_float32(monkeypatch):
 ])
 def test_exact_levels_of_canonical_tables(ring, n, t, monkeypatch):
     sf = random_code(ring, n, t, 65)
-    blocks = extract_blocks(sf)
-    table = BlockMinorTable(blocks, sf.layout)
+    blocks = {key: blk.data for key, blk in extract_blocks(sf).items()}
+    table = BlockMinorTable(sf)
     want = _expected_levels(table, len(t) + 1)
-    assert want and table._levels(1, len(t) + 1) == want
+    assert want and table._plan(1, len(t) + 1)[2] == want
     levels = _level_spy(monkeypatch)
     _check_wide_group(table)
     assert {exact for exact, *_ in levels} == {True}
     assert {dtype for _, dtype, _, _ in levels} == set(want.values())
     storage, end = np.dtype(dtype_for(ring)), len(t) + 1
     for entry, split in ((ring.p, False), (ring.modulus - 1, True)):
-        bumped = blocks[(1, 2)].data.copy()
+        bumped = blocks[(1, 2)].copy()
         bumped[0, 0] = entry
-        table = BlockMinorTable({**blocks, (1, 2): Matrix(ring, bumped)}, sf.layout)
+        table = block_table(ring, sf.layout, {**blocks, (1, 2): bumped})
         want = _expected_levels(table, end)
-        assert table._levels(1, end) == want and (want is None) == split
-        assert table._levels(2, end)
+        assert table._plan(1, end)[2] == want and (want is None) == split
+        assert table._plan(2, end)[2]
         levels.clear()
         _check_wide_group(table)
         assert [dtype for exact, dtype, *_ in levels if not exact] == [storage] * split
@@ -815,14 +859,13 @@ def test_minors_kernel_work_equals_counted_mults(monkeypatch):
     # more either, its root products included: 3^12 at t_i = 20, whose
     # widest forests pass 2^53, and 3^20 over Python ints, n = 45, whose
     # widest passes it and whose deep forests pass the budget too.
-    macs, roots, kernel = [], [], minors._matmul_reduced
+    macs, roots = [], []
 
-    def spy(a, b, ring, c, *level):
+    def record(exact, a, b, _terms, _result):
         macs.append(a.shape[0] * a.shape[1] * b.shape[1])
-        roots.append(not level)
-        return kernel(a, b, ring, c, *level)
+        roots.append(not exact)
 
-    monkeypatch.setattr(minors, "_matmul_reduced", spy)
+    _spy_products(monkeypatch, record)
     for ring, n, t, want, split in ((RingSpec(3, 13), 200, (2,) * 13, 5_756_688, 0),
                                     (RingSpec(3, 12), 400, (20,) * 12, 293_448_000, 4),
                                     (RingSpec(3, 20), 45, (2,) * 20, 29_358_020, 11)):
@@ -841,11 +884,11 @@ def test_minors_kernel_work_equals_counted_mults(monkeypatch):
 def test_exact_bound_clamped_past_float64_range():
     ring, s = RingSpec(2, 40), 40
     table = random_block_table(ring, s, s + 2, random.Random(66), t=(1,) * s)
-    assert _bounds_by_hand(table.blocks, table.layout.t, s + 1)[1] > 2 ** 1024
+    assert _bounds_by_hand(table_blocks(table), table.layout.t, s + 1)[1] > 2 ** 1024
     assert all(0 <= x <= 2 ** 53 for row in table._bounds for x in row)
     assert max(table._bounds[s + 1]) == 2 ** 53
     for end in range(2, s + 2):
-        assert table._levels(1, end) == _expected_levels(table, end)
+        assert table._plan(1, end)[2] == _expected_levels(table, end)
     for i in range(1, s + 1):
         for j in range(1, min(4, s + 2 - i)):
             table.counters = OpCounters()
@@ -853,10 +896,3 @@ def test_exact_bound_clamped_past_float64_range():
             want = node_by_node_minor(table, i, j)
             assert got.dtype == want.dtype and np.array_equal(got, want) and counters == table.counters
 
-
-def test_malformed_blocks_raise_before_counting():
-    table = random_block_table(RingSpec(2, 3), 3, 9, random.Random(58), t=(1, 2, 1))
-    table.blocks[(1, 3)] = table.blocks[(1, 3)][:, :0]
-    with pytest.raises(ShapeError):
-        tree_minor(table, 1, 3)
-    assert table.counters == OpCounters()

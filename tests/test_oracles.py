@@ -3,7 +3,6 @@
 from zpscodes import Matrix, RingSpec, random_code, standard_form
 from zpscodes import matrix, minors
 from zpscodes.minors import BlockMinorTable
-from zpscodes.stdform import extract_blocks
 
 from oracles import block_minor_sum, det_structured_laplace, det_structured_sum, z4_parity_check
 
@@ -11,7 +10,7 @@ from oracles import block_minor_sum, det_structured_laplace, det_structured_sum,
 def test_oracles_do_not_reach_the_kernel(monkeypatch):
     structured = Matrix(RingSpec(3, 2), [[2, 5, 7, 1], [1, 4, 8, 3], [0, 1, 3, 6], [0, 0, 1, 5]])
     sf = random_code(RingSpec(3, 3), 8, (1, 2, 1), 5)
-    table = BlockMinorTable(extract_blocks(sf), sf.layout)
+    table = BlockMinorTable(sf)
     z4 = standard_form(Matrix(RingSpec(2, 2), [[1, 1, 2, 3], [0, 2, 2, 0], [2, 0, 1, 1]]))
 
     def refuse(*args, **kwargs):

@@ -275,11 +275,11 @@ def test_minors_budget(monkeypatch):
     code = random_code(RingSpec(2, 16), 18, (1,) * 16, 3)
     result = parity_check_minors(code)
     assert result.h == parity_check_iterative(code).h
-    # 2^62 - 63 big pairs: refused before any block is extracted.
-    def no_work(sf):
-        raise AssertionError("blocks extracted over the budget")
+    # 2^62 - 63 big pairs: refused before the table is built.
+    def no_work(sf, counters):
+        raise AssertionError("table built over the budget")
 
-    monkeypatch.setattr(paritycheck, "extract_blocks", no_work)
+    monkeypatch.setattr(paritycheck, "BlockMinorTable", no_work)
     with pytest.raises(BudgetExceededError):
         parity_check_minors(standard_form(Matrix(RingSpec(2, 62), [[1, 1]])))
 
@@ -311,7 +311,7 @@ def test_minors_memory_within_tree_budget():
     peak_minors = _traced_peak(parity_check_minors, code)
     peak_iterative = _traced_peak(parity_check_iterative, code)
     assert peak_minors - peak_iterative <= minors._TREE_BYTES
-    table = minors.BlockMinorTable(extract_blocks(code), code.layout)
+    table = minors.BlockMinorTable(code)
     assert _traced_peak(tree_minor, table, 1, s) < 2 * minors._TREE_BYTES
 
 
