@@ -165,6 +165,7 @@ class Matrix:
         return [[int(x) for x in row] for row in self.data]
 
 
+# zeros to extract_block, the product kernel aside, are kept only as perfbench/tracer.py's targets.
 def zeros(ring: RingSpec, nrows: int, ncols: int) -> Matrix:
     return Matrix(ring, np.zeros((nrows, ncols), dtype=dtype_for(ring)))
 
@@ -229,9 +230,9 @@ def _matmul_dtype(ring: RingSpec, rows: int, k: int, cols: int):
 
 
 def _matmul_reduced(a: np.ndarray, b: np.ndarray, ring: RingSpec, c=None) -> np.ndarray:
-    """(a @ b, plus c on each block of c.shape[1] columns) mod p^s in the
-    ring's storage, for reduced a, b and c: the one place where the
-    arithmetic of a reduced product is decided.  It runs in _matmul_dtype, and an
+    """(a @ b + c) mod p^s in the ring's storage, for reduced a, b and c, c
+    of the product's shape: the one place where the arithmetic of a reduced
+    product is decided.  It runs in _matmul_dtype, and an
     int64 product in inner chunks of _exact_terms(int64, (m - 1)^2, m - 1,
     m), each added to the sum so far and reduced once, so Python ints
     serve only a ring stored in them.  c is added in the storage, after the
@@ -243,9 +244,6 @@ def _matmul_reduced(a: np.ndarray, b: np.ndarray, ring: RingSpec, c=None) -> np.
     (rows, k), cols = a.shape, b.shape[1]
     m, storage, dtype = ring.modulus, dtype_for(ring), _matmul_dtype(ring, rows, k, cols)
     step = _exact_terms(np.int64, (m - 1) ** 2, m - 1, m) if dtype is np.int64 else max(k, 1)
-    # The product, as blocks of c's width, takes c on each.
-    width = cols if c is None else c.shape[1]
-    blocks = (rows, cols // max(width, 1), width)
 
     def chunk(k0):
         # Converted here, so that no converted operand outlives its product.
@@ -265,13 +263,12 @@ def _matmul_reduced(a: np.ndarray, b: np.ndarray, ring: RingSpec, c=None) -> np.
         total = prod.astype(storage)
     else:
         total = chunk(0).astype(storage, copy=False)
-    total = total.reshape(blocks)
     if c is not None:
-        total += c[:, None, :]
+        total += c
     for k0 in range(step, k, step):  # int64 chunks after the first
         _reduce_in_place(total, m)
-        total += chunk(k0).reshape(blocks)
-    return _reduce(total, m).reshape(rows, cols)
+        total += chunk(k0)
+    return _reduce(total, m)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

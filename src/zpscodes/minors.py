@@ -12,8 +12,8 @@ over a < b <= end of (-1)^(b-1-a) A(a, b) O(b, end), O(end, end) = Id.  As
 a < b <= end of A(a, b) M(b), M(end) = Id: each block carries its sign, as
 in the iterative construction.  All the trees of one column group of H^T
 run at once, as one forest of levels of nodes, each level one exact
-product, _level_product (see BlockMinorTable._forest).  The signed sum itself
-serves only as an oracle, in the tests.
+product, _level_product (see BlockMinorTable.block_minor_rec).  The signed
+sum itself serves only as an oracle, in the tests.
 
 The levels hold the minors as plain integers, reduced nowhere.  With the
 factors -A(a, b) taken as they are, the entries of M(a) are integers of
@@ -47,31 +47,31 @@ from .matrix import (
 )
 from .opcounters import OpCounters
 from .stdform import StandardForm, stripped_row
-from .zring import DomainError
 
 # Bytes that the level arrays of one column strip of a block-minor forest,
 # the leaf level excluded, and its largest children stack or level may take
 # together: the table's workspace (see BlockMinorTable._plan).  A forest
 # whose single column passes it splits off its first tree, as one whose
-# bound no float type holds does (see _forest).
+# bound no float type holds does (see block_minor_rec).
 _TREE_BYTES = 1 << 20
 
-# Copies of the leaf level's node that a forest broadcasts over its leaf
-# stacks at a time (see _strip).
-_LEAF_COPIES = 64
+# Copies of a block that a forest broadcasts at a time: the leaf level's node
+# over its leaf stacks (see _strip), a level's terms over its nodes.
+_COPIES = 64
 
 
 def _level_product(factor, children, terms, level, stack) -> None:
-    """An exact level of a forest (see BlockMinorTable._forest): factor @
-    children into level, plus terms on each block of terms' width, all
-    integers, every partial sum one term that _exact_terms holds in level's
-    float dtype.  terms go on tiled rep times, from the flat buffer stack,
+    """An exact level of a forest (see BlockMinorTable.block_minor_rec):
+    factor @ children into level, plus terms on each of its 2^(a-low) node
+    blocks, all integers, every partial sum one term that _exact_terms holds
+    in level's float dtype.  terms go on tiled rep times, the fewer of the
+    blocks and _COPIES, which divides the blocks, from the flat buffer stack,
     which may hold children: numpy broadcasts a row of rep blocks far faster
     than one block.  Nothing is reduced, converted or allocated."""
     np.matmul(factor, children, out=level)
     rows, width = terms.shape
-    blocks = level.shape[1] // max(width, 1)
-    rep = min(blocks & -blocks, 64) or 1
+    blocks = level.shape[1] // width
+    rep = min(blocks, _COPIES)
     tile = _carve(stack, (rows, 1, rep * width), level.dtype)
     tile.reshape(rows, rep, width)[...] = terms[:, None, :]
     total = level.reshape(rows, blocks // rep, rep * width)
@@ -90,7 +90,7 @@ class BlockMinorTable:
     No minor is memoized: every node of a recursion tree performs its own
     block products, so operation counts reproduce independent
     recomputation.  Only the dispatch is batched, one product per level of
-    nodes (see _forest), each forest planned once (see _plan), and the
+    nodes (see block_minor_rec), each forest planned once (see _plan), and the
     memory reused: every level product works in the table's one workspace.
     """
 
@@ -154,26 +154,11 @@ class BlockMinorTable:
         self.counters.record_add(a.shape[0], a.shape[1], wide)
         return _reduce(a + b, self.ring.modulus)
 
-    def block_minor_rec(self, i: int, j: int, out) -> None:
-        """The order-j block-minors O(a, end), end = i + j, a = i..end-1, via
-        the Laplace-style recursion, as one forest.  out is an array of the
-        rows of groups i..end-1 by the width of group end (for i = 1, a
-        column group of H^T); M(a) = (-1)^(end-a) O(a, end) goes into its row
-        group a, and the block ops of each tree are counted."""
-        end, layout = i + j, self.layout
-        if not (1 <= i and 0 <= j and end <= layout.s + 1):
-            raise DomainError(f"block-minor ({i}, {j}) out of range for s={layout.s}")
-        rows, cols = layout.group(end).start - layout.group(i).start, layout.group(end)
-        if out.shape != (rows, cols.stop - cols.start if j else 0):
-            raise ShapeError(f"out {out.shape} does not fit the minors ({i}, {j})")
-        if j:
-            self._forest(i, end, out)
-
     def _plan(self, low: int, end: int) -> tuple:
-        """(strip, sizes, dtypes) of forest (low, end), found once a table
-        (see _forest).  dtypes[a], a = low..end-2, is the matrix._tier of one
-        term of the bound from a on (see _bounds); dtypes is None, and the
-        forest splits, unless level low's, the largest, is a float type.
+        """(strip, sizes, dtypes) of forest (low, end) (see block_minor_rec),
+        found once a table.  dtypes[a], a = low..end-2, is the matrix._tier
+        of one term of the bound from a on (see _bounds); dtypes is None, and
+        the forest splits, unless level low's, the largest, is a float type.
         strip is 0 then, or when one column passes _TREE_BYTES; sizes are
         the 8-byte workspace words of a strip's levels, each padded to a
         word, and of its largest children stack or level, which takes the
@@ -217,14 +202,14 @@ class BlockMinorTable:
         the nodes of levels a+1..end-2 that are its children, where they
         stack, where the leaf level's stack, the whole stack, level a), with
         k = sum(t[a:end-1]); sink a is node 0 of level a.  The leaf
-        level's stack is seen as rows of _LEAF_COPIES nodes, or of all of
+        level's stack is seen as rows of _COPIES nodes, or of all of
         them if fewer: numpy broadcasts one node over many at a fraction of
         the speed at which it copies such a row."""
         t, steps, level, used, k = self.layout.t, [], {}, 0, 0
         leaves, dtypes = t[end - 2], self._plan(low, end)[2]
         for a in range(end - 2, low - 1, -1):
             count, dtype, k = 1 << (a - low), dtypes[a], k + t[a]
-            row, copies, nodes = self._row(a, dtype), min(count, _LEAF_COPIES), count * cols
+            row, copies, nodes = self._row(a, dtype), min(count, _COPIES), count * cols
             children = _carve(stack, (k, nodes), dtype)
             level[a] = _carve(levels[used:], (t[a - 1], nodes), dtype)
             used += -(-level[a].nbytes // 8)
@@ -242,14 +227,16 @@ class BlockMinorTable:
         plus -A(low, end)."""
         t, width, wide = self.layout.t, out.shape[1], end == self.layout.s + 1
         kids = np.empty((sum(t[low : end - 1]), width), out.dtype)
-        self._forest(low + 1, end, kids)
+        self.block_minor_rec(low + 1, end, kids)
         row, k = self._row(low, out.dtype), kids.shape[0]
         out[...] = _matmul_reduced(row[:, :k], kids, self.ring, row[:, k : k + width])
         self.counters.record_node(t[low - 1], t[low : end - 1], width, wide)
 
-    def _forest(self, low: int, end: int, out: np.ndarray) -> None:
-        """The trees (a, end), a = low..end-1, into out as block_minor_rec
-        says, bottom-up on column strips of its leaf (see _plan).
+    def block_minor_rec(self, low: int, end: int, out: np.ndarray) -> None:
+        """M(a) = (-1)^(end-a) O(a, end), a = low..end-1 < end, into row
+        group a of out, whose columns are group end's (for low = 1, a column
+        group of H^T), as the forest of trees (a, end), bottom-up on column
+        strips of its leaf (see _plan), each tree's block ops counted.
 
         A node at anchor a computes M(a) = -sum over a < b <= end of
         A(a, b) M(b), skipping the product by M(end) = Id.  Level a holds the
@@ -278,7 +265,7 @@ class BlockMinorTable:
             return
         strip, (nlevels, nstack), dtypes = self._plan(low, end)
         if not strip:
-            self._forest(low + 1, end, out[t[low - 1] :])
+            self.block_minor_rec(low + 1, end, out[t[low - 1] :])
             self._tree(low, end, out[: t[low - 1]])
             return
         # Python ints take the exact minors from int64, never as floats.
@@ -291,13 +278,13 @@ class BlockMinorTable:
         leaf = self._row(end - 1, dtypes[end - 2])[:, :width]
         dest[top:] = leaf
         cols = None
-        for c0 in range(0, max(width, 1), strip):
+        for c0 in range(0, width, strip):
             if cols != min(strip, width - c0):  # the first strip, or a narrower last one
                 cols = min(strip, width - c0)
                 steps, sinks = self._strip(low, end, cols, work[:nlevels], stack)
             # The leaf level's node, as copies side by side that fill a row of
             # a leaf stack at a time (see _strip).
-            tile = np.tile(leaf[:, c0 : c0 + cols], min(1 << (end - 2 - low), _LEAF_COPIES))
+            tile = np.tile(leaf[:, c0 : c0 + cols], min(1 << (end - 2 - low), _COPIES))
             for factor, terms, sources, kids, leaves, children, level in steps:
                 if sources:
                     np.concatenate(sources, out=kids)

@@ -110,7 +110,7 @@ def parity_check_minors(sf: StandardForm) -> ParityCheckResult:
         for j, width in enumerate(dual.t, start=1):
             if width:
                 end = s + 2 - j
-                table.block_minor_rec(1, end - 1, ht[: layout.group(end).start, dual.group(j)])
+                table.block_minor_rec(1, end, ht[: layout.group(end).start, dual.group(j)])
 
     return _construct(sf, "minors", fill)
 

@@ -256,7 +256,8 @@ def extract_blocks(sf: StandardForm) -> dict:
     """Blocks A_{i,j} of the standard form, p-power scaling stripped.
 
     Keys are (i, j) for 1 <= i <= s, i + 1 <= j <= s + 1.  A_{i,j} has t_i
-    rows; t_j columns for j <= s and n - t columns for j = s + 1.
+    rows; t_j columns for j <= s and n - t columns for j = s + 1.  Nothing
+    in the package calls it: it is kept only as perfbench/tracer.py's target.
     """
     layout, ring, out = sf.layout, sf.matrix.ring, {}
     for i in range(1, layout.s + 1):

@@ -1,4 +1,5 @@
-"""Every generator matrix of a small scope through standard_form, run by hand:
+"""Every generator matrix of a small scope through standard_form, run on
+every pull request by CI, or by hand:
 
     python tests/exhaustive.py
 

@@ -173,9 +173,10 @@ def node_by_node_minor(table, i, j):
 def tree_minor(table, i, j):
     """O(i, i + j), j >= 1, from tree (i, i + j) of a BlockMinorTable alone,
     with its counters: BlockMinorTable._tree, or the forest of the one
-    order-1 tree, which leave it signed (-1)^j."""
+    order-1 tree, BlockMinorTable.block_minor_rec, which leave it signed
+    (-1)^j."""
     out = np.empty((table.layout.t[i - 1], group_width(table.layout, i + j)), dtype_for(table.ring))
-    (table._tree if j > 1 else table._forest)(i, i + j, out)
+    (table._tree if j > 1 else table.block_minor_rec)(i, i + j, out)
     return out if j % 2 == 0 else (-out) % table.ring.modulus
 
 

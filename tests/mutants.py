@@ -3,7 +3,8 @@ must kill it: mutation analysis (DeMillo, Lipton and Sayward, "Hints on
 test data selection", 1978), kept small and aimed at the exactness rule,
 the signs, the counters and the canonical ranges.
 
-Run it by hand from the repository root, for every mutant or for some:
+CI runs it on every pull request.  Run it from the repository root, for
+every mutant or for some:
 
     python tests/mutants.py [name ...]
 
@@ -174,8 +175,8 @@ MUTANTS = [
     ),
     Mutant(
         "level-tile-not-dividing", "minors.py",
-        "rep = min(blocks & -blocks, 64) or 1",
-        "rep = min(blocks & -blocks, 48) or 1",
+        "rep = min(blocks, _COPIES)",
+        "rep = min(blocks, 48)",
         "a level of 64 nodes or more gets a tile of 48 copies of its term, which does not divide it",
         ("tests/test_matrix.py::test_float_level_allocates_nothing_that_grows",
          "tests/test_minors.py::test_one_level_product_per_group_level_and_strip"),
