@@ -30,9 +30,10 @@ EXIT_BUDGET = 3
 # Entries that a command may hold: an input with the column order and the
 # panel buffer of its standard form, rows x 2 min(PANEL_WIDTH, ncols), where
 # a row without columns counts as one entry, its line of text; H, n x n at
-# most, for parity-check; G H^T for verify.  A header alone can ask for any
-# of them.  It counts entries, not bytes: a standard form's working copy and
-# buffer in int8 to int32 count as in int64, so the charge stays an upper bound.
+# most, for parity-check, or |C^perp| x n by brute force; G H^T for verify.
+# A header alone can ask for any of them.  It counts entries, not bytes: a
+# standard form's working copy and buffer in int8 to int32 count as in
+# int64, so the charge stays an upper bound.
 ENTRY_BUDGET = 2 ** 26
 
 
@@ -73,6 +74,10 @@ def _cmd_parity_check(args) -> int:
     generators = _read_matrix(args.input)
     _check_entries("H", generators.ncols ** 2)
     if args.method == "bruteforce":
+        # H lists the dual: p^(sn) / |C| vectors, |C| read off the type as in verify_dual.
+        ring, n, t = generators.ring, generators.ncols, standard_form(generators).layout.t
+        dual = ring.p ** (ring.s * n - sum((ring.s - i) * x for i, x in enumerate(t)))
+        _check_entries("H", dual * n)
         h = parity_check_bruteforce(generators)
     else:
         construct = parity_check_minors if args.method == "minors" else parity_check_iterative

@@ -79,8 +79,8 @@ def _carve(buf, shape, dtype):
 _REDUCE_FLOOR_MIN = 1024
 
 
-def _reduce_in_place(arr: np.ndarray, m: int) -> None:
-    """Reduce arr into [0, m) in place; a view writes through.
+def _reduce_in_place(arr: np.ndarray, m: int) -> np.ndarray:
+    """arr, reduced into [0, m) in place and returned; a view writes through.
 
     When m is a power of two, an integer array of any size becomes
     arr & (m - 1): in two's complement the low bits of every signed
@@ -101,15 +101,6 @@ def _reduce_in_place(arr: np.ndarray, m: int) -> None:
         q = arr // m
         q *= m
         arr -= q
-
-
-def _reduce(arr: np.ndarray, m: int) -> np.ndarray:
-    """A temporary the caller owns, reduced into [0, m): an int64 arr in
-    place, Python ints into a new array, which numpy writes faster than it
-    updates one in place.  Use the result."""
-    if arr.dtype == object:
-        return arr % m
-    _reduce_in_place(arr, m)
     return arr
 
 
@@ -120,7 +111,7 @@ class Matrix:
 
     def __init__(self, ring: RingSpec, data):
         arr = np.array(data, dtype=dtype_for(ring))
-        self._adopt(ring, _reduce(arr, ring.modulus))
+        self._adopt(ring, _reduce_in_place(arr, ring.modulus))
 
     @classmethod
     def _of_reduced(cls, ring: RingSpec, arr: np.ndarray) -> "Matrix":
@@ -195,13 +186,6 @@ def mat_scalar(c: int, a: Matrix) -> Matrix:
     return Matrix(a.ring, a.data * (c % a.ring.modulus))
 
 
-# Multiply-adds below which a float product costs more than it saves:
-# converting the operands and the result outweighs the faster BLAS kernel.
-# Measured crossover against int64 on square and panel-shaped products, for
-# float64 and again for float32: over 2^4 and 3^5, float32 breaks even with
-# int64 near 2048 and is faster on every shape tried from 4096.
-FLOAT_MIN_MACS = 4096
-
 # Bytes above which _matmul_reduced makes the float copy of a product's
 # right operand in column panels of this size, in one reused buffer.
 # Measured on verify_parity, BLAS on one thread, 2 CPUs: iter-wide's 8 MB
@@ -211,38 +195,33 @@ FLOAT_MIN_MACS = 4096
 _PANEL_BYTES = 1 << 21
 
 
-def _tier(term: int, k: int, macs: int = FLOAT_MIN_MACS):
+def _tier(term: int, k: int):
     """The type in which a product whose entries sum k terms of magnitude at
-    most term runs: the first float type that holds every partial sum, in
-    any order, once its macs multiply-adds reach FLOAT_MIN_MACS and repay the
-    conversions (a forest level's do by default); else int64, in chunks,
-    where it holds one term; else Python ints (object)."""
-    for dtype in (np.float32, np.float64) if macs >= FLOAT_MIN_MACS else ():
-        if _exact_terms(dtype, term) >= k:
+    most term runs: the first float type that holds every partial sum of
+    max(k, 1) terms, in any order (an empty product takes one term's tier,
+    so Python ints stay Python ints); else int64, in chunks, where it holds
+    one term; else Python ints (object)."""
+    for dtype in (np.float32, np.float64):
+        if _exact_terms(dtype, term) >= max(k, 1):
             return dtype
     return np.int64 if _exact_terms(np.int64, term) else object
-
-
-def _matmul_dtype(ring: RingSpec, rows: int, k: int, cols: int):
-    """The dtype in which _matmul_reduced multiplies a rows x k matrix by a
-    k x cols one: the _tier of k terms of (p^s - 1)^2."""
-    return _tier((ring.modulus - 1) ** 2, k, rows * k * cols)
 
 
 def _matmul_reduced(a: np.ndarray, b: np.ndarray, ring: RingSpec, c=None) -> np.ndarray:
     """(a @ b + c) mod p^s in the ring's storage, for reduced a, b and c, c
     of the product's shape: the one place where the arithmetic of a reduced
-    product is decided.  It runs in _matmul_dtype, and an
-    int64 product in inner chunks of _exact_terms(int64, (m - 1)^2, m - 1,
-    m), each added to the sum so far and reduced once, so Python ints
-    serve only a ring stored in them.  c is added in the storage, after the
-    product.  A b already in _matmul_dtype is used as it is.  A float copy
-    of b of more than _PANEL_BYTES is made one column panel at a time, in
-    one reused buffer of that size, each panel multiplied into the result:
-    a is converted once.  The result is a new array.
+    product is decided.  It runs in _tier((m - 1)^2, k), and an int64
+    product in inner chunks of _exact_terms(int64, (m - 1)^2, m - 1, m),
+    each added to the sum so far and reduced once, so Python ints serve
+    only a ring stored in them.  c is added in the storage, after the
+    product.  A float copy of b of more than _PANEL_BYTES is made one
+    column panel at a time, in one reused buffer of that size, each panel
+    multiplied into the result: a is converted once.  A b already in the
+    product's type, as in an int64 or Python-int product, takes no panels.
+    The result is a new array.
     """
     (rows, k), cols = a.shape, b.shape[1]
-    m, storage, dtype = ring.modulus, dtype_for(ring), _matmul_dtype(ring, rows, k, cols)
+    m, storage, dtype = ring.modulus, dtype_for(ring), _tier((ring.modulus - 1) ** 2, k)
     step = _exact_terms(np.int64, (m - 1) ** 2, m - 1, m) if dtype is np.int64 else max(k, 1)
 
     def chunk(k0):
@@ -268,7 +247,7 @@ def _matmul_reduced(a: np.ndarray, b: np.ndarray, ring: RingSpec, c=None) -> np.
     for k0 in range(step, k, step):  # int64 chunks after the first
         _reduce_in_place(total, m)
         total += chunk(k0)
-    return _reduce(total, m)
+    return _reduce_in_place(total, m)
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

@@ -43,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .matrix import (
-    ShapeError, _carve, _matmul_reduced, _reduce, _reduce_in_place, _tier, dtype_for,
+    ShapeError, _carve, _matmul_reduced, _reduce_in_place, _tier, dtype_for,
 )
 from .opcounters import OpCounters
 from .stdform import StandardForm, stripped_row
@@ -107,7 +107,7 @@ class BlockMinorTable:
         if (a, dtype) not in self._cast:
             row = self._rows[a]
             self._cast[(a, dtype)] = (row.astype(dtype, copy=False) if dtype.kind == "f"
-                                      else _reduce(row.astype(dtype), self.ring.modulus))
+                                      else _reduce_in_place(row.astype(dtype), self.ring.modulus))
         return self._cast[(a, dtype)]
 
     @cached_property
@@ -152,7 +152,7 @@ class BlockMinorTable:
         if a.shape != b.shape:
             raise ShapeError(f"block sum not conformable: {a.shape} vs {b.shape}")
         self.counters.record_add(a.shape[0], a.shape[1], wide)
-        return _reduce(a + b, self.ring.modulus)
+        return _reduce_in_place(a + b, self.ring.modulus)
 
     def _plan(self, low: int, end: int) -> tuple:
         """(strip, sizes, dtypes) of forest (low, end) (see block_minor_rec),

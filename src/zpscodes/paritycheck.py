@@ -25,7 +25,7 @@ from .matrix import (
     Permutation,
     ShapeError,
     _matmul_reduced,
-    _reduce,
+    _reduce_in_place,
     apply_col_permutation,
     dtype_for,
 )
@@ -83,7 +83,8 @@ def _construct(sf: StandardForm, method: str, fill) -> ParityCheckResult:
     fill(ht, dual, counters)
     for j in range(2, s + 1):
         block = ht[: layout.group(s + 2 - j).stop, dual.group(j)]  # zeros below
-        block[...] = _reduce(block * ring.p ** (j - 1), ring.modulus)
+        block *= ring.p ** (j - 1)
+        _reduce_in_place(block, ring.modulus)
     h = np.zeros((dual.total, layout.n), dtype=ht.dtype)
     h[:, sf.perm.index[:t]] = ht.T
     h[np.arange(layout.n - t), sf.perm.index[t:]] = 1
@@ -132,7 +133,7 @@ def parity_check_iterative(sf: StandardForm) -> ParityCheckResult:
             # The row, negated once: its first total - lo columns take row
             # groups i+1..s of H^T; the rest, -A_{i,s+1}, is the added term
             # under column group 1.
-            row, lo = _reduce(-stripped_row(sf, i), ring.modulus), layout.group(i + 1).start
+            row, lo = _reduce_in_place(-stripped_row(sf, i), ring.modulus), layout.group(i + 1).start
             out = ht[layout.group(i), : row.shape[1]]
             out[:, : layout.n - total] = row[:, total - lo :]
             out[...] = _matmul_reduced(row[:, : total - lo], ht[lo:total, : row.shape[1]], ring, out)

@@ -3,12 +3,13 @@ every pull request by CI, or by hand:
 
     python tests/exhaustive.py
 
-Scope: every matrix of each shape up to 2 x 3 and 3 x 2 over Z_4, and up
-to 2 x 2 over Z_8 and Z_9.  On each G: standard_form(G) equals the
-unblocked reduction of helpers.sequential_standard_form in matrix, dtype,
-layout and permutation; standard_form(U G) equals it for a random
-unimodular U; its rows span the code of G with its columns permuted; and
-its type gives that code's size.  Prints one line per ring and shape, and
+Scope: every matrix of each shape up to 2 x 3 and 3 x 2 over Z_4, and of
+each shape of at most 4 entries, up to 1 x 4, 2 x 2 and 4 x 1, over Z_8
+and Z_9.  On each G: standard_form(G) equals the unblocked reduction of
+helpers.sequential_standard_form in matrix, dtype, layout and
+permutation; standard_form(U G) equals it for a random unimodular U; its
+rows span the code of G with its columns permuted; and its type gives
+that code's size.  Prints one line per ring and shape, and
 stops at the first failure with its traceback.  Tier-1 runs the 2 x 3 grid
 over Z_4 and the 2 x 2 grid over Z_9 (tests/test_stdform.py).
 """
@@ -27,7 +28,7 @@ from codemodel import cardinality  # noqa: E402
 from helpers import check_against_sequential, every_matrix, row_span_set  # noqa: E402
 
 # (p, s, the largest row count, the largest column count, the most entries)
-SCOPE = [(2, 2, 3, 3, 6), (2, 3, 2, 2, 4), (3, 2, 2, 2, 4)]
+SCOPE = [(2, 2, 3, 3, 6), (2, 3, 4, 4, 4), (3, 2, 4, 4, 4)]
 
 
 def main() -> int:

@@ -68,25 +68,25 @@ MUTANTS = [
     ),
     Mutant(
         "tier-gate-strict", "matrix.py",
-        "if _exact_terms(dtype, term) >= k:",
-        "if _exact_terms(dtype, term) > k:",
+        "if _exact_terms(dtype, term) >= max(k, 1):",
+        "if _exact_terms(dtype, term) > max(k, 1):",
         "a product or level that a float type holds exactly is sent a tier wider",
         ("tests/test_matrix.py::test_float32_tier_boundary",
          "tests/test_minors.py::test_exact_levels_at_their_bounds"),
     ),
     Mutant(
         "tier-ignores-k", "matrix.py",
-        "if _exact_terms(dtype, term) >= k:",
+        "if _exact_terms(dtype, term) >= max(k, 1):",
         "if _exact_terms(dtype, term) >= 1:",
         "a product whose k terms overflow a float type's exact range still runs in it",
         ("tests/test_matrix.py::test_float_tier_boundary",),
     ),
     Mutant(
-        "float-min-macs-inclusive", "matrix.py",
-        "if macs >= FLOAT_MIN_MACS else ():",
-        "if macs > FLOAT_MIN_MACS else ():",
-        "a product of exactly FLOAT_MIN_MACS multiply-adds stays in int64",
-        ("tests/test_matrix.py::test_float_tier_size_gate",),
+        "empty-product-tier", "matrix.py",
+        "_exact_terms(dtype, term) >= max(k, 1)",
+        "_exact_terms(dtype, term) >= k",
+        "an empty product over a Python-int ring runs in float32 and returns Python floats",
+        ("tests/test_matrix.py::test_kernel_matches_python_ints",),
     ),
     Mutant(
         "storage-from-one-entry", "matrix.py",
@@ -225,15 +225,15 @@ MUTANTS = [
     ),
     Mutant(
         "column-group-scaling", "paritycheck.py",
-        "block * ring.p ** (j - 1)",
-        "block * ring.p ** j",
+        "block *= ring.p ** (j - 1)",
+        "block *= ring.p ** j",
         "column group j of H^T is scaled by p^j, not p^(j-1): G H^T = 0 but H is too small",
         ("tests/test_paritycheck.py",),
     ),
     Mutant(
         "iterative-row-unsigned", "paritycheck.py",
-        "_reduce(-stripped_row(sf, i), ring.modulus)",
-        "_reduce(stripped_row(sf, i), ring.modulus)",
+        "_reduce_in_place(-stripped_row(sf, i), ring.modulus)",
+        "_reduce_in_place(stripped_row(sf, i), ring.modulus)",
         "the iterative construction drops the sign of each row: G H^T != 0",
         ("tests/test_paritycheck.py",),
     ),

@@ -200,10 +200,17 @@ def test_missing_file_exit_code(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_budget_exit_code(tmp_path, capsys):
+def test_budget_exit_code(tmp_path, capsys, monkeypatch):
     path = tmp_path / "wide.txt"
     path.write_text("2 6 1 5\n1 0 0 0 0\n")
     assert main(["parity-check", str(path), "--method", "bruteforce"]) == 3
+    # The zero code of length 24 over Z_2: its ambient space of 2^24 vectors
+    # passes BRUTEFORCE_BUDGET, but its dual is all of them, and H would
+    # take 24 * 2^24 entries.  It is refused before anything is enumerated.
+    path.write_text("2 1 1 24\n" + "0 " * 24 + "\n")
+    monkeypatch.setattr(cli, "parity_check_bruteforce", None)
+    assert main(["parity-check", str(path), "--method", "bruteforce"]) == 3
+    assert "H needs 402653184 entries" in capsys.readouterr().err
     # Minors at s = 62 would need about 2^62 block products.
     path.write_text("2 62 1 2\n1 1\n")
     assert main(["parity-check", str(path), "--method", "minors"]) == 3

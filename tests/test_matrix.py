@@ -21,15 +21,12 @@ from zpscodes import matrix
 from zpscodes.matrix import (
     _FORMAT_CHUNK,
     _REDUCE_FLOOR_MIN,
-    FLOAT_MIN_MACS,
     ParseError,
     ShapeError,
     _carve,
     _exact_terms,
-    _matmul_dtype,
     _matmul_reduced,
     _parse_digits,
-    _reduce,
     _reduce_in_place,
     _tier,
     apply_col_permutation,
@@ -596,9 +593,9 @@ def test_storage_rule_boundary():
         a = Matrix(ring, [[m - 1, m - 2]])
         assert a.data.dtype == dtype
         assert Matrix(ring, [[-1, 2 * m - 2]]) == a
-        assert _reduce((m - 1) * a.data, m).tolist() == [[1, 2]]
+        assert _reduce_in_place((m - 1) * a.data, m).tolist() == [[1, 2]]
         assert _matmul_reduced(a.data.T, a.data, ring).tolist() == [[1, 2], [2, 4]]
-        assert _reduce(a.data + a.data, m).tolist() == [[m - 2, m - 4]]
+        assert _reduce_in_place(a.data + a.data, m).tolist() == [[m - 2, m - 4]]
 
 
 # Moduli of int64 storage, from 2 to the largest int64 prime; the powers of
@@ -625,7 +622,7 @@ def test_reduce_matches_python_mod(m):
     for size in (len(edges), _REDUCE_FLOOR_MIN, 3 * _REDUCE_FLOOR_MIN + 1):
         values = [edges[i % len(edges)] for i in range(size)]
         arr = np.array(values, dtype=np.int64).reshape(-1, 1)
-        out = _reduce(arr, m)
+        out = _reduce_in_place(arr, m)
         assert out is arr and out.dtype == np.int64
         assert out.ravel().tolist() == [x % m for x in values]
 
@@ -684,9 +681,10 @@ def test_reduce_object_rings_use_mod(p, s):
     edges = [0, 1, -1, m - 1, -(m - 1) ** 2, (m - 1) ** 2 * 5, -(2 ** 100) - 3]
     values = [edges[i % len(edges)] for i in range(_REDUCE_FLOOR_MIN + 2)]
     arr = np.array([_ModOnly(x) for x in values], dtype=object).reshape(-1, 3)
-    # _reduce returns a new array; _reduce_in_place writes through a view.
-    got = _reduce(arr.copy(), m)
-    assert got.dtype == object
+    # _reduce_in_place returns its array, and writes through a view.
+    copy = arr.copy()
+    got = _reduce_in_place(copy, m)
+    assert got is copy and got.dtype == object
     assert got.ravel().tolist() == [x % m for x in values]
     view = arr[:, 1:]
     _reduce_in_place(view, m)
@@ -706,16 +704,13 @@ def _check_product_edge(p, s, k_edge, below, above):
     # below holds exactly; at k_edge + 1 the product takes the dtype above.
     ring = RingSpec(p, s)
     m = ring.modulus
-    # Few rows, but enough for the products to pass the size gate.
-    outer = max(2, math.ceil(math.sqrt(FLOAT_MIN_MACS / k_edge)))
-    assert outer * outer * k_edge >= FLOAT_MIN_MACS
-    assert _matmul_dtype(ring, outer, k_edge, outer) is below
-    assert _matmul_dtype(ring, outer, k_edge + 1, outer) is above
+    assert _tier((m - 1) ** 2, k_edge) is below
+    assert _tier((m - 1) ** 2, k_edge + 1) is above
     digits = np.finfo(below).nmant + 1  # 24 for float32, 53 for float64
     for k in (k_edge, k_edge + 1):
         # Entries m - 1, and m - 2 in the last place where that makes the
         # entries of the exact product past the bound odd sums.
-        a = np.full((outer, k), m - 1, dtype=np.int64)
+        a = np.full((2, k), m - 1, dtype=np.int64)
         if (k_edge + 1) * (m - 1) ** 2 % 2 == 0:
             a[:, -1] = m - 2
         exact = sum(int(x) * int(x) for x in a[0])
@@ -741,20 +736,6 @@ def test_float32_tier_boundary(p, s, k_float):
     _check_product_edge(p, s, k_float, np.float32, np.float64)
 
 
-def test_float_tier_size_gate():
-    ring = RingSpec(2, 4)
-    m = ring.modulus
-    rng = random.Random(6)
-    # 16 x 16 x 16 is exactly FLOAT_MIN_MACS multiply-adds; one row fewer
-    # falls below the gate.
-    assert 16 * 16 * 16 == FLOAT_MIN_MACS
-    for rows, dtype in [(15, np.int64), (16, np.float32)]:
-        assert _matmul_dtype(ring, rows, 16, 16) is dtype
-        a = random_matrix(ring, rows, 16, rng).data
-        b = random_matrix(ring, 16, 16, rng).data
-        assert _matmul_reduced(a, b, ring).tolist() == _python_product(a, b, m)
-
-
 @pytest.mark.parametrize("p,s,tier", [(2, 4, np.float32), (3, 10, np.float64)])
 def test_kernel_converts_a_large_operand_in_panels(p, s, tier, monkeypatch):
     # With _PANEL_BYTES at w columns of the float copy of b, b goes through
@@ -767,7 +748,7 @@ def test_kernel_converts_a_large_operand_in_panels(p, s, tier, monkeypatch):
     for w, widths in [(5, (14, 15, 16)), (1, (13,))]:
         monkeypatch.setattr(matrix, "_PANEL_BYTES", k * w * np.dtype(tier).itemsize)
         for cols in widths:
-            assert _matmul_dtype(ring, rows, k, cols) is tier
+            assert _tier((m - 1) ** 2, k) is tier
             a = random_matrix(ring, rows, k, rng).data
             bt = random_matrix(ring, cols, k, rng).data
             for b in (bt.T, bt.T.copy()):
@@ -807,9 +788,13 @@ def test_kernel_matches_python_ints(p, s, headroom):
                 want += c.astype(object)
             assert got.dtype == storage and got.shape == (3, cols)
             assert got.tolist() == (want % m).tolist()
-            size = max(k, 1) if unbounded else headroom
+            # Python ints, never the floats of an empty float product.
+            assert storage is not object or all(type(x) is int for x in got.ravel())
+            # A float product, as at k <= 4 over 3^16, is one chunk.
+            tier = np.dtype(_tier((m - 1) ** 2, k))
+            size = max(k, 1) if unbounded or tier.kind == "f" else headroom
             widths = [min(size, k - k0) for k0 in range(0, max(k, 1), size)]
-            assert chunks == [(w, np.dtype(storage)) for w in widths]
+            assert chunks == [(w, tier) for w in widths]
 
 
 # An exact level of the block-minor forest, minors._level_product, writing
@@ -826,7 +811,7 @@ def test_kernel_into_out_and_work(p, s, k, tier):
     rng = np.random.default_rng(k)
     a, b, c = (rng.integers(0, m, shape) for shape in ((rows, k), (k, cols), (rows, width)))
     # Every partial sum, below k (m - 1)^2 + m, is exact in tier.
-    assert _matmul_dtype(ring, rows, k, cols) is tier
+    assert _tier((m - 1) ** 2, k) is tier
     work = np.empty(k * cols + rows * cols)
     held = _carve(work, (k, cols), tier)
     held[...] = b
@@ -903,11 +888,13 @@ def _parent_storage(m):
     return np.int64 if m <= math.isqrt(2 ** 63 - 1) + 1 else object
 
 
-def _parent_product_dtype(m, k, macs):
+# The parent's tier of a product of 4096 multiply-adds or more, the size
+# from which it let a product run in a float type.
+def _parent_product_dtype(m, k):
     bound = (m - 1) ** 2 * k
     if _parent_storage(m) is object:
         return object
-    if macs < 4096 or bound >= 2 ** 53:
+    if bound >= 2 ** 53:
         return np.int64
     return np.float32 if bound < 2 ** 24 else np.float64
 
@@ -952,12 +939,10 @@ def test_exact_terms_rule(dtype):
     for m in RULE_MODULI:
         if np.dtype(dtype).kind == "i":
             assert _exact_terms(dtype, (m - 1) ** 2, m - 1, m) == _parent_headroom(m, dtype), m
-        for k in (0, 1, 2, 7, 286, 287, 10 ** 6):
-            # macs counts rows * k * cols multiply-adds: none when k = 0.
-            for macs in (0, FLOAT_MIN_MACS - 1, FLOAT_MIN_MACS, 10 ** 9)[: 4 if k else 1]:
-                want, got = _parent_product_dtype(m, k, macs), _tier((m - 1) ** 2, k, macs)
-                assert (got is dtype) == (want is dtype), (m, k, macs)
-                assert dtype is not np.int64 or got is want, (m, k, macs)
+        for k in (1, 2, 7, 286, 287, 10 ** 6):
+            want, got = _parent_product_dtype(m, k), _tier((m - 1) ** 2, k)
+            assert (got is dtype) == (want is dtype), (m, k)
+            assert dtype is not np.int64 or got is want, (m, k)
         if dtype is np.int64:
             assert dtype_for(SimpleNamespace(modulus=m)) is _parent_storage(m), m
     if dtype is np.int64:
@@ -971,7 +956,7 @@ def test_verify_parity_witness_at_float_tier():
     rng = random.Random(7)
     g = random_matrix(ring, 40, 60, rng)
     h = parity_check_iterative(standard_form(g)).h_unpermuted
-    assert _matmul_dtype(ring, g.nrows, g.ncols, h.nrows) is np.float32
+    assert _tier((m - 1) ** 2, g.ncols) is np.float32
     assert verify_parity(g, h) == (True, None)
     bad = h.data.copy()
     for _ in range(2):
