@@ -208,17 +208,18 @@ def _tier(term: int, k: int):
 
 
 def _matmul_reduced(a: np.ndarray, b: np.ndarray, ring: RingSpec, c=None) -> np.ndarray:
-    """(a @ b + c) mod p^s in the ring's storage, for reduced a, b and c, c
-    of the product's shape: the one place where the arithmetic of a reduced
-    product is decided.  It runs in _tier((m - 1)^2, k), and an int64
-    product in inner chunks of _exact_terms(int64, (m - 1)^2, m - 1, m),
-    each added to the sum so far and reduced once, so Python ints serve
-    only a ring stored in them.  c is added in the storage, after the
-    product.  A float copy of b of more than _PANEL_BYTES is made one
-    column panel at a time, in one reused buffer of that size, each panel
-    multiplied into the result: a is converted once.  A b already in the
-    product's type, as in an int64 or Python-int product, takes no panels.
-    The result is a new array.
+    """(a @ b + c) mod p^s in the ring's storage, for a, b and c of integers
+    of magnitude at most p^s - 1, signed or reduced, c of the product's
+    shape: the one place where the arithmetic of a product is decided, so
+    no caller reduces an operand.  A term is at most (m - 1)^2 in magnitude
+    either way.  It runs in _tier((m - 1)^2, k), an int64 product in inner
+    chunks of _exact_terms(int64, (m - 1)^2, m - 1, m), each added to the
+    sum so far and reduced once, so Python ints serve only a ring stored in
+    them.  c is added in the storage, after the product.  A float copy of b
+    of more than _PANEL_BYTES is made one column panel at a time, in one
+    reused buffer of that size, each panel multiplied into the result: a is
+    converted once.  A b already in the product's type, as in an int64 or
+    Python-int product, takes no panels.  The result is a new array.
     """
     (rows, k), cols = a.shape, b.shape[1]
     m, storage, dtype = ring.modulus, dtype_for(ring), _tier((ring.modulus - 1) ** 2, k)

@@ -42,9 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .matrix import (
-    ShapeError, _carve, _matmul_reduced, _reduce_in_place, _tier, dtype_for,
-)
+from .matrix import ShapeError, _carve, _matmul_reduced, _reduce_in_place, _tier
 from .opcounters import OpCounters
 from .stdform import StandardForm, stripped_row
 
@@ -82,11 +80,11 @@ class BlockMinorTable:
     """Block-minors of the block diagonal of a reduced associated matrix.
 
     Holds row a = 1..s of the standard form as _rows[a] = -stripped_row(sf,
-    a), the factor and terms of every node at anchor a, in float64, exact
-    for an int64 ring, or in Python ints, and recurses on them (see the
-    module docstring), counting through OpCounters.record_node as the
-    iterative construction does: one multiplication and one addition per
-    non-identity term, never the product by the order-0 identity minor.
+    a), the factor and terms of every node at anchor a, signed, in the
+    ring's storage, and recurses on them (see the module docstring),
+    counting through OpCounters.record_node as the iterative construction
+    does: one multiplication and one addition per non-identity term, never
+    the product by the order-0 identity minor.
     No minor is memoized: every node of a recursion tree performs its own
     block products, so operation counts reproduce independent
     recomputation.  Only the dispatch is batched, one product per level of
@@ -97,17 +95,13 @@ class BlockMinorTable:
     def __init__(self, sf: StandardForm, counters: OpCounters | None = None):
         self.layout, self.ring = sf.layout, sf.matrix.ring
         self.counters = counters if counters is not None else OpCounters()
-        dtype = object if dtype_for(self.ring) is object else np.float64
-        self._rows = {a: -stripped_row(sf, a).astype(dtype) for a in range(1, self.layout.s + 1)}
+        self._rows = {a: -stripped_row(sf, a) for a in range(1, self.layout.s + 1)}
         self._work, self._cast, self._plans = None, {}, {}
 
     def _row(self, a: int, dtype: np.dtype) -> np.ndarray:
-        """Row group a in dtype: signed in a float dtype, reduced mod p^s in
-        the storage, as _tree's root product takes it."""
+        """Row group a, signed, in dtype: a float level's or the storage."""
         if (a, dtype) not in self._cast:
-            row = self._rows[a]
-            self._cast[(a, dtype)] = (row.astype(dtype, copy=False) if dtype.kind == "f"
-                                      else _reduce_in_place(row.astype(dtype), self.ring.modulus))
+            self._cast[(a, dtype)] = self._rows[a].astype(dtype, copy=False)
         return self._cast[(a, dtype)]
 
     @cached_property
@@ -222,7 +216,7 @@ class BlockMinorTable:
 
     def _tree(self, low: int, end: int, out: np.ndarray) -> None:
         """M(low) into out, for low < end - 1: one root product, row low
-        reduced in the storage, -[A(low, low+1) | ... | A(low, end-1)] times
+        signed in the storage, -[A(low, low+1) | ... | A(low, end-1)] times
         the minors that forest (low + 1, end), its children trees, leaves,
         plus -A(low, end)."""
         t, width, wide = self.layout.t, out.shape[1], end == self.layout.s + 1

@@ -130,10 +130,10 @@ def parity_check_iterative(sf: StandardForm) -> ParityCheckResult:
 
     def fill(ht, dual, counters):
         for i in range(s, 0, -1):
-            # The row, negated once: its first total - lo columns take row
-            # groups i+1..s of H^T; the rest, -A_{i,s+1}, is the added term
-            # under column group 1.
-            row, lo = _reduce_in_place(-stripped_row(sf, i), ring.modulus), layout.group(i + 1).start
+            # The row, negated once and left signed: its first total - lo
+            # columns take row groups i+1..s of H^T; the rest, -A_{i,s+1},
+            # is the added term under column group 1, reduced by the kernel.
+            row, lo = -stripped_row(sf, i), layout.group(i + 1).start
             out = ht[layout.group(i), : row.shape[1]]
             out[:, : layout.n - total] = row[:, total - lo :]
             out[...] = _matmul_reduced(row[:, : total - lo], ht[lo:total, : row.shape[1]], ring, out)
@@ -145,8 +145,8 @@ def parity_check_iterative(sf: StandardForm) -> ParityCheckResult:
 
 
 def parity_check_bruteforce(generators: Matrix) -> Matrix:
-    """All vectors orthogonal to every generator row, found by enumerating
-    the full ambient space (the complete dual set, one vector per row)."""
+    """All vectors orthogonal to every generator row, one a row in
+    lexicographic order, found by enumerating the full ambient space."""
     ring = generators.ring
     m = ring.modulus
     n = generators.ncols
@@ -165,7 +165,7 @@ def parity_check_bruteforce(generators: Matrix) -> Matrix:
         # With no generators every vector has the empty syndrome.
         found.append(vecs[~((vecs @ gt) % m).any(axis=1)])
     rows = np.vstack(found) if found else np.zeros((0, n), np.int64)
-    return Matrix(ring, rows)
+    return Matrix._of_reduced(ring, rows)
 
 
 def verify_parity(g: Matrix, h: Matrix):
@@ -186,14 +186,12 @@ def verify_parity(g: Matrix, h: Matrix):
 def verify_dual(g: Matrix, h: Matrix):
     """Check that H generates the dual of G's code.  G H^T = 0 puts <H> in
     the dual, and the two are equal exactly when |<G>| |<H>| = p^(sn), with
-    each size p^(sum (s - i + 1) t_i) read from the type of its standard
-    form.  Returns (witness, sizes): both None when H generates the dual;
-    verify_parity's witness, the 1-based (row, col) of the first nonzero
-    entry of G H^T, and None; or None and the sizes (|<G>|, |<H>|)."""
+    each size the order of its standard form.  Returns (witness, sizes):
+    both None when H generates the dual; verify_parity's witness, the
+    1-based (row, col) of the first nonzero entry of G H^T, and None; or
+    None and the sizes (|<G>|, |<H>|)."""
     ok, witness = verify_parity(g, h)
     if not ok:
         return witness, None
-    ring = g.ring
-    sizes = tuple(ring.p ** sum((ring.s - i) * ti for i, ti in enumerate(standard_form(x).layout.t))
-                  for x in (g, h))
+    ring, sizes = g.ring, tuple(standard_form(x).order for x in (g, h))
     return None, (sizes if sizes[0] * sizes[1] != ring.p ** (ring.s * g.ncols) else None)

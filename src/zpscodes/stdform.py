@@ -28,11 +28,13 @@ of the matrix searched, now up to date.
 
 The window and X sit side by side in one column-major panel buffer, rows x
 2 min(PANEL_WIDTH, n), since no window has more columns than the matrix:
-the window is copied in when the panel opens and written back, reduced,
-when it is flushed.  So a pivot normalizes one row and makes one rank-1
-update, over [window from the pivot column | X], applied through the
-buffer's transpose so that the update and the outer product it subtracts
-are both row-major.
+the window is copied in when the panel opens.  A flush with pivots reduces
+the window and X in one call and writes the window back; X - I then goes
+to the kernel as it is.  A flush without pivots, as at the start of each
+valuation stage, has nothing to reduce.  So a pivot normalizes one row and
+makes one rank-1 update, over [window from the pivot column | X], applied
+through the buffer's transpose so that the update and the outer product it
+subtracts are both row-major.
 
 The buffer is reduced lazily (delayed reduction, as in FFLAS-FFPACK: Dumas,
 Giorgi and Pernet, 2008), and work and the buffer are held in the narrowest
@@ -105,6 +107,12 @@ class StandardForm:
             raise ShapeError(f"a {self.matrix.shape} matrix and a permutation of degree "
                              f"{self.perm.degree} do not fit the type {self.layout.t}, n = {n}")
 
+    @property
+    def order(self) -> int:
+        """|C|, the number of codewords: p^(sum (s - i + 1) t_i)."""
+        ring = self.matrix.ring
+        return ring.p ** sum((ring.s - i) * ti for i, ti in enumerate(self.layout.t))
+
 
 def _first_pivot(region: np.ndarray, pv1: int):
     """(row, col) in region of the first entry not divisible by pv1, in the
@@ -135,11 +143,11 @@ def _flush(
     work: np.ndarray, x: np.ndarray, r0: int, k: int, wend: int, ring: RingSpec
 ) -> None:
     """Apply a panel's k pivots, whose rows start at r0 and whose operations
-    x records, to the columns of work from wend on; then clear x."""
+    x, reduced, records, to the columns of work from wend on, through the
+    kernel, which takes X - I, signed, as it is; then clear x."""
     if k and wend < work.shape[1]:
         d = x[:, :k]
         d[np.arange(r0, r0 + k), np.arange(k)] -= 1
-        _reduce_in_place(d, ring.modulus)
         # Transposed, every operand, c and the result are row-major.
         rest = work[:, wend:].T
         rest[...] = _matmul_reduced(rest[:, r0 : r0 + k], d.T, ring, rest)
@@ -183,9 +191,9 @@ def standard_form(rows: Matrix) -> StandardForm:
         while True:
             hit = _first_pivot(buf[row_ptr:, col_ptr - wstart : wend - wstart], pv1)
             if hit is None:
-                window = buf[:, : wend - wstart]
-                _reduce_in_place(window, m)
-                work[:, wstart:wend] = window
+                if k:
+                    _reduce_in_place(buf[:, : panel + k], m)
+                    work[:, wstart:wend] = buf[:, : wend - wstart]
                 _flush(work, x, row_ptr - k, k, wend, ring)
                 hit = _first_pivot(work[row_ptr:, wend:], pv1)
                 if hit is None:

@@ -2,12 +2,15 @@
 they check."""
 
 import itertools
+import math
 import random
 
 import numpy as np
 
 from zpscodes import (BlockLayout, Matrix, OpCounters, Permutation, RingSpec, StandardForm,
-                      standard_form)
+                      parity_check_bruteforce, parity_check_iterative, parity_check_minors,
+                      predicted_counts_iterative, predicted_counts_minors, standard_form,
+                      verify_dual)
 from zpscodes.matrix import ParseError, dtype_for
 from zpscodes.minors import BlockMinorTable
 from zpscodes.zring import unit_inverse_int
@@ -122,6 +125,105 @@ def miscount_big_mults(monkeypatch):
             self.big_mults += count
 
     monkeypatch.setattr(OpCounters, "record_mul", record_twice)
+
+
+def per_group_counts(n, t, pairs):
+    """(big, small) block pairs from the closed form pairs(c) of one column
+    group, c = s + 1 - j the length of group j's block chain, summed over
+    the groups of nonzero width: n - t for j = 1, t_{s+2-j} for j >= 2.
+    With every width nonzero these are the paper's totals."""
+    s = len(t)
+    big = pairs(s) if n > sum(t) else 0
+    small = sum(pairs(s + 1 - j) for j in range(2, s + 1) if t[s + 1 - j])
+    return big, small
+
+
+def minors_pairs(c):
+    return 2 ** c - 1 - c
+
+
+def iterative_pairs(c):
+    return c * (c - 1) // 2
+
+
+def every_standard_form(ring, n):
+    """(layout, G) for every standard form of length n over ring with the
+    identity permutation, by type in lexicographic order: row group i is
+    p^(i-1) [0 | I_{t_i} | A_{i,i+1} | ... | A_{i,s+1}], each entry of
+    A_{i,j} in [0, p^(j-i)).  For j <= s, p^(i-1) A_{i,j} then lies below
+    the pivots p^(j-1) of column group j; in the free group, j = s + 1,
+    A_{i,j} takes every residue mod p^(s-i+1)."""
+    p, s = ring.p, ring.s
+    for t in itertools.product(range(n + 1), repeat=s):
+        if sum(t) > n:
+            continue
+        layout = BlockLayout(n, t)
+        base, cells = np.zeros((layout.total, n), np.int64), []
+        for i in range(1, s + 1):
+            rows = layout.group(i)
+            base[rows, rows] = p ** (i - 1) * np.eye(t[i - 1], dtype=np.int64)
+            for j in range(i + 1, s + 2):
+                cols = layout.group(j)
+                cells += [(r, c, p ** (i - 1), p ** (j - i))
+                          for r in range(rows.start, rows.stop) for c in range(cols.start, cols.stop)]
+        r, c, scale, size = (np.array([cell[x] for cell in cells], dtype=np.int64) for x in range(4))
+        for entries in itertools.product(*map(range, size)):
+            g = base.copy()
+            g[r, c] = scale * np.array(entries, dtype=np.int64)
+            yield layout, Matrix(ring, g)
+
+
+def word_codes(words: np.ndarray, m: int) -> np.ndarray:
+    """Each word of words, along its last axis, as its number in base m,
+    first entry most significant: the order in which
+    parity_check_bruteforce lists vectors."""
+    return words.astype(np.int64) @ m ** np.arange(words.shape[-1] - 1, -1, -1, dtype=np.int64)
+
+
+def span_codes(g: Matrix) -> np.ndarray:
+    """The word_codes of the row span of g, in increasing order.  By closure
+    under adding the multiples of each row, up to its additive order, on a
+    table of all (p^s)^n words: only for tiny codes; independent of the
+    library."""
+    m, n = g.ring.modulus, g.ncols
+    reached = np.zeros(m ** n, bool)
+    reached[0] = True
+    for row in g.data.astype(np.int64):
+        order = m // math.gcd(m, *row.tolist())
+        words = np.flatnonzero(reached)[:, None] // m ** np.arange(n - 1, -1, -1) % m
+        reached[word_codes((words[:, None, :] + np.arange(order)[:, None] * row) % m, m)] = True
+    return np.flatnonzero(reached)
+
+
+def check_canonical_form(g: Matrix, layout: BlockLayout) -> None:
+    """On a standard form g of layout with the identity permutation:
+    standard_form leaves it as it is; the minors and the iterative H are
+    equal in both coordinate systems, and their counters equal
+    per_group_counts, the closed forms when every t_i > 0 and n > t; the
+    span of H is the brute-force dual; the brute-force dual of H has g's
+    standard form; verify_dual accepts H, and rejects H with its first row
+    times p, giving |<G>| and |<H>| / p."""
+    ring, n, t = g.ring, layout.n, layout.t
+    sf = standard_form(g)
+    assert sf == StandardForm(g, layout, Permutation.identity(n)), g
+    minors, iterative = parity_check_minors(sf), parity_check_iterative(sf)
+    assert minors.h == iterative.h and minors.h_unpermuted == iterative.h_unpermuted, g
+    for result, pairs, closed in ((minors, minors_pairs, predicted_counts_minors),
+                                  (iterative, iterative_pairs, predicted_counts_iterative)):
+        big, small = per_group_counts(n, t, pairs)
+        c = result.counters
+        assert (c.big_mults, c.big_adds, c.small_mults, c.small_adds) == (big, big, small, small), g
+        assert not all(t) or n == layout.total or (big, small) == closed(layout.s)
+    h, m = iterative.h_unpermuted, ring.modulus
+    dual = word_codes(parity_check_bruteforce(g).data, m)
+    assert np.array_equal(span_codes(h), dual), g
+    assert standard_form(parity_check_bruteforce(h)) == sf, g
+    assert verify_dual(g, h) == (None, None), g
+    if h.nrows:
+        scaled = h.data.copy()
+        scaled[0] *= ring.p
+        assert verify_dual(g, Matrix(ring, scaled)) == (None, (m ** n // dual.size,
+                                                               dual.size // ring.p)), g
 
 
 def group_width(layout, j):

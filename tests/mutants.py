@@ -138,6 +138,20 @@ MUTANTS = [
         ("tests/test_stdform.py::test_standard_form_is_canonical",),
     ),
     Mutant(
+        "flush-transform-unreduced", "stdform.py",
+        "_reduce_in_place(buf[:, : panel + k], m)",
+        "_reduce_in_place(buf[:, : wend - wstart], m)",
+        "a flush reduces the window but not X, so X - I passes the kernel's bound and overflows",
+        ("tests/test_stdform.py::test_blocked_matches_sequential",),
+    ),
+    Mutant(
+        "flush-guard-skips-one-pivot", "stdform.py",
+        "                if k:\n",
+        "                if k > 1:\n",
+        "a panel of one pivot is flushed without writing its window back: the pivot is lost",
+        ("tests/test_stdform.py::test_hand_reduction_example",),
+    ),
+    Mutant(
         "levels-fallback-from-leaf-bound", "minors.py",
         "_tier(bound[low], 1) in (np.float32, np.float64)",
         "_tier(bound[end - 2], 1) in (np.float32, np.float64)",
@@ -161,8 +175,8 @@ MUTANTS = [
     ),
     Mutant(
         "table-rows-unsigned", "minors.py",
-        "{a: -stripped_row(sf, a).astype(dtype)",
-        "{a: stripped_row(sf, a).astype(dtype)",
+        "{a: -stripped_row(sf, a) for",
+        "{a: stripped_row(sf, a) for",
         "the table holds A, not -A, so every minor of odd order has the wrong sign",
         ("tests/test_minors.py::test_leaf_level_skipped_and_one_stack_per_table",),
     ),
@@ -232,8 +246,8 @@ MUTANTS = [
     ),
     Mutant(
         "iterative-row-unsigned", "paritycheck.py",
-        "_reduce_in_place(-stripped_row(sf, i), ring.modulus)",
-        "_reduce_in_place(stripped_row(sf, i), ring.modulus)",
+        "row, lo = -stripped_row(sf, i)",
+        "row, lo = stripped_row(sf, i)",
         "the iterative construction drops the sign of each row: G H^T != 0",
         ("tests/test_paritycheck.py",),
     ),
@@ -250,6 +264,23 @@ MUTANTS = [
         "if big_pairs >= MINORS_BUDGET:",
         "a minors run of exactly MINORS_BUDGET pairs is refused",
         ("tests/test_paritycheck.py::test_minors_budget_boundary",),
+    ),
+    Mutant(
+        "verify-dual-sizes-swapped", "paritycheck.py",
+        "standard_form(x).order for x in (g, h))",
+        "standard_form(x).order for x in (h, g))",
+        "verify_dual reports |<H>| as |<G>| and back; their product, and so every verdict, holds",
+        ("tests/test_stdform.py::test_every_canonical_standard_form",
+         "tests/test_cli.py::test_verify_rejects_an_orthogonal_h_that_is_too_small"),
+    ),
+    Mutant(
+        # Only the every-standard-form sweep kills it: the other tests
+        # compare the brute-force dual as a set.
+        "bruteforce-colexicographic", "paritycheck.py",
+        "[m ** (n - 1 - c) for c in range(n)]",
+        "[m ** c for c in range(n)]",
+        "the brute-force dual lists the same vectors, last entry most significant, out of order",
+        ("tests/test_stdform.py::test_every_canonical_standard_form",),
     ),
     Mutant(
         "verify-dual-accepts-small-h", "paritycheck.py",

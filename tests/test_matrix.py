@@ -797,6 +797,37 @@ def test_kernel_matches_python_ints(p, s, headroom):
             assert chunks == [(w, tier) for w in widths]
 
 
+# The kernel takes a, b and c of integers of magnitude at most p^s - 1,
+# signed or reduced, and reduces only its result.  Signed operands, their
+# extremes -(m - 1) and m - 1 included, on each tier: float32 (2^4),
+# float64 whole and in _PANEL_BYTES panels of 5 columns (3^10), int64
+# chunks of 6 terms (3^19) and one wrapping chunk (2^31), and Python ints
+# (3^21), against the product over Python ints.
+@pytest.mark.parametrize("p,s,tier,panel,widths", [
+    pytest.param(2, 4, np.float32, None, [20], id="float32"),
+    pytest.param(3, 10, np.float64, None, [20], id="float64"),
+    pytest.param(3, 10, np.float64, 5, [20] * 3, id="float64-panels"),
+    pytest.param(3, 19, np.int64, None, [6, 6, 6, 2], id="int64-3^19"),
+    pytest.param(2, 31, np.int64, None, [20], id="int64-2^31"),
+    pytest.param(3, 21, object, None, [20], id="python-ints-3^21"),
+])
+def test_kernel_takes_signed_operands(p, s, tier, panel, widths, monkeypatch):
+    ring = RingSpec(p, s)
+    m, storage, k, rows, cols = ring.modulus, dtype_for(ring), 20, 6, 14
+    assert _tier((m - 1) ** 2, k) is tier
+    if panel:
+        monkeypatch.setattr(matrix, "_PANEL_BYTES", k * panel * np.dtype(tier).itemsize)
+    rng = np.random.default_rng(s)
+    a, b, c = (rng.integers(1 - m, m, shape) for shape in ((rows, k), (k, cols), (rows, cols)))
+    a[0], a[1], b[:, 0], c[0] = 1 - m, m - 1, 1 - m, 1 - m
+    a, b, c = (x.astype(storage) for x in (a, b, c))
+    chunks = []
+    got = _matmul_reduced(a.view(chunk_spy(chunks)), b, ring, c)
+    want = (a.astype(object) @ b.astype(object) + c.astype(object)) % m
+    assert got.dtype == storage and got.tolist() == want.tolist()
+    assert chunks == [(w, np.dtype(tier)) for w in widths]
+
+
 # An exact level of the block-minor forest, minors._level_product, writing
 # into a float out, with b held in work in out's dtype, on each float tier:
 # float32 (2^4) and float64 (3^13).  work is written only once b has been

@@ -35,7 +35,10 @@ from helpers import (
     degenerate_type,
     gh_transpose_is_zero,
     inverse,
+    iterative_pairs,
+    minors_pairs,
     miscount_big_mults,
+    per_group_counts,
     random_matrix,
     random_type,
     rows_as_set,
@@ -202,25 +205,6 @@ def _layout_cases(s):
     return cases
 
 
-def _per_group_counts(n, t, pairs):
-    """(big, small) block pairs from the closed form pairs(c) of one column
-    group, c = s + 1 - j the length of group j's block chain, summed over
-    the groups of nonzero width: n - t for j = 1, t_{s+2-j} for j >= 2.
-    With every width nonzero these are the paper's totals."""
-    s = len(t)
-    big = pairs(s) if n > sum(t) else 0
-    small = sum(pairs(s + 1 - j) for j in range(2, s + 1) if t[s + 1 - j])
-    return big, small
-
-
-def _minors_pairs(c):
-    return 2 ** c - 1 - c
-
-
-def _iterative_pairs(c):
-    return c * (c - 1) // 2
-
-
 # Odd and even p, int64 storage (2^4, 3^13) and python ints (3^21, 1451^3).
 # Minors at s = 21 is over MINORS_BUDGET, so there it must refuse and only
 # the iterative side is checked.
@@ -240,9 +224,9 @@ def test_methods_differential(p, s, case, monkeypatch):
     generators = Matrix(ring, code.matrix.data[:, order])
     sf = standard_form(generators)
     assert sf.layout.t == tuple(t)
-    constructions = [(parity_check_iterative, _iterative_pairs)]
+    constructions = [(parity_check_iterative, iterative_pairs)]
     if predicted_counts_minors(s)[0] <= paritycheck.MINORS_BUDGET:
-        constructions.append((parity_check_minors, _minors_pairs))
+        constructions.append((parity_check_minors, minors_pairs))
     else:
         with pytest.raises(BudgetExceededError):
             parity_check_minors(sf)
@@ -251,7 +235,7 @@ def test_methods_differential(p, s, case, monkeypatch):
         result = construct(sf)
         results.append(result)
         assert gh_transpose_is_zero(generators, result.h_unpermuted)
-        big, small = _per_group_counts(n, t, pairs)
+        big, small = per_group_counts(n, t, pairs)
         c = result.counters
         assert (c.big_mults, c.big_adds, c.small_mults, c.small_adds) == (big, big, small, small)
     assert all(r.h == results[0].h for r in results)
@@ -259,15 +243,15 @@ def test_methods_differential(p, s, case, monkeypatch):
     # The counter self-test still sees a wide product recorded twice.
     miscount_big_mults(monkeypatch)
     for construct, pairs in constructions:
-        big, _ = _per_group_counts(n, t, pairs)
+        big, _ = per_group_counts(n, t, pairs)
         assert construct(sf).counters.big_mults == 2 * big
 
 
 def test_per_group_counts_sum_to_paper_totals():
     for s in range(1, 13):
         ones = (1,) * s
-        assert _per_group_counts(s + 1, ones, _minors_pairs) == predicted_counts_minors(s)
-        assert _per_group_counts(s + 1, ones, _iterative_pairs) == predicted_counts_iterative(s)
+        assert per_group_counts(s + 1, ones, minors_pairs) == predicted_counts_minors(s)
+        assert per_group_counts(s + 1, ones, iterative_pairs) == predicted_counts_iterative(s)
 
 
 def test_minors_budget(monkeypatch):

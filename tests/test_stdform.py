@@ -14,8 +14,10 @@ from codemodel import CodeSpec, cardinality, is_member
 from helpers import (
     DEGENERATE_CASES,
     check_against_sequential,
+    check_canonical_form,
     degenerate_type,
     every_matrix,
+    every_standard_form,
     inverse,
     random_matrix,
     row_span_set,
@@ -443,6 +445,17 @@ def test_every_small_generator_matrix(p, s, shape):
     rng = random.Random(f"every:{p}^{s}")
     for g in every_matrix(RingSpec(p, s), *shape):
         check_against_sequential(g, rng)
+
+
+# Every standard form of a small scope, the identity permutation's, through
+# both constructions, the brute-force dual and verify_dual (see
+# helpers.check_canonical_form): each ring at n = 2, and Z_4, Z_8 and Z_9 at
+# the lengths that tests/exhaustive.py runs by hand.
+@pytest.mark.parametrize("p,s,n", [(2, 2, 2), (2, 3, 2), (3, 2, 2), (2, 4, 2), (5, 2, 2),
+                                   (3, 3, 2), (2, 2, 4), (2, 3, 3), (3, 2, 3)])
+def test_every_canonical_standard_form(p, s, n):
+    for layout, g in every_standard_form(RingSpec(p, s), n):
+        check_canonical_form(g, layout)
 
 
 @pytest.mark.parametrize("case", DEGENERATE_CASES)
